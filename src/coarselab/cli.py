@@ -173,7 +173,13 @@ def cmd_op_verify_power(args) -> int:
         print(f"note: operator normalized by 0.95/{nrm:.4f} to satisfy the "
               "norm precondition", file=sys.stderr)
     tab = opalg.check_power_estimate(A, args.nmax, args.rmax)
-    print(json.dumps({"rows": len(tab.rows), "passed": tab.passed}))
+    by_n = []
+    for n in range(1, args.nmax + 1):
+        rows = [r for r in tab.rows if r.n == n]
+        by_n.append({"n": n, "passed": all(r.ok for r in rows),
+                     "min_slack": min((r.rhs - r.lhs for r in rows), default=None)})
+    print(json.dumps({"rows": len(tab.rows), "passed": tab.passed,
+                      "by_n": by_n}))
     return EXIT_PASS if tab.passed else EXIT_CHECK_FAILED
 
 

@@ -6,6 +6,19 @@ Heisenberg group with its {x, y} word metric, the 3-regular tree with the graph
 metric).  Points are indexed 0..N-1 in a deterministic order; all distances are
 integer valued and exact.
 
+Lookups are array-backed, built once per window, so that every distance
+query -- scalar, elementwise or a rows x cols block -- is one broadcasting
+kernel whose temporaries scale with the size of the answer:
+
+  lattices     a dense (2W+1)^d grid of point ids (-1 outside the window)
+               serves index_of and index_many; 4 bytes per grid cell;
+  heisenberg3  word lengths of the radius-2W ball as a dense uint8 array over
+               the box |a|, |b| <= 2W, |c| <= W^2, built on first use and
+               indexed by p^-1 q; (4W+1)^2 (2W^2+1) bytes, 0.34 MB at W=10;
+  tree3        an ancestor table up[i, k] (the ancestor of i at depth k, or i
+               itself below its own depth); the least common ancestor is found
+               by binary search over k; 4 (W+1) bytes per point.
+
 The margin m marks the set of "safe" points, those at distance <= W - m from
 the base.  Operations that sum over neighbourhoods declare the radius they
 consume and raise MarginError instead of silently truncating at the edge.
@@ -29,13 +42,41 @@ EXP_FIT_FACTOR = 2.0
 _ZD_METRICS = ("l1", "linf")
 
 
-def _heis_mul(a, b, c, A, B, C):
-    # (a,b,c)*(A,B,C) in the normal form x^a y^b z^c, z central
-    return (a + A, b + B, c + C + a * B)
+# the dense Heisenberg construction refuses a window whose coordinate box has
+# more than this many cells per allowed point (a radius-W ball fills between
+# 0.18 and 0.21 of its box for W <= 20)
+_HEIS_BOX_PER_POINT = 16
 
 
-def _heis_inv(a, b, c):
-    return (-a, -b, a * b - c)
+def _heis_box(L: int) -> tuple:
+    # |a|, |b| <= L and |c| <= L^2 // 4 hold on the radius-L ball: a word with
+    # m letters y^{+-1} among L letters moves c by at most m (L - m)
+    C = L * L // 4
+    return (2 * L + 1, 2 * L + 1, 2 * C + 1)
+
+
+def _heis_ball(L: int) -> np.ndarray:
+    """Word lengths of the Heisenberg elements within distance L.
+
+    A dense array over _heis_box(L), centred on the identity, in the smallest
+    unsigned dtype that holds L + 1; cells beyond distance L hold L + 1.
+    Breadth-first search over flat cell ids, one vectorized step per radius.
+    """
+    shape = _heis_box(L)
+    lengths = np.full(shape, L + 1, dtype=np.min_scalar_type(L + 1))
+    flat = lengths.reshape(-1)
+    sa, sb = shape[1] * shape[2], shape[2]
+    front = np.array([np.ravel_multi_index((L, L, shape[2] // 2), shape)])
+    flat[front] = 0
+    for ell in range(1, L + 1):
+        a = front // sa - L
+        # right multiplication in the normal form x^a y^b z^c:
+        # x^{+-1} moves a; y^{+-1} moves b and moves c by +-a
+        nbrs = np.concatenate([front + sa, front - sa,
+                               front + sb + a, front - sb - a])
+        front = np.unique(nbrs[flat[nbrs] > ell])
+        flat[front] = ell
+    return lengths
 
 
 class Window:
@@ -54,7 +95,9 @@ class Window:
         self.metric = metric
         self.dim = dim
         self._max_points = max_points
-        self._wordlen = None      # heisenberg: dict (a,b,c) -> word length, radius 2W
+        self._grid = None         # lattices: dense point-id grid, -1 outside
+        self._index = None        # heisenberg3 / tree3: label -> point id
+        self._heis_rel = None     # heisenberg3: radius-2W lookup, built on first use
         self._fill_cache = {}     # used by the filler; safe under the GIL
 
         if kind == "zd":
@@ -93,70 +136,58 @@ class Window:
                 f"memory budget of {self._max_points} points")
         axes = [np.arange(-W, W + 1)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        if self.metric == "l1":
-            norms = np.abs(grid).sum(axis=1)
-        else:
-            norms = np.abs(grid).max(axis=1)
-        coords = grid[norms <= W]
+        coords = grid[self._zd_norm(grid) <= W]
         order = np.lexsort(coords.T[::-1])
         self.coords = np.ascontiguousarray(coords[order], dtype=np.int64)
         if len(self.coords) > self._max_points:
             raise WindowError(
                 f"spaces.make_window: window has {len(self.coords)} points, "
                 f"budget is {self._max_points}")
-        self._index = {tuple(p): i for i, p in enumerate(self.coords)}
-        self.base = self._index[(0,) * d]
+        self._grid = np.full((2 * W + 1,) * d, -1, dtype=np.int32)
+        self._grid[tuple((self.coords + W).T)] = np.arange(len(self.coords))
+        self.base = int(self._grid[(W,) * d])
+        self._axes = tuple(np.ascontiguousarray(x) for x in self.coords.T)
         self.dist_to_base = self._zd_norm(self.coords)
 
     def _zd_norm(self, v):
         if self.metric == "linf":
-            return np.abs(v).max(axis=1)
-        return np.abs(v).sum(axis=1)
+            return np.abs(v).max(axis=-1)
+        return np.abs(v).sum(axis=-1)
 
     def _build_heisenberg(self):
         W = self.W
-        gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-        lengths = {(0, 0, 0): 0}
-        frontier = deque([(0, 0, 0)])
-        while frontier:
-            g = frontier.popleft()
-            dg = lengths[g]
-            if dg == W:
-                continue
-            for s in gens:
-                h = _heis_mul(*g, *s)
-                if h not in lengths:
-                    if len(lengths) >= self._max_points:
-                        raise WindowError(
-                            f"spaces.make_window: heisenberg3 window W={W} exceeds "
-                            f"the memory budget of {self._max_points} points")
-                    lengths[h] = dg + 1
-                    frontier.append(h)
-        pts = sorted(lengths, key=lambda g: (lengths[g],) + g)
-        self.coords = np.array(pts, dtype=np.int64)
-        self._index = {p: i for i, p in enumerate(pts)}
+        budget = (f"spaces.make_window: heisenberg3 window W={W} exceeds the "
+                  f"memory budget of {self._max_points} points")
+        shape = _heis_box(W)
+        if np.prod(shape) > _HEIS_BOX_PER_POINT * self._max_points:
+            raise WindowError(budget)
+        lengths = _heis_ball(W).reshape(-1)
+        cells = np.flatnonzero(lengths <= W)
+        if len(cells) > self._max_points:
+            raise WindowError(budget)
+        # cell order is (a, b, c)-lexicographic; points sort by (length, a, b, c)
+        cells = cells[np.argsort(lengths[cells], kind="stable")]
+        coords = np.stack(np.unravel_index(cells, shape), axis=1) - np.array(shape) // 2
+        self.coords = np.ascontiguousarray(coords, dtype=np.int64)
+        self._index = {p: i for i, p in enumerate(map(tuple, self.coords.tolist()))}
         self.base = self._index[(0, 0, 0)]
-        self.dist_to_base = np.array([lengths[p] for p in pts], dtype=np.int64)
+        self.dist_to_base = lengths[cells].astype(np.int64)
 
-    def _heis_wordlen_table(self):
-        # word lengths out to radius 2W so that p^{-1}q is always resolvable
-        if self._wordlen is None:
-            gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-            lengths = {(0, 0, 0): 0}
-            frontier = deque([(0, 0, 0)])
-            lim = 2 * self.W
-            while frontier:
-                g = frontier.popleft()
-                dg = lengths[g]
-                if dg == lim:
-                    continue
-                for s in gens:
-                    h = _heis_mul(*g, *s)
-                    if h not in lengths:
-                        lengths[h] = dg + 1
-                        frontier.append(h)
-            self._wordlen = lengths
-        return self._wordlen
+    def _heis_lookup(self):
+        """(table, u, v, a, b): word lengths out to radius 2W, so that p^-1 q
+        is always resolvable, and per-point terms of its flat cell id."""
+        if self._heis_rel is None:
+            L = 2 * self.W
+            table = _heis_ball(L)
+            _, nb, nc = table.shape
+            sa, sb = nb * nc, nc
+            a, b, c = self.coords.T
+            # p^-1 q = (A - a, B - b, C - c - a (B - b)) for p = (a, b, c),
+            # q = (A, B, C); its cell id splits as u[q] - v[p] - a[p] b[q]
+            u = (a + L) * sa + (b + L) * sb + c + nc // 2
+            v = a * sa + b * sb + c - a * b
+            self._heis_rel = (table.reshape(-1), u, v, a.copy(), b.copy())
+        return self._heis_rel
 
     def _build_tree(self):
         W = self.W
@@ -185,6 +216,14 @@ class Window:
         self._index = {p: i for i, p in enumerate(paths)}
         self.base = 0
         self.dist_to_base = np.array(depth, dtype=np.int64)
+        # up[i, k]: ancestor of i at depth k <= depth(i) (i itself beyond);
+        # points are in breadth-first order, so parents' rows are final first
+        n = len(paths)
+        up = np.repeat(np.arange(n, dtype=np.int32)[:, None], W + 1, axis=1)
+        for k in range(1, W + 1):
+            level = np.flatnonzero(self.dist_to_base == k)
+            up[level, :k] = up[self.parent[level], :k]
+        self._up = up
 
     # -- point access ------------------------------------------------------
 
@@ -195,12 +234,35 @@ class Window:
         return tuple(int(x) for x in self.coords[i])
 
     def index_of(self, label) -> int:
-        try:
-            return self._index[tuple(label)]
-        except KeyError:
+        key = tuple(label)
+        W = self.W
+        if self._grid is None:
+            i = self._index.get(key, -1)
+        elif len(key) == self.dim and -W <= min(key) and max(key) <= W:
+            i = self._grid.item(tuple([x + W for x in key]))
+        else:
+            i = -1
+        if i < 0:
             raise PointNotInWindowError(
                 f"spaces: point {label!r} is not in the {self.kind} window "
-                f"(W={self.W})") from None
+                f"(W={self.W})")
+        return i
+
+    def index_many(self, coords) -> np.ndarray:
+        """Point ids of lattice coordinates, an integer array of shape (..., d);
+        -1 wherever the coordinates lie outside the window."""
+        if self._grid is None:
+            raise WindowError(
+                f"spaces.index_many: needs a lattice window, not {self.kind}")
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.shape[-1:] != (self.dim,):
+            raise PointNotInWindowError(
+                f"spaces.index_many: coordinates of shape {coords.shape} do not "
+                f"end in the window dimension {self.dim}")
+        W = self.W
+        inside = (np.abs(coords) <= W).all(axis=-1)
+        ids = self._grid[tuple(np.moveaxis(np.clip(coords + W, 0, 2 * W), -1, 0))]
+        return np.where(inside, ids, -1).astype(np.int64)
 
     def check_point(self, i: int):
         if not (0 <= i < self.n_points):
@@ -210,57 +272,55 @@ class Window:
 
     # -- metric ------------------------------------------------------------
 
+    def _pair_dist(self, i, j) -> np.ndarray:
+        """d(i, j) for broadcasting id arrays; temporaries have the shape of
+        the broadcast result.  Ids are not range-checked here: numpy raises
+        IndexError past the end, and negative ids count from it."""
+        if self.kind == "heisenberg3":
+            table, u, v, a, b = self._heis_lookup()
+            return table[u[j] - v[i] - a[i] * b[j]].astype(np.int64)
+        if self.kind == "tree3":
+            # binary search for the deepest common ancestor depth
+            K = self.W + 1
+            up = self._up.reshape(-1)
+            d = self.dist_to_base
+            ri, rj = i * K, j * K
+            lo = np.zeros(np.broadcast(i, j).shape, dtype=np.int64)
+            hi = np.minimum(d[i], d[j])
+            for _ in range(self.W.bit_length()):
+                mid = (lo + hi + 1) >> 1
+                same = up[ri + mid] == up[rj + mid]
+                lo = np.where(same, mid, lo)
+                hi = np.where(same, hi, mid - 1)
+            return d[i] + d[j] - 2 * lo
+        # lattices: one coordinate axis at a time
+        combine = np.add if self.metric == "l1" else np.maximum
+        x, *rest = self._axes
+        out = np.abs(x[i] - x[j])
+        for x in rest:
+            out = combine(out, np.abs(x[i] - x[j]))
+        return out
+
     def dist(self, i: int, j: int) -> int:
         self.check_point(i)
         self.check_point(j)
-        if self.kind in ("zd", "interval_z"):
-            return int(self._zd_norm((self.coords[i] - self.coords[j])[None, :])[0])
-        if self.kind == "heisenberg3":
-            table = self._heis_wordlen_table()
-            p = self.coords[i]
-            q = self.coords[j]
-            rel = _heis_mul(*_heis_inv(*p), *q)
-            return table[rel]
-        # tree: walk to the least common ancestor
-        di, dj = int(self.dist_to_base[i]), int(self.dist_to_base[j])
-        d = 0
-        while di > dj:
-            i = self.parent[i]
-            di -= 1
-            d += 1
-        while dj > di:
-            j = self.parent[j]
-            dj -= 1
-            d += 1
-        while i != j:
-            i = self.parent[i]
-            j = self.parent[j]
-            d += 2
-        return d
+        return int(self._pair_dist(i, j))
 
     def dist_many(self, ii, jj) -> np.ndarray:
         """Vectorized pairwise distances for parallel index arrays ii, jj."""
         ii = np.asarray(ii, dtype=np.int64)
         jj = np.asarray(jj, dtype=np.int64)
-        if self.kind in ("zd", "interval_z"):
-            return self._zd_norm(self.coords[ii] - self.coords[jj])
-        return np.array([self.dist(int(a), int(b)) for a, b in zip(ii, jj)],
-                        dtype=np.int64)
+        if ii.shape != jj.shape:
+            raise WindowError(
+                f"spaces.dist_many: index arrays of shapes {ii.shape} and "
+                f"{jj.shape} are not parallel")
+        return self._pair_dist(ii, jj)
 
     def dist_cross(self, rows, cols) -> np.ndarray:
         """Distance block D[a, b] = d(rows[a], cols[b])."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        if self.kind in ("zd", "interval_z"):
-            diff = self.coords[rows][:, None, :] - self.coords[cols][None, :, :]
-            if self.metric == "linf":
-                return np.abs(diff).max(axis=2)
-            return np.abs(diff).sum(axis=2)
-        out = np.empty((len(rows), len(cols)), dtype=np.int64)
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                out[a, b] = self.dist(int(i), int(j))
-        return out
+        return self._pair_dist(rows[:, None], cols)
 
     def tuple_length(self, tup) -> int:
         """Max pairwise distance within a point tuple (0 for singletons)."""
@@ -277,8 +337,6 @@ class Window:
         """Vectorized tuple_length over an (S, m) index array."""
         tuples = np.asarray(tuples, dtype=np.int64)
         S, m = tuples.shape
-        if m == 1:
-            return np.zeros(S, dtype=np.int64)
         out = np.zeros(S, dtype=np.int64)
         for a in range(m):
             for b in range(a + 1, m):

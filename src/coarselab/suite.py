@@ -221,8 +221,11 @@ def demo_tree_fundamental_class(W: int) -> TreeDemoReport:
     root), splitting equally over children; the resulting 1-chain has exact
     rational coefficients bounded by 1 and boundary equal to the sum of all
     margin-safe vertices.  The analogous rightward routing on an integer
-    interval is the expected-fail witness: its coefficients grow linearly with
-    the window radius.
+    interval is the expected-fail witness: its boundary is checked exactly to
+    be the safe vertices minus their count at the sink, and its largest
+    coefficient, measured on the chain, is the number of safe vertices, so it
+    grows linearly with the window radius; z_expected_fail records that the
+    boundary is exact and the coefficient is at least W.
     """
     if W < 4:
         raise PreconditionError("cli.demo_tree: needs W >= 4")
@@ -251,14 +254,25 @@ def demo_tree_fundamental_class(W: int) -> TreeDemoReport:
             break
     max_coeff = max((float(v) for v in terms.values()), default=0.0)
 
+    # the expected-fail witness: every safe vertex of the interval routes one
+    # unit rightward to the sink W; the edge (x + 1, x) carries the flow of
+    # the safe vertices at or left of x, and nearest-neighbour chains with
+    # this boundary are unique, so the coefficient is forced
     wz = spaces.make_window("zd", W, 1, dim=1)
-    acc = 0
-    zmax = 0
+    sink = wz.index_of((W,))
+    z_terms = {}
+    flow = 0
     for x in range(-W, W):
-        acc += 1                       # vertices at or left of x route rightward
-        zmax = max(zmax, acc)
+        p = wz.index_of((x,))
+        flow += int(wz.safe_mask[p])
+        if flow:
+            z_terms[(wz.index_of((x + 1,)), p)] = flow
+    safe_sum = ufchain.UfChain(wz, 0, [((p,), 1) for p in wz.safe_points]
+                               + [((sink,), -len(wz.safe_points))])
+    z_exact = ufchain.boundary(ufchain.UfChain(wz, 1, z_terms)) == safe_sum
+    zmax = max(z_terms.values(), default=0)
     return TreeDemoReport(tree_exact=ok, tree_max_coeff=max_coeff,
-                          z_expected_fail=zmax >= wz.n_points - 1,
+                          z_expected_fail=z_exact and zmax >= W,
                           z_witness_coeff=float(zmax))
 
 
@@ -473,33 +487,29 @@ def check_fill_chain_map(config) -> tuple:
 
 
 def _random_unit_chain(w, q, rng):
+    """Up to 5 random unit simplices of degree q <= 2 on a 1-D or 2-D lattice
+    window; a candidate with a vertex outside the window is skipped."""
     s = fill.SimplicialChain(w, q)
     pts = w.safe_points
     tries = 0
     while len(s.support) < 5 and tries < 200:
         tries += 1
         p = int(pts[rng.integers(len(pts))])
-        c = w.label(p)
-        i = w.index_of
-        try:
-            if q == 0:
-                s.add_simplex((p,), int(rng.integers(1, 4)))
-            elif q == 1:
-                if w.dim == 1:
-                    verts = (p, i((c[0] + 1,)))
-                else:
-                    choices = [(1, 0), (0, 1), (1, 1)]
-                    dx, dy = choices[rng.integers(3)]
-                    verts = (p, i((c[0] + dx, c[1] + dy)))
-                s.add_simplex(verts, int(rng.integers(1, 4)))
-            elif w.dim == 2:
-                if rng.random() < 0.5:
-                    verts = (p, i((c[0] + 1, c[1])), i((c[0] + 1, c[1] + 1)))
-                else:
-                    verts = (p, i((c[0], c[1] + 1)), i((c[0] + 1, c[1] + 1)))
-                s.add_simplex(verts, int(rng.integers(1, 4)))
-        except Exception:
+        if q == 0:
+            s.add_simplex((p,), int(rng.integers(1, 4)))
             continue
+        if q == 1 and w.dim == 1:
+            steps = [(1,)]
+        elif q == 1:
+            steps = [((1, 0), (0, 1), (1, 1))[rng.integers(3)]]
+        elif w.dim == 2:
+            steps = [(1, 0), (1, 1)] if rng.random() < 0.5 else [(0, 1), (1, 1)]
+        else:
+            continue
+        others = w.index_many(w.coords[p] + np.array(steps, dtype=np.int64))
+        if (others < 0).any():
+            continue
+        s.add_simplex((p, *others.tolist()), int(rng.integers(1, 4)))
     return s
 
 

@@ -159,3 +159,16 @@ def test_threads_env_deterministic(tmp_path, monkeypatch, capsys):
                 "--degree", "1", "--W", "20", "--margin", "10"]) == 0
     blob2 = json.loads(capsys.readouterr().out)
     assert blob1 == blob2
+
+
+def test_op_verify_power_reports_each_power(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    run(["space", "gen", "--kind", "zd", "--dim", "1", "--radius", "16",
+         "--margin", "8", "--out", str(w)])
+    capsys.readouterr()
+    assert run(["op", "verify-power", "--window", str(w), "--nmax", "2",
+                "--rmax", "6"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["rows"] == 12 and blob["passed"] is True
+    assert [b["n"] for b in blob["by_n"]] == [1, 2]
+    assert all(b["passed"] and b["min_slack"] >= 0 for b in blob["by_n"])

@@ -231,6 +231,9 @@ def test_power_estimate(w):
     A = A.scale(0.9 / opalg.op_norm(A))
     tab = opalg.check_power_estimate(A, 3, 8)
     assert tab.passed
+    assert [(r.n, r.R) for r in tab.rows] == \
+        [(n, R) for n in (1, 2, 3) for R in range(1, 9)]
+    assert all(r.n is None for r in opalg.check_product_estimate(A, A, 8).rows)
     with pytest.raises(PreconditionError):
         opalg.check_power_estimate(opalg.identity(w).scale(2.0), 2, 4)
 
@@ -364,3 +367,4 @@ def test_block_operator_algebra(wsmall):
     p, q = 1, 3
     manual = sum(A.block(p, r) @ B.block(r, q) for r in range(wsmall.n_points))
     assert np.allclose(C.block(p, q), manual)
+

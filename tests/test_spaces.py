@@ -1,9 +1,11 @@
 """Window construction, metrics, growth measurement, quasi-lattice checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from coarselab import spaces
+from coarselab import opalg, spaces
 from coarselab.errors import MarginError, PointNotInWindowError, WindowError
 
 
@@ -174,6 +176,15 @@ def test_memory_budget():
         spaces.make_window("zd", 300, 0, dim=2, max_points=1000)
 
 
+def test_heisenberg_memory_budget():
+    # W=4 has 135 points; W=40 is refused before its coordinate box is built
+    assert spaces.make_window("heisenberg3", 4, 0, max_points=135).n_points == 135
+    with pytest.raises(WindowError):
+        spaces.make_window("heisenberg3", 4, 0, max_points=134)
+    with pytest.raises(WindowError):
+        spaces.make_window("heisenberg3", 40, 0, max_points=1000)
+
+
 def test_point_identity_and_lookup(zplane):
     i = zplane.index_of((3, -2))
     assert zplane.label(i) == (3, -2)
@@ -200,3 +211,159 @@ def test_linf_metric_ball():
     a = w.index_of((-2, 1))
     b = w.index_of((1, 2))
     assert w.dist(a, b) == 3
+
+
+# -- array-backed geometry against independent oracles -------------------------
+
+_ZD_CASES = [(1, "l1", 6), (1, "linf", 6), (2, "l1", 4), (2, "linf", 3),
+             (3, "l1", 3), (3, "linf", 2)]
+
+
+def _zd_oracle(w):
+    labels = [w.label(i) for i in range(w.n_points)]
+    agg = sum if w.metric == "l1" else max
+    return np.array([[agg(abs(x - y) for x, y in zip(p, q)) for q in labels]
+                     for p in labels])
+
+
+def _heis_oracle(w):
+    # d(p, q) = |p^-1 q| from the word enumeration out to radius 2W
+    lengths = _heis_words_upto(2 * w.W)
+
+    def rel(p, q):
+        (a, b, c), (A, B, C) = p, q
+        return (A - a, B - b, C - c - a * (B - b))
+
+    labels = [w.label(i) for i in range(w.n_points)]
+    return np.array([[lengths[rel(p, q)] for q in labels] for p in labels])
+
+
+def _tree_oracle(w):
+    # breadth-first search on the window graph, edges path <-> path[:-1]
+    labels = [w.label(i) for i in range(w.n_points)]
+    where = {p: i for i, p in enumerate(labels)}
+    nbrs = [[] for _ in labels]
+    for i, p in enumerate(labels):
+        if p:
+            j = where[p[:-1]]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    D = np.full((w.n_points, w.n_points), -1)
+    for s in range(w.n_points):
+        D[s, s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if D[s, v] < 0:
+                        D[s, v] = D[s, u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    return D
+
+
+def _geometry_cases():
+    for dim, metric, W in _ZD_CASES:
+        yield pytest.param(("zd", W, dim, metric), id=f"zd{dim}-{metric}")
+    yield pytest.param(("heisenberg3", 4, None, None), id="heisenberg3")
+    yield pytest.param(("tree3", 5, None, None), id="tree3")
+
+
+@pytest.mark.parametrize("case", list(_geometry_cases()))
+def test_distances_match_oracle(case):
+    kind, W, dim, metric = case
+    w = spaces.make_window(kind, W, 1, metric=metric, dim=dim)
+    oracle = {"zd": _zd_oracle, "heisenberg3": _heis_oracle,
+              "tree3": _tree_oracle}[kind](w)
+    pts = np.arange(w.n_points)
+    D = w.dist_cross(pts, pts)
+    assert D.dtype == np.int64
+    assert np.array_equal(D, oracle)
+    ii, jj = np.meshgrid(pts, pts, indexing="ij")
+    assert np.array_equal(w.dist_many(ii.ravel(), jj.ravel()), oracle.ravel())
+    rng = np.random.default_rng(5)
+    for a, b in rng.integers(0, w.n_points, size=(300, 2)):
+        assert w.dist(int(a), int(b)) == oracle[a, b]
+    sub = rng.integers(0, w.n_points, size=(40, 3))
+    assert np.array_equal(w.tuple_lengths(sub), [
+        max(oracle[t[0], t[1]], oracle[t[0], t[2]], oracle[t[1], t[2]]) for t in sub])
+
+
+def test_distance_arguments_checked(heis, tree, zline):
+    for w in (heis, tree, zline):
+        with pytest.raises(PointNotInWindowError):
+            w.dist(0, w.n_points)
+        with pytest.raises(WindowError):
+            w.dist_many([0, 1], [0])
+
+
+@pytest.mark.parametrize("dim, metric, W", _ZD_CASES)
+def test_index_many_roundtrip_and_outside(dim, metric, W):
+    w = spaces.make_window("zd", W, 1, metric=metric, dim=dim)
+    assert np.array_equal(w.index_many(w.coords), np.arange(w.n_points))
+    assert np.array_equal(w.index_many(w.coords[::-1].reshape(1, -1, dim)),
+                          np.arange(w.n_points)[::-1].reshape(1, -1))
+    box = np.stack(np.meshgrid(*[np.arange(-W - 2, W + 3)] * dim, indexing="ij"),
+                   -1).reshape(-1, dim)
+    where = {w.label(i): i for i in range(w.n_points)}
+    expect = [where.get(tuple(c), -1) for c in box.tolist()]
+    assert np.array_equal(w.index_many(box), expect)
+    far = np.full((1, dim), 10 * W)
+    assert w.index_many(far).tolist() == [-1]
+    assert w.index_many(-far).tolist() == [-1]
+    with pytest.raises(PointNotInWindowError):
+        w.index_of(tuple(far[0]))
+    with pytest.raises(PointNotInWindowError):
+        w.index_many(np.zeros((2, dim + 1), dtype=int))
+
+
+def test_index_many_needs_lattice(heis, tree):
+    for w in (heis, tree):
+        with pytest.raises(WindowError):
+            w.index_many([[0, 0, 0]])
+    assert heis.index_of(heis.label(7)) == 7
+    assert tree.index_of(tree.label(9)) == 9
+    with pytest.raises(PointNotInWindowError):
+        tree.index_of((0, 0, 0, 0, 0, 0, 0, 0))
+
+
+# (row, col, data) digests of random_banded, recorded before the pair
+# enumeration was vectorized; the pair order fixes which rng draw lands where
+_BANDED_CASES = [
+    ("zd1-l1", dict(kind="zd", W=12, margin=4, dim=1), 2),
+    ("zd2-linf", dict(kind="zd", W=7, margin=3, dim=2, metric="linf"), 2),
+    ("zd3-l1", dict(kind="zd", W=5, margin=2, dim=3), 2),
+    ("interval", dict(kind="interval_z", W=10, margin=3), 3),
+    ("heisenberg3", dict(kind="heisenberg3", W=5, margin=2), 2),
+    ("tree3", dict(kind="tree3", W=6, margin=2), 2),
+]
+_BANDED_DIGESTS = {
+    "zd1-l1": ("35d2506c5cf75e9c", "f28ea6f4e1ff19fb", "eeadc2d4ae32b7ba"),
+    "zd2-linf": ("47a6d184f54fe13c", "c32bde3756ed79dd", "3ebf8107c8009640"),
+    "zd3-l1": ("5e6ef69edefa164a", "4652c6f65a0da54e", "c8c9beb8aaccb382"),
+    "interval": ("e3a535ba37dc3617", "0d7a6a32cce8e063", "2c3db3c0aaae7594"),
+    "heisenberg3": ("65b25eff0ee578ab", "c3c3af85e4b86fb7", "3c4e784e0ef734ba"),
+    "tree3": ("7ce4b7b78c0dc00f", "b6a0a70ff1953e78", "3ac2fcd0ce948cad"),
+}
+
+
+def _coo_digest(A):
+    coo = A.mat.tocoo()
+    h = hashlib.sha256()
+    for arr in (coo.row.astype(np.int64), coo.col.astype(np.int64),
+                coo.data.astype(np.complex128)):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, kw, prop", _BANDED_CASES,
+                         ids=[c[0] for c in _BANDED_CASES])
+def test_random_banded_pinned(name, kw, prop):
+    w = spaces.make_window(**kw)
+    got = (_coo_digest(opalg.random_banded(w, 0, prop=prop, decay=0.7)),
+           _coo_digest(opalg.random_banded(w, 11, prop=prop, decay=0.7,
+                                           safe_only=False)),
+           _coo_digest(opalg.random_banded(w, (5, 1), prop=prop, fiber=2,
+                                           density=0.4)))
+    assert got == _BANDED_DIGESTS[name]

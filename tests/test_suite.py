@@ -1,12 +1,13 @@
 """Suite plumbing: demos, the exact index oracle, clean precondition surfacing."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from coarselab import cochain, opalg, spaces, suite
-from coarselab.errors import MarginError, PreconditionError
+from coarselab import cochain, fill, opalg, spaces, suite
+from coarselab.errors import FillError, MarginError, PreconditionError
 
 
 def test_toeplitz_oracle_shift_blocks():
@@ -65,6 +66,51 @@ def test_demo_tree_exact_and_z_witness():
     assert rep.tree_max_coeff <= 1
     assert rep.z_expected_fail
     assert rep.z_witness_coeff >= 11  # grows linearly with the radius
+
+
+@pytest.mark.parametrize("W", [4, 6, 9])
+def test_demo_tree_z_witness_coefficient(W):
+    # the middle edge of the rightward routing carries one unit from every
+    # margin-safe vertex of the interval [-W, W] (margin 1) at or left of it;
+    # the last edge into the sink carries them all
+    safe = [x for x in range(-W, W + 1) if abs(x) <= W - 1]
+    rep = suite.demo_tree_fundamental_class(W)
+    assert rep.z_witness_coeff == len(safe) == 2 * W - 1
+    assert rep.z_expected_fail
+
+
+def _unit_chain_supports():
+    # the rng stream of check_fill_chain_map at the suite seed
+    cfg = suite.DEFAULT_CONFIG
+    rng = np.random.default_rng(cfg["seed"] + 7)
+    w1 = spaces.make_window("zd", 20, 4, dim=1)
+    w2 = spaces.make_window("zd", 14, 4, dim=2)
+    out = []
+    for i in range(cfg["fill_instances"]):
+        w = (w1, w2)[i % 2]
+        q = 1 + (i // 2) % 2
+        rng.integers(2 ** 31)
+        out.append(sorted(suite._random_unit_chain(w, q, rng).support.items()))
+    return out
+
+
+def test_random_unit_chain_pinned():
+    supports = _unit_chain_supports()
+    digest = hashlib.sha256()
+    for s in supports:
+        digest.update(repr(s).encode())
+    # recorded when the lookup still went through index_of under try/except
+    assert digest.hexdigest()[:16] == "050f55a2dc63aacf"
+
+
+def test_random_unit_chain_errors_propagate(monkeypatch):
+    def refuse(self, simplex, coeff):
+        raise FillError("refused")
+
+    monkeypatch.setattr(fill.SimplicialChain, "add_simplex", refuse)
+    w = spaces.make_window("zd", 6, 2, dim=2)
+    with pytest.raises(FillError):
+        suite._random_unit_chain(w, 1, np.random.default_rng(0))
 
 
 def test_run_suite_surfaces_margin_errors_cleanly():
