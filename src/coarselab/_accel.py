@@ -1,39 +1,23 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
+"""Index-row coalescing, the numeric kernel shared by chains and the character.
 
-The fallback is selected by setting the environment variable
-``COARSELAB_NO_NUMBA=1`` (or automatically when numba is not importable).
-Both paths are exercised by the test suite and timed against each other in
-``benchmarks/bench_kernels.py``.
-
-Kernels here operate on plain int64/complex128 arrays so they stay
-representation-agnostic: tuple-indexed chains are (S, m) index arrays plus a
-value column, sparse operators arrive as CSR/CSC index arrays.
+Tuple-indexed chains are (S, m) int64 index arrays plus a value column; the
+character map and the boundary both produce such arrays with repeated rows
+and sum them here.  The path-product join of the character map itself lives
+in ``cyclic._paths``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("COARSELAB_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised only without numba
-        USE_NUMBA = False
-
-__all__ = [
-    "USE_NUMBA",
-    "coalesce",
-    "path_products_deg2",
-]
+__all__ = ["coalesce"]
 
 
-# -- coalesce -----------------------------------------------------------------
-
-def _sum_runs_numpy(tuples, values, order):
+def coalesce(tuples: np.ndarray, values: np.ndarray):
+    """Sum values of duplicate index rows; rows come back lex-sorted, zeros dropped."""
+    if len(values) == 0:
+        return tuples, values
+    order = np.lexsort(tuples.T[::-1])
     t = tuples[order]
     v = values[order]
     newrow = np.empty(len(v), dtype=bool)
@@ -43,149 +27,3 @@ def _sum_runs_numpy(tuples, values, order):
     summed = np.add.reduceat(v, starts)
     keep = summed != 0
     return t[starts][keep], summed[keep]
-
-
-def _sum_runs_loop(tuples, values, order):
-    n, m = tuples.shape
-    out_t = np.empty_like(tuples)
-    out_v = np.empty_like(values)
-    k = -1
-    for ii in range(n):
-        i = order[ii]
-        fresh = k < 0
-        if not fresh:
-            for j in range(m):
-                if tuples[i, j] != out_t[k, j]:
-                    fresh = True
-                    break
-        if fresh:
-            k += 1
-            for j in range(m):
-                out_t[k, j] = tuples[i, j]
-            out_v[k] = values[i]
-        else:
-            out_v[k] += values[i]
-    kept = 0
-    for i in range(k + 1):
-        if out_v[i] != 0:
-            for j in range(m):
-                out_t[kept, j] = out_t[i, j]
-            out_v[kept] = out_v[i]
-            kept += 1
-    return out_t[:kept].copy(), out_v[:kept].copy()
-
-
-# -- degree-2 path products ---------------------------------------------------
-#
-# T[(u, v, w)] = A0[w, u] * A1[u, v] * A2[v, w] over the joint sparsity
-# pattern.  A1 arrives as COO (r1, c1, d1), A2 as CSR over rows, A0 as CSC
-# over columns (so both index lists per (u, v) pair are sorted and can be
-# merge-intersected).
-
-def _path_products_deg2_numpy(r1, c1, d1,
-                              indptr2, indices2, data2,
-                              indptr0, indices0, data0):
-    out_t = []
-    out_v = []
-    for k in range(len(r1)):
-        u = r1[k]
-        v = c1[k]
-        w2 = indices2[indptr2[v]:indptr2[v + 1]]
-        w0 = indices0[indptr0[u]:indptr0[u + 1]]
-        common, i2, i0 = np.intersect1d(w2, w0, assume_unique=True,
-                                        return_indices=True)
-        if len(common) == 0:
-            continue
-        vals = (data0[indptr0[u]:indptr0[u + 1]][i0]
-                * d1[k]
-                * data2[indptr2[v]:indptr2[v + 1]][i2])
-        t = np.empty((len(common), 3), dtype=np.int64)
-        t[:, 0] = u
-        t[:, 1] = v
-        t[:, 2] = common
-        out_t.append(t)
-        out_v.append(vals)
-    if not out_t:
-        return np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.complex128)
-    return np.concatenate(out_t), np.concatenate(out_v)
-
-
-def _path_products_deg2_loop(r1, c1, d1,
-                             indptr2, indices2, data2,
-                             indptr0, indices0, data0):
-    # first pass: count
-    total = 0
-    for k in range(len(r1)):
-        u = r1[k]
-        v = c1[k]
-        i = indptr2[v]
-        j = indptr0[u]
-        i_end = indptr2[v + 1]
-        j_end = indptr0[u + 1]
-        while i < i_end and j < j_end:
-            a = indices2[i]
-            b = indices0[j]
-            if a == b:
-                total += 1
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-    out_t = np.empty((total, 3), dtype=np.int64)
-    out_v = np.empty(total, dtype=np.complex128)
-    pos = 0
-    for k in range(len(r1)):
-        u = r1[k]
-        v = c1[k]
-        i = indptr2[v]
-        j = indptr0[u]
-        i_end = indptr2[v + 1]
-        j_end = indptr0[u + 1]
-        while i < i_end and j < j_end:
-            a = indices2[i]
-            b = indices0[j]
-            if a == b:
-                out_t[pos, 0] = u
-                out_t[pos, 1] = v
-                out_t[pos, 2] = a
-                out_v[pos] = data0[j] * d1[k] * data2[i]
-                pos += 1
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-    return out_t, out_v
-
-
-if USE_NUMBA:
-    _sum_runs = njit(cache=True)(_sum_runs_loop)
-    path_products_deg2 = njit(cache=True)(_path_products_deg2_loop)
-else:
-    _sum_runs = _sum_runs_numpy
-    path_products_deg2 = _path_products_deg2_numpy
-
-
-def coalesce(tuples: np.ndarray, values: np.ndarray):
-    """Sum values of duplicate index rows; rows come back lex-sorted, zeros dropped."""
-    if len(values) == 0:
-        return tuples, values
-    order = np.lexsort(tuples.T[::-1])
-    return _sum_runs(np.ascontiguousarray(tuples),
-                     np.ascontiguousarray(values),
-                     np.ascontiguousarray(order))
-
-
-def coalesce_numpy(tuples, values):
-    """Pure-numpy coalesce, kept callable for the fallback benchmark."""
-    if len(values) == 0:
-        return tuples, values
-    order = np.lexsort(tuples.T[::-1])
-    return _sum_runs_numpy(tuples, values, order)
-
-
-# Always-available reference for benchmarking both paths side by side.
-path_products_deg2_numpy = _path_products_deg2_numpy

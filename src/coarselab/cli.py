@@ -6,7 +6,7 @@ chain-map-check; demo winding|degree0|tree; suite run.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/precondition error.
 CSV files open with a versioned schema comment line followed by the header
-row.  COARSELAB_THREADS caps worker threads for trial sweeps.
+row.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cochain, cyclic, fill, opalg, spaces, suite, ufchain
 from .errors import CoarselabError, PreconditionError
@@ -24,22 +22,6 @@ from .errors import CoarselabError, PreconditionError
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("COARSELAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, items):
-    """Deterministic (ordered) map, threaded when COARSELAB_THREADS > 1."""
-    n = _threads()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def write_csv(path: str, kind: str, header, rows):
@@ -313,7 +295,7 @@ def cmd_chain_map_check(args) -> int:
         return cyclic.chain_map_check(
             cyclic.CyclicTensor(args.degree, [(1.0, ops)]))
 
-    residuals = _map_trials(one, range(args.trials))
+    residuals = [one(i) for i in range(args.trials)]
     worst = max(residuals) if residuals else 0.0
     ok = worst < 1e-9
     print(json.dumps({"trials": args.trials, "max_residual": worst,

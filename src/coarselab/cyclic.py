@@ -11,8 +11,11 @@ antisymmetrized local traces: for point projections P_y,
         tr(A_0 P_{y_sigma(0)} ... A_n P_{y_sigma(n)})
 
 and on the finite window each trace is the block trace of
-A_0[z_n, z_0] A_1[z_0, z_1] ... A_n[z_{n-1}, z_n].  Antisymmetrization is
-computed exactly for n <= 3.
+A_0[z_n, z_0] A_1[z_0, z_1] ... A_n[z_{n-1}, z_n].  One vectorized join
+(``_paths``) enumerates these paths for every degree and fiber dimension:
+sparse row expansion through A_1 .. A_n over (point, fiber) indices, then a
+sorted-key probe of A_0 to close each path.  Antisymmetrization is computed
+exactly for n <= 3; MAX_DEGREE caps its (n+1)! cost, not the join.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._accel import coalesce, path_products_deg2
+from ._accel import coalesce
 from .cochain import CoarseCochain, pair
 from .errors import DegreeError, MarginError, PreconditionError
 from .opalg import BandedOperator, identity, op_norm, safe_projector
@@ -161,100 +164,41 @@ def _antisymmetrize(tuples: np.ndarray, values: np.ndarray, arity: int):
     return t, v / math.factorial(arity)
 
 
-def _paths_scalar(ops) -> tuple[np.ndarray, np.ndarray]:
-    """Index tuples and values of the identity-order local trace products."""
-    n = len(ops) - 1
-    if n == 0:
-        diag = ops[0].mat.diagonal()
-        idx = np.flatnonzero(diag)
-        return idx[:, None].astype(np.int64), diag[idx]
-    if n == 1:
-        P = (ops[0].mat.T.multiply(ops[1].mat)).tocoo()
-        return (np.stack([P.row, P.col], axis=1).astype(np.int64),
-                P.data.astype(np.complex128))
-    if n == 2:
-        A1 = ops[1].mat.tocoo()
-        A2 = ops[2].mat.tocsr()
-        A0c = ops[0].mat.tocsc()
-        return path_products_deg2(
-            A1.row.astype(np.int64), A1.col.astype(np.int64),
-            A1.data.astype(np.complex128),
-            A2.indptr.astype(np.int64), A2.indices.astype(np.int64),
-            A2.data.astype(np.complex128),
-            A0c.indptr.astype(np.int64), A0c.indices.astype(np.int64),
-            A0c.data.astype(np.complex128))
-    # n == 3: join A1, A2, A3 rows then close through A0's columns
-    A1 = ops[1].mat.tocoo()
-    A2 = ops[2].mat.tocsr()
-    A3 = ops[3].mat.tocsr()
-    A0c = ops[0].mat.tocsc()
-    tuples = []
-    values = []
-    for u, v, d1 in zip(A1.row, A1.col, A1.data):
-        for iw in range(A2.indptr[v], A2.indptr[v + 1]):
-            w = A2.indices[iw]
-            d12 = d1 * A2.data[iw]
-            xs3 = A3.indices[A3.indptr[w]:A3.indptr[w + 1]]
-            ds3 = A3.data[A3.indptr[w]:A3.indptr[w + 1]]
-            xs0 = A0c.indices[A0c.indptr[u]:A0c.indptr[u + 1]]
-            ds0 = A0c.data[A0c.indptr[u]:A0c.indptr[u + 1]]
-            common, i3, i0 = np.intersect1d(xs3, xs0, assume_unique=True,
-                                            return_indices=True)
-            for x, a3, a0 in zip(common, ds3[i3], ds0[i0]):
-                tuples.append((u, v, w, x))
-                values.append(a0 * d12 * a3)
-    if not tuples:
-        return np.empty((0, 4), dtype=np.int64), np.empty(0, np.complex128)
-    return np.array(tuples, dtype=np.int64), np.array(values, np.complex128)
+def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Point tuples and values of the identity-order local trace products.
 
-
-def _paths_block(ops) -> tuple[np.ndarray, np.ndarray]:
-    """Generic (any fiber) path products via explicit block walks."""
-    n = len(ops) - 1
+    The block trace tr(A_0[z_n, z_0] A_1[z_0, z_1] .. A_n[z_{n-1}, z_n]) is a
+    sum over fiber indices of scalar entry products, so the join runs on the
+    matrices' own (point, fiber) indices k: paths k_0 .. k_n start at every
+    index, grow through the CSR rows of A_1 .. A_n (Gustavson row expansion)
+    and close by probing A_0's sorted row * M + col keys for (k_n, k_0).
+    Each path is returned as its points k // fiber, one row per fiber index
+    combination; coalescing sums them into the block trace.  Every degree
+    and fiber runs the same join.
+    """
     f = ops[0].fiber
-    blocks = []
-    rows = []
-    for A in ops:
-        coo = A.mat.tocoo()
-        blk = {}
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            blk.setdefault((r // f, c // f),
-                           np.zeros((f, f), np.complex128))[r % f, c % f] = v
-        by_row = {}
-        for (p, q) in blk:
-            by_row.setdefault(p, []).append(q)
-        blocks.append(blk)
-        rows.append(by_row)
-    out_t = []
-    out_v = []
-    if n == 0:
-        for (p, q), blk in blocks[0].items():
-            if p == q:
-                val = complex(np.trace(blk))
-                if val != 0:
-                    out_t.append((p,))
-                    out_v.append(val)
-    else:
-        def extend(chain, prod):
-            # chain holds z_0..z_k with A_1..A_k multiplied into prod
-            k = len(chain) - 1
-            if k == n:
-                b0 = blocks[0].get((chain[-1], chain[0]))
-                if b0 is not None:
-                    val = complex(np.trace(b0 @ prod))
-                    if val != 0:
-                        out_t.append(tuple(chain))
-                        out_v.append(val)
-                return
-            for q in rows[k + 1].get(chain[-1], ()):
-                extend(chain + [q], prod @ blocks[k + 1][(chain[-1], q)])
-
-        for (p, q), blk in blocks[1].items():
-            extend([p, q], blk)
-    if not out_t:
-        return (np.empty((0, n + 1), dtype=np.int64),
-                np.empty(0, dtype=np.complex128))
-    return np.array(out_t, dtype=np.int64), np.array(out_v, np.complex128)
+    M = ops[0].mat.shape[0]
+    k = np.arange(M, dtype=np.int64)[:, None]
+    vals = np.ones(M, dtype=np.complex128)
+    for A in ops[1:]:
+        first = A.mat.indptr[k[:, -1]].astype(np.int64)
+        counts = A.mat.indptr[k[:, -1] + 1] - first
+        src = np.repeat(np.arange(len(k)), counts)
+        # the entry of A extending each new path: its row's first entry plus
+        # its rank among the extensions of the same path
+        pos = first[src] + np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
+        k = np.column_stack([k[src], A.mat.indices[pos]])
+        vals = vals[src] * A.mat.data[pos]
+    A0 = ops[0].mat
+    keys = (np.repeat(np.arange(M, dtype=np.int64), np.diff(A0.indptr)) * M
+            + A0.indices)
+    order = np.argsort(keys, kind="stable")  # sparse products leave rows unsorted
+    keys = keys[order]
+    want = k[:, -1] * M + k[:, 0]
+    at = np.searchsorted(keys, want)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == want[hit]
+    return k[hit] // f, A0.data[order[at[hit]]] * vals[hit]
 
 
 def chi_arrays(t: CyclicTensor, apply_prefactor: bool = True):
@@ -271,15 +215,12 @@ def chi_arrays(t: CyclicTensor, apply_prefactor: bool = True):
     parts_t = [np.empty((0, arity), dtype=np.int64)]
     parts_v = [np.empty(0, dtype=np.complex128)]
     for weight, ops in t.terms:
-        if t.fiber == 1:
-            tt, vv = _paths_scalar(ops)
-        else:
-            tt, vv = _paths_block(ops)
+        tt, vv = _paths(ops)
         if len(vv):
             parts_t.append(tt)
             parts_v.append(weight * vv)
-    tuples = np.concatenate(parts_t)
-    values = np.concatenate(parts_v)
+    # sum fiber terms and repeats across terms before the (n+1)! expansion
+    tuples, values = coalesce(np.concatenate(parts_t), np.concatenate(parts_v))
     tuples, values = _antisymmetrize(tuples, values, arity)
     if apply_prefactor and t.tau_power:
         values = values * t.numeric_prefactor()

@@ -98,22 +98,6 @@ class BandedOperator:
                 f"nnz={self.mat.nnz}, propagation={self.propagation})")
 
 
-def add(A, B):
-    return A + B
-
-
-def compose(A, B):
-    return A @ B
-
-
-def adjoint(A):
-    return A.adjoint()
-
-
-def scale(z, A):
-    return A.scale(z)
-
-
 # -- norms ------------------------------------------------------------------------
 
 def _power_iterate(M, MH, n, tol, max_iter):

@@ -591,7 +591,9 @@ def check_continuity_trend(config) -> tuple:
         res = cochain.continuity_sweep(phi, sampler, n=3, trials=trials,
                                        seed=seed)
         maxima[W] = res.max_ratio
-    ok = maxima[32] <= 1.2 * maxima[16]
+    # no growth with W: every window's ratio stays within 1.2x the smallest
+    # window's (the ratio falls as W grows, as the uniform bound predicts)
+    ok = max(maxima.values()) <= 1.2 * maxima[16]
     return ("pairing_continuity_trend", ok,
             {"max_ratio_W16": maxima[16], "max_ratio_W24": maxima[24],
              "max_ratio_W32": maxima[32]})

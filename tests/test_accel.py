@@ -1,30 +1,22 @@
-"""The jit kernels and their pure-numpy fallbacks must agree bit for bit."""
-
-import os
-import subprocess
-import sys
+"""Index-row coalescing against a dict-sum oracle."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from coarselab import _accel
 
 
-def _random_coo(rng, n, nnz):
-    rows = rng.integers(0, n, size=nnz)
-    cols = rng.integers(0, n, size=nnz)
-    data = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def test_coalesce_paths_agree():
+    # the vectorized coalesce and a plain dict sum give the same rows
     rng = np.random.default_rng(0)
     tuples = rng.integers(0, 12, size=(500, 3))
     values = (rng.integers(-3, 4, size=500)).astype(np.complex128)
-    t1, v1 = _accel.coalesce(tuples.copy(), values.copy())
-    t2, v2 = _accel.coalesce_numpy(tuples.copy(), values.copy())
-    assert np.array_equal(t1, t2)
-    assert np.array_equal(v1, v2)
+    t, v = _accel.coalesce(tuples.copy(), values.copy())
+    oracle = {}
+    for row, val in zip(map(tuple, tuples), values):
+        oracle[row] = oracle.get(row, 0) + val
+    expected = sorted((row, val) for row, val in oracle.items() if val != 0)
+    assert [tuple(row) for row in t] == [row for row, _ in expected]
+    assert np.array_equal(v, np.array([val for _, val in expected]))
 
 
 def test_coalesce_cancellation():
@@ -38,65 +30,3 @@ def test_coalesce_empty():
     t, v = _accel.coalesce(np.empty((0, 3), dtype=np.int64),
                            np.empty(0, dtype=np.complex128))
     assert len(v) == 0
-
-
-def test_path_products_paths_agree():
-    rng = np.random.default_rng(1)
-    A0 = _random_coo(rng, 30, 120).tocsc()
-    A1 = _random_coo(rng, 30, 120).tocoo()
-    A2 = _random_coo(rng, 30, 120).tocsr()
-    args = (A1.row.astype(np.int64), A1.col.astype(np.int64),
-            A1.data.astype(np.complex128),
-            A2.indptr.astype(np.int64), A2.indices.astype(np.int64),
-            A2.data.astype(np.complex128),
-            A0.indptr.astype(np.int64), A0.indices.astype(np.int64),
-            A0.data.astype(np.complex128))
-    t1, v1 = _accel.path_products_deg2(*args)
-    t2, v2 = _accel.path_products_deg2_numpy(*args)
-    d1 = {tuple(r): v for r, v in zip(t1, v1)}
-    d2 = {tuple(r): v for r, v in zip(t2, v2)}
-    assert set(d1) == set(d2)
-    for k in d1:
-        assert abs(d1[k] - d2[k]) < 1e-14
-
-
-def test_path_products_values():
-    # T[(u, v, w)] = A0[w, u] A1[u, v] A2[v, w], checked entrywise
-    rng = np.random.default_rng(2)
-    A0 = _random_coo(rng, 10, 25)
-    A1 = _random_coo(rng, 10, 25)
-    A2 = _random_coo(rng, 10, 25)
-    t, v = _accel.path_products_deg2(
-        *(lambda c1, c2, c0: (c1.row.astype(np.int64), c1.col.astype(np.int64),
-                              c1.data.astype(np.complex128),
-                              c2.indptr.astype(np.int64),
-                              c2.indices.astype(np.int64),
-                              c2.data.astype(np.complex128),
-                              c0.indptr.astype(np.int64),
-                              c0.indices.astype(np.int64),
-                              c0.data.astype(np.complex128)))
-        (A1.tocoo(), A2.tocsr(), A0.tocsc()))
-    D0, D1, D2 = A0.toarray(), A1.toarray(), A2.toarray()
-    for (u, vv, w), val in zip(t, v):
-        assert abs(val - D0[w, u] * D1[u, vv] * D2[vv, w]) < 1e-14
-
-
-def test_numba_flag_env_fallback():
-    code = ("import coarselab._accel as a; "
-            "print(a.USE_NUMBA)")
-    env = dict(os.environ, COARSELAB_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_numba_enabled_by_default_when_available():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return
-    env = {k: v for k, v in os.environ.items() if k != "COARSELAB_NO_NUMBA"}
-    code = "import coarselab._accel as a; print(a.USE_NUMBA)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "True"

@@ -109,6 +109,8 @@ def test_criterion_11_growth_fits():
 
 def test_criterion_12_pairing_continuity_trend():
     # max ratio |<jump, sigma>| / ||sigma||_{inf,3} shows no growth trend
-    # across W in {16, 24, 32}: largest <= 1.2 x smallest, < 30 s
+    # across W in {16, 24, 32}: every window's ratio <= 1.2 x the ratio at
+    # the smallest window W=16, < 30 s
     r = _report(suite.check_continuity_trend(CONFIG), 30)
-    assert r.details["max_ratio_W32"] <= 1.2 * r.details["max_ratio_W16"]
+    ratios = [r.details[f"max_ratio_W{W}"] for W in (16, 24, 32)]
+    assert max(ratios) <= 1.2 * r.details["max_ratio_W16"]

@@ -149,18 +149,6 @@ def test_suite_config_unknown_key(tmp_path, capsys):
     assert run(["suite", "run", "--config", str(cfg)]) == 2
 
 
-def test_threads_env_deterministic(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COARSELAB_THREADS", "4")
-    assert run(["chain-map-check", "--seed", "3", "--trials", "6",
-                "--degree", "1", "--W", "20", "--margin", "10"]) == 0
-    blob1 = json.loads(capsys.readouterr().out)
-    monkeypatch.setenv("COARSELAB_THREADS", "1")
-    assert run(["chain-map-check", "--seed", "3", "--trials", "6",
-                "--degree", "1", "--W", "20", "--margin", "10"]) == 0
-    blob2 = json.loads(capsys.readouterr().out)
-    assert blob1 == blob2
-
-
 def test_op_verify_power_reports_each_power(tmp_path, capsys):
     w = tmp_path / "w.json"
     run(["space", "gen", "--kind", "zd", "--dim", "1", "--radius", "16",

@@ -193,11 +193,92 @@ def test_chi_against_dense_oracle_deg3():
 
 
 def test_chi_block_fiber2_against_dense_oracle():
-    wq = spaces.make_window("zd", 3, 2, dim=1)
-    ops = tuple(opalg.random_banded(wq, 40 + j, prop=1, decay=0.8,
-                                    density=0.9, fiber=2) for j in range(2))
-    chain = cyclic.chi(cyclic.CyclicTensor(1, [(1.0, ops)]))
-    assert_chain_matches(chain, chi_dense_oracle(ops, fiber=2))
+    # every degree on a W=3 window (W=4 for degree 3, whose four
+    # propagation-1 factors need margin 4); supports reach the window edge so
+    # the chains are not confined to a few safe points
+    for degree in range(4):
+        wq = spaces.make_window("zd", max(3, degree + 1), degree + 1, dim=1)
+        ops = tuple(opalg.random_banded(wq, (40, degree, j), prop=1, decay=0.8,
+                                        density=0.9, fiber=2, safe_only=False)
+                    for j in range(degree + 1))
+        chain = cyclic.chi(cyclic.CyclicTensor(degree, [(1.0, ops)]))
+        assert len(chain) > 0
+        assert_chain_matches(chain, chi_dense_oracle(ops, fiber=2))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_chi_tree_against_dense_oracle(degree):
+    # tree3 W=3 (22 points): margin 3 allows degree 2 with propagation-1
+    # factors.  A tree has no triangles, so the degree-2 chain cancels to
+    # rounding noise after antisymmetrization although the join finds raw
+    # paths.
+    wt = spaces.make_window("tree3", 3, 3)
+    ops = tuple(opalg.random_banded(wt, (50, degree, j), prop=1, decay=0.8,
+                                    density=0.9, safe_only=False)
+                for j in range(degree + 1))
+    assert len(cyclic._paths(ops)[1]) > 0
+    chain = cyclic.chi(cyclic.CyclicTensor(degree, [(1.0, ops)]))
+    biggest = max((abs(v) for _, v in chain.terms()), default=0.0)
+    assert (biggest > 1e-6) == (degree == 1)
+    assert_chain_matches(chain, chi_dense_oracle(ops))
+
+
+def path_products_dense(ops, fiber):
+    """Dense tensor T[z_0..z_n] = tr(A_0[z_n,z_0] A_1[z_0,z_1] .. A_n[z_{n-1},z_n])."""
+    n = len(ops) - 1
+    N = ops[0].window.n_points
+    blocks = [A.mat.toarray().reshape(N, fiber, N, fiber) for A in ops]
+    z, i = "abcd", "ijkl"
+    subs = [z[n] + i[n] + z[0] + i[0]]
+    subs += [z[k - 1] + i[k - 1] + z[k] + i[k] for k in range(1, n + 1)]
+    return np.einsum(",".join(subs) + "->" + z[:n + 1], *blocks)
+
+
+def reversed_rows(A):
+    """A with each CSR row stored in descending column order, as sparse
+    products may leave it unsorted."""
+    m = A.mat.copy()
+    for r in range(m.shape[0]):
+        a, b = m.indptr[r], m.indptr[r + 1]
+        m.indices[a:b] = m.indices[a:b][::-1]
+        m.data[a:b] = m.data[a:b][::-1]
+    m.has_sorted_indices = False
+    return opalg.BandedOperator(A.window, m, A.fiber)
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_paths_against_dense_products(degree, fiber):
+    # the join itself, before antisymmetrization cancels anything, on
+    # operators whose rows are stored unsorted
+    wq = spaces.make_window("zd", 4, 4, dim=1)
+    ops = tuple(reversed_rows(opalg.random_banded(
+        wq, (60, degree, fiber, j), prop=1, decay=0.8, density=0.7,
+        fiber=fiber, safe_only=False)) for j in range(degree + 1))
+    tt, vv = cyclic._paths(ops)
+    assert tt.dtype == np.int64 and tt.shape == (len(vv), degree + 1)
+    got = np.zeros((wq.n_points,) * (degree + 1), dtype=np.complex128)
+    np.add.at(got, tuple(tt.T), vv)  # one row per fiber index combination
+    assert np.abs(got - path_products_dense(ops, fiber)).max() < 1e-12
+
+
+def test_paths_no_closing_entry():
+    # A_0 has no entry at (z_n, z_0) for any path: probes miss between its
+    # keys (shift), land past its last key (projection onto point 0), or meet
+    # no keys at all (zero operator)
+    wq = spaces.make_window("zd", 6, 4, dim=1)
+    S = opalg.shift(wq, 0, 1)
+    P = opalg.site_projection(wq, 0)
+    Z = opalg.BandedOperator(wq, np.zeros((wq.n_points, wq.n_points)))
+    for A0 in (S, P, Z):
+        for degree in (1, 2):
+            ops = (A0,) + (S,) * degree
+            tt, vv = cyclic._paths(ops)
+            assert tt.shape == (0, degree + 1) and tt.dtype == np.int64
+            assert len(vv) == 0
+            t, v = cyclic.chi_arrays(cyclic.CyclicTensor(degree, [(1.0, ops)]))
+            assert t.shape == (0, degree + 1) and t.dtype == np.int64
+            assert len(v) == 0
 
 
 def test_chi_cyclic_invariance_exact_integer(w):
