@@ -7,9 +7,18 @@ dominating function mu_A(R) -- the best constant with
 computable, so it is sandwiched:
 
   mu_lower(R)  max over probe supports (all singletons plus 32 seeded random
-               subsets) of the compressed norm: a certified lower bound;
+               subsets) of the compressed norm: a lower bound up to the
+               rounding of one SVD (k*eps relative for k columns);
   mu_upper(R)  min(op norm, running max over R' >= R of the norm of the
                off-band part at distance > R'): a certified dominating function.
+
+Norms.  A matrix has the singular values of its block on the nonzero rows and
+columns, which is small here (supports lie in the safe core).  When that block
+has at most DENSE_CUTOFF rows and columns, a norm is the LAPACK SVD of the
+m x k block times (1 + m*k*eps), above the SVD's rounding error bound
+p(m, k)*eps*||A|| (LAPACK Users' Guide 4.9): a certified upper bound.  Above
+the cutoff it is a sparse power-iteration estimate, which converges from
+below, so mu_upper and the op norm are certified only up to the cutoff.
 
 Every quantitative inequality is then checked in the sound direction
 (lower-certified left side against upper-certified right side).
@@ -26,7 +35,8 @@ import scipy.sparse as sp
 from .errors import ConvergenceError, DegreeError, PreconditionError, WindowError
 from .spaces import Window
 
-DENSE_CUTOFF = 600          # iterate densely below this dimension
+DENSE_CUTOFF = 600          # largest nonzero block (rows or columns) normed by SVD
+EPS = np.finfo(np.float64).eps
 PROBE_SUBSETS = 32
 PROBE_SEED = 0x5EED
 
@@ -100,10 +110,38 @@ class BandedOperator:
 
 # -- norms ------------------------------------------------------------------------
 
-def _power_iterate(M, MH, n, tol, max_iter):
-    """One power-iteration run; returns sigma or None when it stalls."""
-    col_mass = np.abs(M.multiply(M.conj()) if sp.issparse(M)
-                      else M * M.conj()).sum(axis=0)
+def _compress(mat):
+    """The block of a sparse mat on its nonzero rows and columns, with those row
+    and column indices.  It has the nonzero singular values of mat.  The block
+    is a dense array when it has at most DENSE_CUTOFF rows and columns, else
+    a CSR matrix."""
+    csr = mat.tocsr()
+    counts = np.diff(csr.indptr)
+    rows = np.flatnonzero(counts)
+    cols, c = np.unique(csr.indices, return_inverse=True)
+    r = np.repeat(np.arange(len(rows)), counts[rows])
+    shape = (len(rows), len(cols))
+    if max(shape) > DENSE_CUTOFF:
+        return sp.csr_matrix((csr.data, (r, c)), shape=shape), rows, cols
+    block = np.zeros(shape, dtype=np.complex128)
+    np.add.at(block, (r, c), csr.data)
+    return block, rows, cols
+
+
+def _dense_norm2(arr) -> float:
+    """Largest singular value of a dense m x k array from LAPACK, inflated by
+    its rounding error bound m*k*eps*||arr|| to a certified upper bound."""
+    if arr.size == 0:
+        return 0.0
+    return float(np.linalg.svd(arr, compute_uv=False)[0]) * (1 + arr.size * EPS)
+
+
+def _power_iterate(M, tol, max_iter):
+    """Power iteration on A*A for a sparse M; returns sigma or None when it
+    stalls."""
+    MH = M.conj().T.tocsr()
+    n = M.shape[1]
+    col_mass = np.abs(M.multiply(M.conj())).sum(axis=0)
     col_mass = np.sqrt(np.asarray(col_mass, dtype=np.float64)).ravel()
     starts = [
         col_mass.astype(np.complex128),
@@ -142,75 +180,32 @@ def _power_iterate(M, MH, n, tol, max_iter):
     return 0.0
 
 
-def _squared_power(M, MH, n, tol):
-    """Power iteration on (A*A)^(2^m): repeated squaring amplifies spectral
-    gaps so clustered spectra converge; taking 2^m-th roots at the end divides
-    the remaining relative error by 2^m."""
-    H = np.asarray((MH @ M).todense() if sp.issparse(M) else MH @ M,
-                   dtype=np.complex128)
-    c = 0.0
-    m = 28
-    for _ in range(m):
-        G = H @ H
-        f = float(np.linalg.norm(G))
-        if f == 0:
-            return 0.0
-        H = G / f
-        c = 2.0 * c + np.log(f)
-    v = (np.ones(n) + np.linspace(0, 0.5, n)).astype(np.complex128)
-    v /= np.linalg.norm(v)
-    mu_old = -1.0
-    mu = 0.0
-    for _ in range(3000):
-        w = H @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        mu = float(nw)
-        v = w / nw
-        if mu_old >= 0 and abs(mu - mu_old) <= 1e-14 * mu:
-            break
-        mu_old = mu
-    lam = np.exp((np.log(mu) + c) / 2 ** m)
-    return float(np.sqrt(lam))
-
-
 def _matrix_norm2(mat, tol: float, max_iter: int = 20000) -> float:
-    """Largest singular value by power iteration on A*A, deterministic start.
+    """Largest singular value of mat's nonzero block.
 
-    Falls back to repeated-squaring acceleration (dense) when the plain
-    iteration stalls on a clustered spectrum.
+    Up to DENSE_CUTOFF rows and columns: the certified upper bound of
+    _dense_norm2.  Above it: sparse power iteration on A*A, an estimate from
+    below with relative error about tol.
     """
-    n = mat.shape[0]
-    if n == 0 or (sp.issparse(mat) and mat.nnz == 0):
-        return 0.0
-    dense = n <= DENSE_CUTOFF
-    M = mat.toarray() if (dense and sp.issparse(mat)) else mat
-    MH = M.conj().T
-    if not dense and sp.issparse(M):
-        M = M.tocsr()
-        MH = MH.tocsr()
-    sigma = _power_iterate(M, MH, n, tol, 3000 if dense else max_iter)
-    if sigma is not None:
-        return sigma
-    if dense:
-        return _squared_power(M, MH, n, tol)
-    raise ConvergenceError(
-        f"opalg.op_norm: power iteration did not stabilize within "
-        f"{max_iter} iterations (tol={tol})")
+    block, _, _ = _compress(mat)
+    if not sp.issparse(block):
+        return _dense_norm2(block)
+    sigma = _power_iterate(block, tol, max_iter)
+    if sigma is None:
+        raise ConvergenceError(
+            f"opalg.op_norm: power iteration did not stabilize within "
+            f"{max_iter} iterations (tol={tol})")
+    return sigma
 
 
 def op_norm(A: BandedOperator, tol: float = 1e-11) -> float:
-    """Operator norm via power iteration on A*A; relative error about tol."""
+    """Operator norm: a certified upper bound (SVD of the nonzero block times
+    its rounding margin) when that block has at most DENSE_CUTOFF rows and
+    columns, else a power-iteration estimate from below (relative error about
+    tol)."""
     if tol <= 0:
         raise PreconditionError("opalg.op_norm: tol must be positive")
     return _matrix_norm2(A.mat, tol)
-
-
-def _dense_norm2(arr) -> float:
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.norm(arr, 2))
 
 
 # -- dominating-function profiles ----------------------------------------------
@@ -262,70 +257,59 @@ def mu_profile(A: BandedOperator, Rmax: int, tol: float = 1e-11) -> MuProfile:
     """Compute the certified dominating-function sandwich out to radius Rmax."""
     w = A.window
     w.require_margin(Rmax, "opalg.mu_profile")
-    opA = op_norm(A, tol)
+    if tol <= 0:
+        raise PreconditionError("opalg.mu_profile: tol must be positive")
     f = A.fiber
-    coo = A.mat.tocoo()
-    rpt = coo.row // f
-    cpt = coo.col // f
-    dist = w.dist_many(rpt, cpt)
-
-    raw = np.empty(Rmax + 1)
-    for R in range(Rmax + 1):
-        keep = dist > R
-        mat = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                            shape=A.mat.shape)
-        raw[R] = _matrix_norm2(mat, tol) if mat.nnz else 0.0
+    block, rows, cols = _compress(A.mat)
+    rpts, cpts = rows // f, cols // f
+    radii = range(min(Rmax + 1, A.propagation))   # radii with entries beyond them
+    raw = np.zeros(Rmax + 1)
+    if not sp.issparse(block):
+        d = w.dist_cross(rpts, cpts)
+        opA = _dense_norm2(block)
+        for R in radii:     # one at a time: a stack of all radii would be large
+            raw[R] = _dense_norm2(np.where(d > R, block, 0))
+    else:
+        opA = op_norm(A, tol)
+        coo = A.mat.tocoo()
+        dist = w.dist_many(coo.row // f, coo.col // f)
+        for R in radii:
+            keep = dist > R
+            raw[R] = _matrix_norm2(sp.csr_matrix(
+                (coo.data[keep], (coo.row[keep], coo.col[keep])),
+                shape=A.mat.shape), tol)
+        block = block.tocsc()
     upper = np.minimum(opA, np.maximum.accumulate(raw[::-1])[::-1])
 
-    # singleton probes: column mass beyond each radius
+    # Probes: the plain SVD of the columns over a support L on the rows beyond
+    # R, a lower bound within rounding (k*eps relative) of the true value.
     lower = np.zeros(Rmax + 1)
-    absdata2 = np.abs(coo.data) ** 2
-    if A.mat.nnz:
-        if f == 1:
-            for R in range(Rmax + 1):
-                m = dist > R
-                if not m.any():
-                    break
-                mass = np.bincount(cpt[m], weights=absdata2[m],
-                                   minlength=w.n_points)
-                lower[R] = np.sqrt(mass.max())
-        else:
-            csc = A.mat.tocsc()
-            for p in range(w.n_points):
-                colblock = csc[:, p * f:(p + 1) * f]
-                if colblock.nnz == 0:
-                    continue
-                rows = np.unique(colblock.tocoo().row // f)
-                dcol = w.dist_cross(rows, [p])[:, 0]
-                dense = colblock.toarray()
-                for R in range(Rmax + 1):
-                    sel = rows[dcol > R]
-                    if len(sel) == 0:
-                        break
-                    take = np.concatenate([np.arange(r * f, (r + 1) * f)
-                                           for r in sel])
-                    lower[R] = max(lower[R], _dense_norm2(dense[take]))
-    # random-subset probes
-    all_pts = np.arange(w.n_points)
-    for L in _probe_subsets(w):
-        dL = w.dist_cross(all_pts, L).min(axis=1)
-        if f == 1:
-            cols = A.mat.tocsc()[:, L].toarray()
-        else:
-            idx = np.concatenate([np.arange(p * f, (p + 1) * f) for p in L])
-            cols = A.mat.tocsc()[:, idx].toarray()
-        for R in range(Rmax + 1):
-            outside = dL > R
-            if not outside.any():
-                break
-            if f == 1:
-                sub = cols[outside]
-            else:
-                rows = np.flatnonzero(outside)
-                take = np.concatenate([np.arange(r * f, (r + 1) * f)
-                                       for r in rows])
-                sub = cols[take]
-            lower[R] = max(lower[R], _dense_norm2(sub))
+    supports = _probe_subsets(w)
+    if f == 1:
+        # singletons: column mass beyond each radius
+        _, col, dist = A.entry_point_pairs()
+        absdata2 = np.abs(A.mat.tocoo().data) ** 2
+        for R in radii:
+            m = dist > R
+            mass = np.bincount(col[m], weights=absdata2[m],
+                               minlength=w.n_points)
+            lower[R] = np.sqrt(mass.max())
+    else:
+        supports = [[p] for p in np.unique(cpts)] + supports
+    for L in supports:
+        member = np.zeros(w.n_points, dtype=bool)
+        member[L] = True
+        cols_L = block[:, member[cpts]]
+        if sp.issparse(cols_L):
+            cols_L = cols_L.toarray()
+        nz = np.flatnonzero(np.any(cols_L != 0, axis=1))
+        dL = w.dist_cross(rpts[nz], L).min(axis=1)
+        Rs = np.arange(min(Rmax + 1, int(dL.max(initial=0))))
+        if len(Rs) == 0:
+            continue
+        beyond = (dL > Rs[:, None])[:, :, None]
+        sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
+        lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
     return MuProfile(Rmax=Rmax, upper=upper, lower=lower, op=opA)
 
 
@@ -633,8 +617,9 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
                   safe_only: bool = True, integer: bool = False) -> BandedOperator:
     """Seeded random operator with propagation <= prop and entry magnitudes
     scaled by decay^distance; support confined to the margin-safe core when
-    safe_only is set.  With integer=True the entries are small Gaussian
-    integers (exact in float arithmetic), used by the exact test paths."""
+    safe_only is set.  With integer=True every entry, of every f x f block
+    too, is a Gaussian integer in [-3, 3] + i[-3, 3] (exact in float
+    arithmetic), used by the exact test paths; decay is then not applied."""
     rng = np.random.default_rng(seed)
     rows, cols, dists = _banded_pairs(window, prop, safe_only)
     pick = rng.random(len(rows)) < density
@@ -653,9 +638,13 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
         + np.tile(np.repeat(np.arange(fiber), fiber), len(rows))
     bcols = np.repeat(cols * fiber, fiber * fiber) \
         + np.tile(np.tile(np.arange(fiber), fiber), len(rows))
-    blocks = (rng.normal(size=len(rows) * fiber * fiber)
-              + 1j * rng.normal(size=len(rows) * fiber * fiber)) / np.sqrt(2.0)
-    blocks *= np.repeat(np.abs(vals), fiber * fiber)
+    nb = len(rows) * fiber * fiber
+    if integer:
+        blocks = (rng.integers(-3, 4, size=nb)
+                  + 1j * rng.integers(-3, 4, size=nb)).astype(np.complex128)
+    else:
+        blocks = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / np.sqrt(2.0)
+        blocks *= np.repeat(np.abs(vals), fiber * fiber)
     mat = sp.csr_matrix((blocks, (brows, bcols)),
                         shape=(window.n_points * fiber,) * 2)
     return BandedOperator(window, mat, fiber)

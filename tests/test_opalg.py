@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from coarselab import opalg, spaces
-from coarselab.errors import PreconditionError, WindowError
+from coarselab.errors import ConvergenceError, PreconditionError, WindowError
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +78,75 @@ def test_op_norm_against_dense_svd_oracle():
     for seed in range(8):
         A = opalg.random_banded(w, seed, prop=3, decay=0.7)
         sv = np.linalg.svd(A.mat.toarray(), compute_uv=False)[0]
-        assert opalg.op_norm(A) == pytest.approx(sv, rel=1e-8, abs=1e-10)
+        assert sv <= opalg.op_norm(A) <= sv * (1 + 1e-12)
 
 
 def test_op_norm_near_identity_clustered_spectrum(w):
-    # clustered spectra stall plain power iteration; the squaring fallback
-    # must still deliver oracle-level accuracy
+    # a spectrum clustered near 1 stalls power iteration; the SVD of the
+    # nonzero block must still deliver oracle-level accuracy
     A = opalg.identity(w) + opalg.random_banded(w, 5, prop=2, decay=0.5).scale(0.01)
     sv = np.linalg.svd(A.mat.toarray(), compute_uv=False)[0]
     assert opalg.op_norm(A) == pytest.approx(sv, rel=1e-8)
+
+
+@pytest.mark.parametrize("case", ["zd1", "zd2", "heisenberg3", "fiber2"])
+def test_mu_profile_upper_certified_against_svd_oracle(case):
+    # upper and op are certified upper bounds: never below the LAPACK SVD of
+    # the full matrix, with no slack; the sandwich holds with no slack
+    if case == "zd1":
+        w = spaces.make_window("zd", 32, 16, dim=1)
+        ops = [opalg.random_banded(w, (s, 3), prop=3, decay=0.6) for s in range(3)]
+        ops.append(ops[0] @ ops[1])
+        Rmax = 16
+    elif case == "zd2":
+        w = spaces.make_window("zd", 8, 4, dim=2)
+        ops = [opalg.random_banded(w, s, prop=2, decay=0.6) for s in range(2)]
+        Rmax = 4
+    elif case == "heisenberg3":
+        w = spaces.make_window("heisenberg3", 6, 4)
+        ops = [opalg.random_banded(w, 7, prop=2, decay=0.6)]
+        Rmax = 2
+    else:
+        w = spaces.make_window("zd", 10, 5, dim=1)
+        ops = [opalg.random_banded(w, s, prop=3, decay=0.6, fiber=2)
+               for s in range(3)]
+        Rmax = 5
+    for A in ops:
+        prof = opalg.mu_profile(A, Rmax)
+        assert prof.op >= np.linalg.svd(A.mat.toarray(), compute_uv=False)[0]
+        for R in range(Rmax + 1):
+            off = opalg.offband(A, R).mat.toarray()
+            sv = np.linalg.svd(off, compute_uv=False)[0] if off.any() else 0.0
+            assert prof.upper[R] >= sv
+        assert np.all(prof.lower <= prof.upper)
+        assert prof.lower[0] > 0
+
+
+def test_sparse_norm_path(w, monkeypatch):
+    # above DENSE_CUTOFF the norms come from sparse power iteration; lower it
+    # so that these 65-point operators take that path
+    dense = [opalg.mu_profile(opalg.random_banded(w, (s, 9), prop=3, decay=0.6), 8)
+             for s in range(3)]
+    monkeypatch.setattr(opalg, "DENSE_CUTOFF", 4)
+    for s in range(3):
+        A = opalg.random_banded(w, (s, 9), prop=3, decay=0.6)
+        sv = np.linalg.svd(A.mat.toarray(), compute_uv=False)[0]
+        assert opalg.op_norm(A) == pytest.approx(sv, rel=1e-8)
+        prof = opalg.mu_profile(A, 8)
+        assert np.all(prof.lower <= prof.upper + 1e-10)
+        # the probes read the same columns on either path
+        assert np.allclose(prof.lower, dense[s].lower, rtol=1e-12, atol=0)
+    with pytest.raises(ConvergenceError):
+        opalg._matrix_norm2(A.mat, 1e-11, max_iter=2)
+
+
+def test_random_banded_integer_fiber2(wsmall):
+    A = opalg.random_banded(wsmall, 5, prop=2, fiber=2, integer=True)
+    vals = A.mat.data
+    assert len(vals) > 0
+    assert np.all(vals.real == np.round(vals.real))
+    assert np.all(vals.imag == np.round(vals.imag))
+    assert np.abs(vals.real).max() <= 3 and np.abs(vals.imag).max() <= 3
 
 
 def test_mu_profile_shift(w):
@@ -121,7 +181,7 @@ def test_mu_profile_sandwich_and_monotone(w):
     for seed in range(5):
         A = opalg.random_banded(w, seed, prop=4, decay=0.6)
         prof = opalg.mu_profile(A, 8)
-        assert np.all(prof.lower <= prof.upper + 1e-10)
+        assert np.all(prof.lower <= prof.upper)
         assert np.all(np.diff(prof.upper) <= 1e-12)
         assert np.all(np.diff(prof.lower) <= 1e-12)
         assert np.all(prof.upper <= prof.op + 1e-12)
@@ -148,7 +208,7 @@ def test_mu_upper_certifies_probes(w):
 def test_mu_profile_fiber2_sandwich(wsmall):
     A = opalg.random_banded(wsmall, 71, prop=3, decay=0.6, fiber=2)
     prof = opalg.mu_profile(A, 5)
-    assert np.all(prof.lower <= prof.upper + 1e-10)
+    assert np.all(prof.lower <= prof.upper)
     assert np.all(np.diff(prof.upper) <= 1e-12)
     # dense oracle for singleton block-column probes
     dense = A.mat.toarray()
@@ -341,6 +401,8 @@ def test_mu_profile_margin_precondition(w):
     with pytest.raises(Exception) as exc:
         opalg.mu_profile(opalg.shift(w, 0, 1), w.margin + 1)
     assert "margin" in str(exc.value)
+    with pytest.raises(PreconditionError):
+        opalg.mu_profile(opalg.shift(w, 0, 1), 2, tol=0.0)
 
 
 def test_json_roundtrip(w):
