@@ -4,8 +4,8 @@ A CyclicTensor is a formal complex-weighted sum of (n+1)-tuples of operators
 sharing one window and fiber dimension, together with a symbolic power of
 (2 pi i) kept separate so index integrality stays visible after stripping it.
 
-The rough character chi sends a tensor to a uniformly finite chain by
-antisymmetrized local traces: for point projections P_y,
+The rough character chi sends a tensor to an alternating uniformly finite
+chain by antisymmetrized local traces: for point projections P_y,
 
   chi(A_0 ... A_n)(y_0..y_n) = 1/(n+1)! sum_sigma sign(sigma)
         tr(A_0 P_{y_sigma(0)} ... A_n P_{y_sigma(n)})
@@ -14,15 +14,20 @@ and on the finite window each trace is the block trace of
 A_0[z_n, z_0] A_1[z_0, z_1] ... A_n[z_{n-1}, z_n].  One vectorized join
 (``_paths``) enumerates these paths for every degree and fiber dimension:
 sparse row expansion through A_1 .. A_n over (point, fiber) indices, then a
-sorted-key probe of A_0 to close each path.  Antisymmetrization is computed
-exactly for n <= 3; MAX_DEGREE caps its (n+1)! cost, not the join.
+sorted-key probe of A_0 to close each path.
+
+An alternating chain is fixed by its values on strictly increasing tuples.
+``chi_arrays`` returns this canonical form: path rows sorted and signed by
+their sorting permutation, rows with a repeated point dropped (they cancel),
+coalesced once.  ``chain_map_check`` runs wholly on it; only ``chi`` expands
+it to the (n+1)! signed orderings, and MAX_DEGREE caps that expansion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -35,23 +40,6 @@ from .ufchain import UfChain, boundary_arrays
 
 TWO_PI_I = 2j * math.pi
 MAX_DEGREE = 3
-
-
-def _perm_sign(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass
@@ -69,7 +57,7 @@ class CyclicTensor:
         if self.degree > MAX_DEGREE:
             raise DegreeError(
                 f"cyclic: degrees above {MAX_DEGREE} are outside the desk-scale "
-                "build (exact antisymmetrization cap)")
+                "build (cap on chi's (n+1)! expansion)")
         cleaned = []
         for w, ops in self.terms:
             ops = tuple(ops)
@@ -153,15 +141,15 @@ def chern1(u: BandedOperator, n: int,
 
 # -- the rough character ----------------------------------------------------------
 
-def _antisymmetrize(tuples: np.ndarray, values: np.ndarray, arity: int):
-    parts_t = []
-    parts_v = []
-    for tau in permutations(range(arity)):
-        parts_t.append(tuples[:, list(tau)])
-        parts_v.append(_perm_sign(tau) * values)
-    t, v = coalesce(np.ascontiguousarray(np.concatenate(parts_t)),
-                    np.concatenate(parts_v))
-    return t, v / math.factorial(arity)
+def _sort_sign(tuples: np.ndarray):
+    """Each row sorted, the sign of its sorting permutation (the parity of the
+    row's inversions) and whether the row's points are distinct."""
+    inversions = np.zeros(len(tuples), dtype=np.int64)
+    for i, j in combinations(range(tuples.shape[1]), 2):
+        inversions += tuples[:, i] > tuples[:, j]
+    ordered = np.sort(tuples, axis=1)
+    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    return ordered, 1 - 2 * (inversions % 2), distinct
 
 
 def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
@@ -201,8 +189,10 @@ def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
     return k[hit] // f, A0.data[order[at[hit]]] * vals[hit]
 
 
-def chi_arrays(t: CyclicTensor, apply_prefactor: bool = True):
-    """Raw (tuples, values) arrays of the character chain of a tensor."""
+def chi_arrays(t: CyclicTensor):
+    """Canonical form of the character chain: lex-sorted (tuples, values) on
+    strictly increasing tuples, without the (2 pi i) prefactor.  The chain
+    is sign(pi) * values[r] on tuples[r] permuted by pi, zero elsewhere."""
     w = t.window
     if w is None:
         raise DegreeError("cyclic.chi: empty tensor has no window")
@@ -211,38 +201,39 @@ def chi_arrays(t: CyclicTensor, apply_prefactor: bool = True):
         raise MarginError(
             f"cyclic.chi: total operator propagation {total_prop} exceeds the "
             f"window margin {w.margin}")
-    arity = t.degree + 1
-    parts_t = [np.empty((0, arity), dtype=np.int64)]
-    parts_v = [np.empty(0, dtype=np.complex128)]
-    for weight, ops in t.terms:
-        tt, vv = _paths(ops)
-        if len(vv):
-            parts_t.append(tt)
-            parts_v.append(weight * vv)
-    # sum fiber terms and repeats across terms before the (n+1)! expansion
-    tuples, values = coalesce(np.concatenate(parts_t), np.concatenate(parts_v))
-    tuples, values = _antisymmetrize(tuples, values, arity)
-    if apply_prefactor and t.tau_power:
-        values = values * t.numeric_prefactor()
-    return tuples, values
+    paths = [_paths(ops) for _, ops in t.terms]
+    tuples, sign, distinct = _sort_sign(np.concatenate([tt for tt, _ in paths]))
+    values = sign * np.concatenate([weight * vv for (weight, _), (_, vv)
+                                    in zip(t.terms, paths)])
+    tuples, values = coalesce(tuples[distinct], values[distinct])
+    return tuples, values / math.factorial(t.degree + 1)
 
 
 def chi(t: CyclicTensor) -> UfChain:
-    """Rough character chain of a cyclic tensor (numeric weights applied)."""
+    """Rough character chain on ordered tuples, (2 pi i) prefactor applied:
+    chi_arrays' rows expanded to their (n+1)! signed orderings."""
     tuples, values = chi_arrays(t)
+    perms = np.array(list(permutations(range(t.degree + 1))))
+    _, signs, _ = _sort_sign(perms)
+    tuples = tuples[:, perms].reshape(-1, perms.shape[1])
+    values = (values[:, None] * signs).ravel() * t.numeric_prefactor()
     return UfChain.from_arrays(t.window, t.degree, tuples, values)
 
 
 def chain_map_check(t: CyclicTensor) -> float:
-    """Sup residual of boundary(chi(t)) - chi(hochschild_b(t)) on safe tuples."""
+    """Sup residual of boundary(chi(t)) - chi(hochschild_b(t)) on safe tuples.
+
+    Both sides are alternating, so it is taken on increasing tuples, where
+    the boundary of an alternating degree-n chain is n+1 times the face sum
+    of its canonical rows."""
     w = t.window
     total_prop = t.total_propagation()
     w.require_margin(2 * total_prop, "cyclic.chain_map_check")
     if t.degree == 0:
         raise DegreeError("cyclic.chain_map_check: needs degree >= 1")
-    t1, v1 = chi_arrays(t, apply_prefactor=False)
-    bt1, bv1 = boundary_arrays(w, t.degree, t1, v1)
-    t2, v2 = chi_arrays(hochschild_b(t), apply_prefactor=False)
+    t1, v1 = chi_arrays(t)
+    bt1, bv1 = boundary_arrays(w, t.degree, t1, (t.degree + 1) * v1)
+    t2, v2 = chi_arrays(hochschild_b(t))
     dt, dv = coalesce(np.concatenate([bt1, t2]), np.concatenate([bv1, -v2]))
     if len(dv) == 0:
         return 0.0

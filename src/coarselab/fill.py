@@ -267,7 +267,7 @@ def fill_tuple(window: Window, tup) -> SimplicialChain:
 
     The boundary of the result is exactly the alternating sum of the fillings
     of the tuple's faces, and all vertices stay inside the bounding box of the
-    tuple's coordinates (so within tuple-length of the first point).
+    tuple's coordinates.
     """
     tup = tuple(int(p) for p in tup)
     _require_lattice(window, "fill.fill_tuple")

@@ -128,12 +128,15 @@ def _compress(mat):
     return block, rows, cols
 
 
+def _dense_sigma(arr) -> float:
+    """Largest singular value of a dense array from LAPACK, as computed."""
+    return float(np.linalg.svd(arr, compute_uv=False)[0]) if arr.size else 0.0
+
+
 def _dense_norm2(arr) -> float:
-    """Largest singular value of a dense m x k array from LAPACK, inflated by
-    its rounding error bound m*k*eps*||arr|| to a certified upper bound."""
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[0]) * (1 + arr.size * EPS)
+    """_dense_sigma of an m x k array inflated by its rounding error bound
+    m*k*eps*||arr|| to a certified upper bound."""
+    return _dense_sigma(arr) * (1 + arr.size * EPS)
 
 
 def _power_iterate(M, tol, max_iter):
@@ -212,11 +215,13 @@ def op_norm(A: BandedOperator, tol: float = 1e-11) -> float:
 
 @dataclass
 class MuProfile:
-    """Certified sandwich mu_lower <= mu_true <= mu_upper on integer radii."""
+    """Certified sandwich mu_lower <= mu_true <= mu_upper on integer radii,
+    and the op norm from above (op) and from below (op_lower)."""
     Rmax: int
     upper: np.ndarray
     lower: np.ndarray
     op: float
+    op_lower: float
 
     def upper_at(self, x: float) -> float:
         """Evaluate the upper profile at a real radius (floor: still certified)."""
@@ -266,11 +271,12 @@ def mu_profile(A: BandedOperator, Rmax: int, tol: float = 1e-11) -> MuProfile:
     raw = np.zeros(Rmax + 1)
     if not sp.issparse(block):
         d = w.dist_cross(rpts, cpts)
-        opA = _dense_norm2(block)
+        opA_lower = _dense_sigma(block)
+        opA = opA_lower * (1 + block.size * EPS)
         for R in radii:     # one at a time: a stack of all radii would be large
             raw[R] = _dense_norm2(np.where(d > R, block, 0))
     else:
-        opA = op_norm(A, tol)
+        opA = opA_lower = op_norm(A, tol)
         coo = A.mat.tocoo()
         dist = w.dist_many(coo.row // f, coo.col // f)
         for R in radii:
@@ -310,7 +316,8 @@ def mu_profile(A: BandedOperator, Rmax: int, tol: float = 1e-11) -> MuProfile:
         beyond = (dL > Rs[:, None])[:, :, None]
         sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
         lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
-    return MuProfile(Rmax=Rmax, upper=upper, lower=lower, op=opA)
+    return MuProfile(Rmax=Rmax, upper=upper, lower=lower, op=opA,
+                     op_lower=opA_lower)
 
 
 def mu_norm(A: BandedOperator, n: float, profile: MuProfile | None = None,
@@ -326,12 +333,13 @@ def mu_norm(A: BandedOperator, n: float, profile: MuProfile | None = None,
 def mu_norm_lower(A: BandedOperator, n: float,
                   profile: MuProfile | None = None,
                   Rmax: int | None = None) -> float:
-    """Certified lower bound of the same norm (probe-based)."""
+    """Lower bound of the same norm, up to the rounding of one SVD: op_lower
+    against the probe shells."""
     if profile is None:
         profile = mu_profile(A, A.window.margin if Rmax is None else Rmax)
     Rs = np.arange(1, profile.Rmax + 1, dtype=float)
     shells = profile.lower[1:] * Rs ** n
-    return float(max(profile.op, shells.max(initial=0.0)))
+    return float(max(profile.op_lower, shells.max(initial=0.0)))
 
 
 # -- quantitative checks ------------------------------------------------------------

@@ -14,7 +14,6 @@ artifact standardizes on tuple length).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import numpy as np
 
@@ -249,9 +248,3 @@ def save_chain(c: UfChain, path: str):
     with open(path, "w") as fh:
         json.dump(to_json_dict(c), fh, indent=1)
 
-
-def exactify(c: UfChain) -> UfChain:
-    """Rational-coefficient copy (real parts only) for the exact test path."""
-    return UfChain(c.window, c.degree,
-                   {t: Fraction(complex(v).real).limit_denominator(10 ** 9)
-                    for t, v in c.support.items()}, _validated=True)

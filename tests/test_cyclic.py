@@ -24,29 +24,27 @@ def _perm_sign_oracle(p):
     return sign
 
 
-def chi_dense_oracle(ops, fiber=1):
-    """Brute-force character: dense blocks, explicit permutation sum."""
-    w = ops[0].window
+def path_products_dense(ops, fiber):
+    """Dense tensor T[z_0..z_n] = tr(A_0[z_n,z_0] A_1[z_0,z_1] .. A_n[z_{n-1},z_n])."""
     n = len(ops) - 1
-    dense = [A.mat.toarray() for A in ops]
-    N = w.n_points
-    f = fiber
+    N = ops[0].window.n_points
+    blocks = [A.mat.toarray().reshape(N, fiber, N, fiber) for A in ops]
+    z, i = "abcd", "ijkl"
+    subs = [z[n] + i[n] + z[0] + i[0]]
+    subs += [z[k - 1] + i[k - 1] + z[k] + i[k] for k in range(1, n + 1)]
+    return np.einsum(",".join(subs) + "->" + z[:n + 1], *blocks)
 
-    def blk(M, p, q):
-        return M[p * f:(p + 1) * f, q * f:(q + 1) * f]
 
-    out = {}
-    for tup in itertools.product(range(N), repeat=n + 1):
-        total = 0.0 + 0j
-        for sigma in itertools.permutations(range(n + 1)):
-            z = [tup[sigma[i]] for i in range(n + 1)]
-            prod = blk(dense[0], z[n], z[0])
-            for i in range(1, n + 1):
-                prod = prod @ blk(dense[i], z[i - 1], z[i])
-            total += _perm_sign_oracle(sigma) * np.trace(prod)
-        if abs(total) > 1e-13:
-            out[tup] = total / math.factorial(n + 1)
-    return out
+def chi_dense_oracle(ops, fiber=1):
+    """Brute-force character on ordered tuples: the dense path products,
+    antisymmetrized by a signed sum of axis transposes."""
+    T = path_products_dense(ops, fiber)
+    arity = T.ndim
+    chi = sum(_perm_sign_oracle(sigma) * np.transpose(T, sigma)
+              for sigma in itertools.permutations(range(arity)))
+    chi = chi / math.factorial(arity)
+    return {tuple(int(p) for p in tup): chi[tup]
+            for tup in zip(*np.nonzero(np.abs(chi) > 1e-13))}
 
 
 def test_lambda_examples(w):
@@ -193,45 +191,50 @@ def test_chi_against_dense_oracle_deg3():
 
 
 def test_chi_block_fiber2_against_dense_oracle():
-    # every degree on a W=3 window (W=4 for degree 3, whose four
-    # propagation-1 factors need margin 4); supports reach the window edge so
-    # the chains are not confined to a few safe points
+    # every degree on a 1-D window with W = margin = 2 * (degree + 1), so
+    # the propagation-2 factors close paths through distinct points (with
+    # propagation 1 on a 1-D window every degree >= 2 path repeats a point
+    # and the chain is zero); supports reach the window edge
     for degree in range(4):
-        wq = spaces.make_window("zd", max(3, degree + 1), degree + 1, dim=1)
-        ops = tuple(opalg.random_banded(wq, (40, degree, j), prop=1, decay=0.8,
+        W = 2 * (degree + 1)
+        wq = spaces.make_window("zd", W, W, dim=1)
+        ops = tuple(opalg.random_banded(wq, (40, degree, j), prop=2, decay=0.8,
                                         density=0.9, fiber=2, safe_only=False)
                     for j in range(degree + 1))
         chain = cyclic.chi(cyclic.CyclicTensor(degree, [(1.0, ops)]))
-        assert len(chain) > 0
+        assert max((abs(v) for _, v in chain.terms()), default=0.0) > 1e-6
         assert_chain_matches(chain, chi_dense_oracle(ops, fiber=2))
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_chi_tree_against_dense_oracle(degree):
     # tree3 W=3 (22 points): margin 3 allows degree 2 with propagation-1
-    # factors.  A tree has no triangles, so the degree-2 chain cancels to
-    # rounding noise after antisymmetrization although the join finds raw
-    # paths.
+    # factors.  A tree has no triangles, so every degree-2 path repeats a
+    # point and the chain is exactly empty although the join finds raw paths.
     wt = spaces.make_window("tree3", 3, 3)
     ops = tuple(opalg.random_banded(wt, (50, degree, j), prop=1, decay=0.8,
                                     density=0.9, safe_only=False)
                 for j in range(degree + 1))
     assert len(cyclic._paths(ops)[1]) > 0
     chain = cyclic.chi(cyclic.CyclicTensor(degree, [(1.0, ops)]))
-    biggest = max((abs(v) for _, v in chain.terms()), default=0.0)
-    assert (biggest > 1e-6) == (degree == 1)
+    if degree == 2:
+        assert len(chain) == 0
+    else:
+        assert max(abs(v) for _, v in chain.terms()) > 1e-6
     assert_chain_matches(chain, chi_dense_oracle(ops))
 
 
-def path_products_dense(ops, fiber):
-    """Dense tensor T[z_0..z_n] = tr(A_0[z_n,z_0] A_1[z_0,z_1] .. A_n[z_{n-1},z_n])."""
-    n = len(ops) - 1
-    N = ops[0].window.n_points
-    blocks = [A.mat.toarray().reshape(N, fiber, N, fiber) for A in ops]
-    z, i = "abcd", "ijkl"
-    subs = [z[n] + i[n] + z[0] + i[0]]
-    subs += [z[k - 1] + i[k - 1] + z[k] + i[k] for k in range(1, n + 1)]
-    return np.einsum(",".join(subs) + "->" + z[:n + 1], *blocks)
+def test_sort_sign():
+    rows = [np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+            for m in range(1, 5)]
+    rng = np.random.default_rng(7)
+    rows += [rng.integers(-3, 3, size=(200, m)) * 2 ** 40 for m in range(1, 5)]
+    for tuples in rows:
+        ordered, sign, distinct = cyclic._sort_sign(tuples)
+        for row, o, s, d in zip(tuples, ordered, sign, distinct):
+            assert list(o) == sorted(row)
+            assert s == _perm_sign_oracle(np.argsort(row, kind="stable"))
+            assert d == (len(set(row)) == len(row))
 
 
 def reversed_rows(A):

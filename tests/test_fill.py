@@ -68,6 +68,23 @@ def test_boundary_of_filling_random_exact(w2):
         assert lhs == rhs
 
 
+def test_filling_stays_in_bounding_box(w2):
+    # the vertices of a filling lie in the bounding box of the tuple's
+    # coordinates, but not within tuple-length of its first point: this
+    # tuple has length 4 and a filling vertex at distance 6 from (0, 0)
+    j = w2.index_of
+    tup = (j((0, 0)), j((-2, -2)), j((-4, 0)))
+    F = fill.fill_tuple(w2, tup)
+    assert w2.tuple_length(tup) == 4
+    assert max(w2.dist(tup[0], p) for s in F.support for p in s) == 6
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        pts = rng.integers(-4, 5, size=(3, 2))
+        F = fill.fill_tuple(w2, tuple(j(tuple(int(x) for x in p)) for p in pts))
+        verts = np.array([w2.label(p) for s in F.support for p in s]).reshape(-1, 2)
+        assert np.all(verts >= pts.min(axis=0)) and np.all(verts <= pts.max(axis=0))
+
+
 def test_fill_chain_examples(wz):
     i = wz.index_of
     c = ufchain.UfChain(wz, 1, {(i((0,)), i((5,))): 1})

@@ -333,6 +333,24 @@ def test_neumann_random_sweep(w):
             assert rep.passed
 
 
+def test_mu_norm_lower_below_svd_on_neumann_inverse():
+    # a Neumann operator of the suite, whose decay shells do not bind: the
+    # lower norm is the op norm, which must not carry the upper side's
+    # m*k*eps rounding margin
+    wn = spaces.make_window("zd", 32, 16, dim=1)
+    B = opalg.random_banded(wn, (13, 1, 0), prop=2, decay=0.5)
+    B = B.scale(0.8 / (2 ** 2 * 5) / opalg.op_norm(B))
+    S, rep = opalg.neumann_inverse(B, 1)
+    prof = opalg.mu_profile(S, 16)
+    lower = opalg.mu_norm_lower(S, 1, prof)
+    assert lower == rep.measured == prof.op_lower
+    dense = S.mat.toarray()
+    k = np.count_nonzero(np.any(dense != 0, axis=0))
+    sigma = np.linalg.svd(dense, compute_uv=False)[0]
+    assert lower <= sigma * (1 + 4 * k * np.finfo(float).eps)
+    assert prof.op >= sigma
+
+
 def test_power_series_identity_and_square(w):
     A = opalg.random_banded(w, 12, prop=2, decay=0.6).scale(0.1)
     F, _ = opalg.power_series_apply(A, [1.0])
