@@ -25,10 +25,6 @@ class DegreeError(CoarselabError):
     """Degree/arity mismatch between chains, cochains or tensors."""
 
 
-class ConvergenceError(CoarselabError):
-    """An iterative routine failed to converge within its iteration cap."""
-
-
 class PreconditionError(CoarselabError):
     """A quantitative precondition (norm bound, idempotency, ...) is violated."""
 

@@ -170,10 +170,6 @@ def boundary_arrays(window: Window, degree: int, tuples: np.ndarray,
     return coalesce(np.concatenate(parts_t), np.concatenate(parts_v))
 
 
-def tuple_length(c: UfChain, tup) -> int:
-    return c.window.tuple_length(tup)
-
-
 def norm_inf_n(c: UfChain, n: float) -> float:
     """sup |a| * length^n over the support; 0^0 = 1 so diagonals count at n=0."""
     best = 0.0

@@ -70,6 +70,8 @@ def test_criterion_07_neumann_inverse_bound():
     r = _report(suite.check_neumann(CONFIG), 60)
     assert r.details["operators_per_n"] == 50
     assert r.details["max_excess"] <= 0
+    # the unclamped ratio shows how close the bound comes to binding
+    assert r.details["max_lhs_over_rhs"] <= 1
 
 
 def test_criterion_08_fill_chain_map_and_roundtrip():
