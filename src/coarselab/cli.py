@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_window(g)
     g.add_argument("--chain", required=True)
     g.add_argument("--out")
-    g.add_argument("--csv", help="measured filling-radius profile rows")
+    g.add_argument("--csv", help="certified contractibility profile rows (R, S'(R))")
     g.set_defaults(fn=cmd_fill_verify_estimate)
 
     g = sub.add_parser("chi", help="rough character of a cyclic tensor")

@@ -469,24 +469,24 @@ class DecayRow:
 
 
 def entry_decay_bound(A: BandedOperator, Rmax: int) -> list:
-    """Max squared l2 mass of rows/columns outside B_R, against mu_upper^2."""
+    """Max squared l2 mass of scalar rows/columns outside B_R, against mu_upper^2.
+
+    One scalar column's (row's) mass beyond R is at most mu_upper(R)^2; the
+    summed f columns of one point can exceed it, so the masses are per scalar.
+    """
     w = A.window
     w.require_margin(Rmax, "opalg.entry_decay_bound")
     prof = mu_profile(A, Rmax)
     prof_adj = mu_profile(A.adjoint(), Rmax)
     coo = A.mat.tocoo()
     f = A.fiber
-    rpt = coo.row // f
-    cpt = coo.col // f
-    dist = w.dist_many(rpt, cpt)
+    dist = w.dist_many(coo.row // f, coo.col // f)
     a2 = np.abs(coo.data) ** 2
     rows = []
     for R in range(Rmax + 1):
         m = dist > R
-        col_tail = float(np.bincount(cpt[m], weights=a2[m],
-                                     minlength=w.n_points).max()) if m.any() else 0.0
-        row_tail = float(np.bincount(rpt[m], weights=a2[m],
-                                     minlength=w.n_points).max()) if m.any() else 0.0
+        col_tail = float(np.bincount(coo.col[m], weights=a2[m]).max()) if m.any() else 0.0
+        row_tail = float(np.bincount(coo.row[m], weights=a2[m]).max()) if m.any() else 0.0
         cb = float(prof.upper[R]) ** 2
         rb = float(prof_adj.upper[R]) ** 2
         rows.append(DecayRow(R, col_tail, row_tail, cb, rb,

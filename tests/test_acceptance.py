@@ -63,6 +63,7 @@ def test_criterion_06_power_estimate():
     # iterated-power inequality for n <= 4, R <= 16, 50 seeded operators, < 60 s
     r = _report(suite.check_power_estimate(CONFIG), 60)
     assert r.details["operators"] == 50 and r.details["nmax"] == 4
+    assert r.details["max_lhs_over_rhs"] <= 1
 
 
 def test_criterion_07_neumann_inverse_bound():

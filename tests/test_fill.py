@@ -1,5 +1,7 @@
 """The simplicial filler: boundary compatibility, roundtrip, the main estimate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -179,18 +181,65 @@ def test_degree2_dim3_rejected():
 
 
 def test_contractibility_profile_line(wz):
-    prof = fill.contractibility_profile(wz, 1, samples=50, rmax=4, seed=0)
-    assert prof.N == pytest.approx(1.0, abs=1e-9)
-    assert prof.C == pytest.approx(1.0, abs=1e-9)
-    assert all(prof.profile[R] == R for R in prof.profile)
+    prof = fill.contractibility_profile(wz, 1)
+    assert (prof.C, prof.N) == (1.0, 1.0)
+    assert prof.profile == {R: R for R in range(1, 6)}   # rmax = W // 3
 
 
 def test_contractibility_profile_plane(w2):
-    prof = fill.contractibility_profile(w2, 2, samples=50, rmax=4, seed=0)
-    assert 0.9 <= prof.N <= 1.3
-    # fitted envelope holds pointwise on the measured profile
-    for R, s in prof.profile.items():
-        assert s <= prof.C * R ** prof.N * (1 + 1e-9)
+    prof = fill.contractibility_profile(w2, 2, rmax=4)
+    assert (prof.C, prof.N) == (1.5, 1.0)
+    assert prof.profile == {R: 3 * R // 2 for R in range(1, 5)}
+
+
+def _exhaustive_profile(w, degree, rmax):
+    """S'(R) over every tuple of length <= R anchored at the origin."""
+    o = w.index_of((0,) * w.dim)
+    ball = np.flatnonzero(w.dist_to_base <= rmax).tolist()
+    best = {R: 0 for R in range(1, rmax + 1)}
+    for rest in itertools.product(ball, repeat=degree):
+        tup = (o, *rest)
+        ln = w.tuple_length(tup)
+        if ln <= rmax:
+            r = fill.fill_radius(w, tup)
+            for R in range(max(ln, 1), rmax + 1):
+                best[R] = max(best[R], r)
+    return best
+
+
+@pytest.mark.parametrize("dim, metric", [(1, "l1"), (2, "l1"), (2, "linf")])
+def test_contractibility_profile_against_exhaustive(dim, metric):
+    # the filler is translation-equivariant, so tuples anchored at the origin
+    # cover every length; the closed form is an upper bound, tight for R >= 2
+    w = spaces.make_window("zd", 12, 4, dim=dim, metric=metric)
+    for degree in (0, 1, 2):
+        closed = fill.contractibility_profile(w, degree, rmax=4)
+        exact = _exhaustive_profile(w, degree, 4)
+        for R in range(1, 5):
+            assert closed.profile[R] >= exact[R]
+            assert closed.profile[R] <= closed.C * R ** closed.N
+            if R >= 2:
+                assert closed.profile[R] == exact[R]
+        if (dim, metric, degree) == (2, "l1", 2):
+            # at R = 1 a triple repeats a point and fills to zero
+            assert [exact[R] for R in range(1, 5)] == [0, 3, 4, 6]
+
+
+def test_contractibility_profile_refuses_what_fill_refuses():
+    with pytest.raises(FillError):
+        fill.contractibility_profile(spaces.make_window("tree3", 4, 1), 1)
+    with pytest.raises(FillError):
+        fill.contractibility_profile(spaces.make_window("zd", 8, 2, dim=1), 3)
+    with pytest.raises(FillError):
+        fill.contractibility_profile(spaces.make_window("zd", 4, 1, dim=3), 2)
+
+
+def test_contractibility_profile_ignores_benchmark_keywords():
+    # perfbench's exact workload passes samples and seed; they change nothing
+    w = spaces.make_window("zd", 24, 4, dim=2)
+    for q in (1, 2):
+        assert (fill.contractibility_profile(w, q, samples=50, rmax=8, seed=12345)
+                == fill.contractibility_profile(w, q, rmax=8))
 
 
 def test_fill_radius_geometric_bound(w2):
@@ -216,7 +265,7 @@ def test_crucial_estimate_line_example():
     assert rep.passed
     assert rep.lhs == 1
     assert rep.rhs > rep.lhs
-    # exponent rule with measured constants: n = M*q*(N+1) + 2
+    # exponent rule with the certified constants: n = M*q*(N+1) + 2
     assert rep.n == pytest.approx(rep.M * 1 * (rep.N + 1) + 2)
 
 
@@ -228,7 +277,7 @@ def test_crucial_estimate_zero_chain():
 
 def test_crucial_estimate_plane_sweep(w2):
     growth = spaces.fit_growth(w2)
-    prof = fill.contractibility_profile(w2, 1, samples=40, rmax=4, seed=1)
+    prof = fill.contractibility_profile(w2, 1, rmax=4)
     rng = np.random.default_rng(77)
     for _ in range(40):
         c = ufchain.random_chain(w2, 1, n_terms=4, max_len=2,
@@ -239,7 +288,7 @@ def test_crucial_estimate_plane_sweep(w2):
 
 
 def test_coefficient_sum_bound(w2):
-    prof = fill.contractibility_profile(w2, 1, samples=40, rmax=4, seed=2)
+    prof = fill.contractibility_profile(w2, 1, rmax=4)
     rng = np.random.default_rng(13)
     for _ in range(25):
         c = ufchain.random_chain(w2, 1, n_terms=4, max_len=2,

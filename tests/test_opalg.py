@@ -397,6 +397,16 @@ def test_entry_decay_decaying(w):
     assert rows[6].col_tail <= rows[2].col_tail * 0.5 ** 4 * 16
 
 
+def test_entry_decay_fiber_blocks(w):
+    # each scalar row/column's mass beyond R stays below mu_upper(R)^2; the
+    # f columns of one point summed together exceed it on these operators
+    for f in (2, 3):
+        for i in range(4):
+            A = opalg.random_banded(w, (f, i), prop=3, decay=0.6, fiber=f,
+                                    density=1.0)
+            assert all(r.ok for r in opalg.entry_decay_bound(A, 6))
+
+
 def test_adjoint_profile_symmetry(w):
     A = opalg.random_banded(w, 17, prop=3, decay=0.6)
     H = A + A.adjoint()
