@@ -278,7 +278,8 @@ def fill_tuple(window: Window, tup) -> SimplicialChain:
     tup = tuple(int(p) for p in tup)
     degree = len(tup) - 1
     _require_fillable(window, degree, "fill.fill_tuple")
-    cached = window._fill_cache.get(tup)
+    memo = window.derived("fill", dict)
+    cached = memo.get(tup)
     if cached is not None:
         return cached
     _bbox_check(window, tup, "fill.fill_tuple")
@@ -297,7 +298,7 @@ def fill_tuple(window: Window, tup) -> SimplicialChain:
         out.accumulate(_diag_correction(window, y1, y2), 1)
         out.accumulate(_diag_correction(window, y0, y2), -1)
         out.accumulate(_diag_correction(window, y0, y1), 1)
-    window._fill_cache[tup] = out
+    memo[tup] = out
     return out
 
 

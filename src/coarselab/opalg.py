@@ -207,15 +207,21 @@ def offband(A: BandedOperator, R: int) -> BandedOperator:
     return BandedOperator(A.window, mat, A.fiber)
 
 
-def _probe_subsets(window: Window, seed=PROBE_SEED, count=PROBE_SUBSETS):
-    rng = np.random.default_rng(seed)
-    pool = window.safe_points if len(window.safe_points) else np.arange(window.n_points)
-    subsets = []
-    for _ in range(count):
-        size = int(rng.integers(2, min(32, max(3, len(pool) // 2)) + 1))
-        subsets.append(np.sort(rng.choice(pool, size=min(size, len(pool)),
-                                          replace=False)))
-    return subsets
+def _probe_subsets(window: Window):
+    """The PROBE_SUBSETS seeded random supports of mu_profile's probes, drawn
+    once per window and kept, read-only, in its memo."""
+    def draw():
+        rng = np.random.default_rng(PROBE_SEED)
+        pool = window.safe_points if len(window.safe_points) \
+            else np.arange(window.n_points)
+        subsets = []
+        for _ in range(PROBE_SUBSETS):
+            size = int(rng.integers(2, min(32, max(3, len(pool) // 2)) + 1))
+            L = np.sort(rng.choice(pool, size=min(size, len(pool)), replace=False))
+            L.flags.writeable = False
+            subsets.append(L)
+        return tuple(subsets)
+    return window.derived("probe_subsets", draw)
 
 
 def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
@@ -259,7 +265,7 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
                                minlength=w.n_points)
             lower[R] = np.sqrt(mass.max())
     else:
-        supports = [[p] for p in np.unique(cpts)] + supports
+        supports = [[p] for p in np.unique(cpts)] + list(supports)
     for L in supports:
         member = np.zeros(w.n_points, dtype=bool)
         member[L] = True
@@ -549,8 +555,16 @@ def safe_projector(window: Window, extra_radius: int = 0) -> BandedOperator:
 
 
 def _banded_pairs(window: Window, prop: int, safe_only: bool):
+    """_enumerate_pairs, once per (window, prop, safe_only): the window's memo
+    keeps its arrays, read-only."""
+    return window.derived(("banded_pairs", prop, bool(safe_only)),
+                          lambda: _enumerate_pairs(window, prop, safe_only))
+
+
+def _enumerate_pairs(window: Window, prop: int, safe_only: bool):
     """All ordered point pairs (rows, cols, dists) at distance <= prop,
-    grouped by stencil offset on lattices and by column elsewhere."""
+    grouped by stencil offset on lattices and by column elsewhere, and the
+    permutation that puts them in CSR order (by row, then column)."""
     pts = window.safe_points if safe_only else np.arange(window.n_points)
     if window.kind in ("zd", "interval_z"):
         # one lookup over the <= prop offset stencil x points
@@ -563,19 +577,24 @@ def _banded_pairs(window: Window, prop: int, safe_only: bool):
         ok = idx >= 0
         if safe_only:
             ok &= window.safe_mask[idx]
-        return (idx[ok], np.broadcast_to(pts, idx.shape)[ok],
-                np.broadcast_to(dists[:, None], idx.shape)[ok])
-    # column blocks of at most ~4M distances
-    step = max(1, (1 << 22) // max(len(pts), 1))
-    rows, cols, ds = [], [], []
-    for start in range(0, len(pts), step):
-        block = pts[start:start + step]
-        d = window.dist_cross(block, pts)
-        c, r = np.nonzero(d <= prop)
-        rows.append(pts[r])
-        cols.append(block[c])
-        ds.append(d[c, r])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(ds)
+        rows, cols = idx[ok], np.broadcast_to(pts, idx.shape)[ok]
+        ds = np.broadcast_to(dists[:, None], idx.shape)[ok]
+    else:
+        # column blocks of at most ~4M distances
+        step = max(1, (1 << 22) // max(len(pts), 1))
+        rows, cols, ds = [], [], []
+        for start in range(0, len(pts), step):
+            block = pts[start:start + step]
+            d = window.dist_cross(block, pts)
+            c, r = np.nonzero(d <= prop)
+            rows.append(pts[r])
+            cols.append(block[c])
+            ds.append(d[c, r])
+        rows, cols, ds = map(np.concatenate, (rows, cols, ds))
+    out = (rows, cols, ds, np.lexsort((cols, rows)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
@@ -585,35 +604,46 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
     scaled by decay^distance; support confined to the margin-safe core when
     safe_only is set.  With integer=True every entry, of every f x f block
     too, is a Gaussian integer in [-3, 3] + i[-3, 3] (exact in float
-    arithmetic), used by the exact test paths; decay is then not applied."""
+    arithmetic), used by the exact test paths; decay is then not applied.
+
+    The draws follow the pairs' enumeration order; the picked pairs are then
+    laid out in CSR order directly, and the operator's propagation is the
+    largest distance among its nonzero entries (blocks)."""
     rng = np.random.default_rng(seed)
-    rows, cols, dists = _banded_pairs(window, prop, safe_only)
+    rows, cols, dists, order = _banded_pairs(window, prop, safe_only)
     pick = rng.random(len(rows)) < density
-    rows, cols, dists = rows[pick], cols[pick], dists[pick]
+    dists = dists[pick]
+    m = len(dists)
     if integer:
-        vals = (rng.integers(-3, 4, size=len(rows))
-                + 1j * rng.integers(-3, 4, size=len(rows))).astype(np.complex128)
+        vals = (rng.integers(-3, 4, size=m)
+                + 1j * rng.integers(-3, 4, size=m)).astype(np.complex128)
     else:
-        vals = (rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))) \
-            / np.sqrt(2.0)
+        vals = (rng.normal(size=m) + 1j * rng.normal(size=m)) / np.sqrt(2.0)
         vals *= decay ** dists.astype(float)
+    if fiber > 1:
+        nb = m * fiber * fiber
+        if integer:
+            vals = (rng.integers(-3, 4, size=nb)
+                    + 1j * rng.integers(-3, 4, size=nb)).astype(np.complex128)
+        else:
+            blocks = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / np.sqrt(2.0)
+            vals = blocks * np.repeat(np.abs(vals), fiber * fiber)
+        vals = vals.reshape(m, fiber, fiber)
+    # the picked pairs in CSR order, and their places among the draws
+    in_csr = order[pick[order]]
+    perm = (np.cumsum(pick) - 1)[in_csr]
+    n = window.n_points
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[in_csr], minlength=n), out=indptr[1:])
     if fiber == 1:
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(window.n_points,) * 2)
-        return BandedOperator(window, mat)
-    brows = np.repeat(rows * fiber, fiber * fiber) \
-        + np.tile(np.repeat(np.arange(fiber), fiber), len(rows))
-    bcols = np.repeat(cols * fiber, fiber * fiber) \
-        + np.tile(np.tile(np.arange(fiber), fiber), len(rows))
-    nb = len(rows) * fiber * fiber
-    if integer:
-        blocks = (rng.integers(-3, 4, size=nb)
-                  + 1j * rng.integers(-3, 4, size=nb)).astype(np.complex128)
+        mat = sp.csr_matrix((vals[perm], cols[in_csr], indptr), shape=(n, n))
     else:
-        blocks = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / np.sqrt(2.0)
-        blocks *= np.repeat(np.abs(vals), fiber * fiber)
-    mat = sp.csr_matrix((blocks, (brows, bcols)),
-                        shape=(window.n_points * fiber,) * 2)
-    return BandedOperator(window, mat, fiber)
+        mat = sp.bsr_matrix((vals[perm], cols[in_csr], indptr),
+                            shape=(n * fiber,) * 2).tocsr()
+    A = BandedOperator(window, mat, fiber)
+    nonzero = vals.reshape(m, fiber * fiber).any(axis=1)
+    A._prop = int(dists[nonzero].max(initial=0))
+    return A
 
 
 # -- serialization -------------------------------------------------------------------

@@ -80,7 +80,16 @@ def _heis_ball(L: int) -> np.ndarray:
 
 
 class Window:
-    """Finite window of a quasi-lattice.  Immutable after construction."""
+    """Finite window of a quasi-lattice.  Immutable after construction, apart
+    from its memo of derived data.
+
+    The memo (see derived) holds results that are pure functions of the
+    window: the banded operators' stencils of point pairs, one entry per
+    (propagation, safe_only), the 32 probe supports of opalg.mu_profile, and
+    the filler's fillings keyed by tuple.  It is a dict on the window, so it
+    lives exactly as long as the window and keeps no other window alive.
+    Its arrays are read-only.
+    """
 
     def __init__(self, kind: str, W: int, margin: int, metric: str,
                  dim: int | None = None, max_points: int = MAX_POINTS_DEFAULT):
@@ -98,7 +107,7 @@ class Window:
         self._grid = None         # lattices: dense point-id grid, -1 outside
         self._index = None        # heisenberg3 / tree3: label -> point id
         self._heis_rel = None     # heisenberg3: radius-2W lookup, built on first use
-        self._fill_cache = {}     # used by the filler; safe under the GIL
+        self._memo = {}           # see derived
 
         if kind == "zd":
             if dim is None or dim < 1:
@@ -125,6 +134,12 @@ class Window:
         self.n_points = len(self.dist_to_base)
         self.safe_mask = self.dist_to_base <= self.W - self.margin
         self.safe_points = np.flatnonzero(self.safe_mask)
+
+    def derived(self, key, build):
+        """The memo's entry for key, made by build() on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- construction ----------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Index-row coalescing against a dict-sum oracle."""
 
 import numpy as np
+import pytest
 
 from coarselab import _accel
 
@@ -30,3 +31,51 @@ def test_coalesce_empty():
     t, v = _accel.coalesce(np.empty((0, 3), dtype=np.int64),
                            np.empty(0, dtype=np.complex128))
     assert len(v) == 0
+
+
+def _lexsort_coalesce(tuples, values):
+    # reference: np.lexsort of the columns, equal rows found column by column
+    order = np.lexsort(tuples.T[::-1])
+    t, v = tuples[order], values[order]
+    newrow = np.ones(len(v), dtype=bool)
+    newrow[1:] = np.any(t[1:] != t[:-1], axis=1)
+    starts = np.flatnonzero(newrow)
+    summed = np.add.reduceat(v, starts)
+    keep = summed != 0
+    return t[starts][keep], summed[keep]
+
+
+def _coalesce_cases():
+    # (rows, whether the packed key fits); packs is None for empty rows
+    rng = np.random.default_rng(9)
+    big = np.iinfo(np.int64)
+    for m in (1, 2, 3, 4):
+        yield f"empty-{m}", np.empty((0, m), dtype=np.int64), None
+        yield f"single-{m}", rng.integers(0, 9, size=(1, m)), True
+        yield f"short-{m}", rng.integers(0, 4, size=(20, m)), True
+        yield f"small-span-{m}", rng.integers(0, 6, size=(300, m)), True
+        yield f"negative-{m}", rng.integers(-40, 40, size=(2000, m)), True
+        yield f"duplicates-{m}", np.tile(rng.integers(0, 9, size=(1, m)), (500, 1)), True
+        yield f"full-range-{m}", rng.integers(big.min, big.max, size=(400, m),
+                                               endpoint=True), False
+    # (max - min + 1)^4 on either side of 2^63: 55108^4 < 2^63 <= 55109^4
+    for hi, packs in ((55107, True), (55108, False)):
+        t = rng.integers(0, hi + 1, size=(1000, 4))
+        t[0], t[1] = 0, hi
+        yield f"span-{hi + 1}", t, packs
+
+
+@pytest.mark.parametrize("tuples, packs", [pytest.param(t, p, id=name)
+                                           for name, t, p in _coalesce_cases()])
+def test_coalesce_matches_lexsort_reference(tuples, packs):
+    # the packed-key sort and np.lexsort are both stable: same rows, and each
+    # row's values summed in the same order, so equal bit for bit
+    rng = np.random.default_rng(len(tuples))
+    values = rng.normal(size=len(tuples)) + 1j * rng.normal(size=len(tuples))
+    if packs is not None:
+        assert (_accel._packed_key(tuples) is not None) == packs
+    t, v = _accel.coalesce(tuples, values)
+    t_ref, v_ref = _lexsort_coalesce(tuples, values)
+    assert t.dtype == t_ref.dtype and np.array_equal(t, t_ref)
+    assert v.tobytes() == v_ref.tobytes()
+

@@ -1,11 +1,14 @@
 """Window construction, metrics, growth measurement, quasi-lattice checks."""
 
+import gc
 import hashlib
+import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from coarselab import opalg, spaces
+from coarselab import fill, opalg, spaces
 from coarselab.errors import MarginError, PointNotInWindowError, WindowError
 
 
@@ -361,9 +364,71 @@ def _coo_digest(A):
                          ids=[c[0] for c in _BANDED_CASES])
 def test_random_banded_pinned(name, kw, prop):
     w = spaces.make_window(**kw)
-    got = (_coo_digest(opalg.random_banded(w, 0, prop=prop, decay=0.7)),
-           _coo_digest(opalg.random_banded(w, 11, prop=prop, decay=0.7,
-                                           safe_only=False)),
-           _coo_digest(opalg.random_banded(w, (5, 1), prop=prop, fiber=2,
-                                           density=0.4)))
-    assert got == _BANDED_DIGESTS[name]
+
+    def digests():
+        return (_coo_digest(opalg.random_banded(w, 0, prop=prop, decay=0.7)),
+                _coo_digest(opalg.random_banded(w, 11, prop=prop, decay=0.7,
+                                                safe_only=False)),
+                _coo_digest(opalg.random_banded(w, (5, 1), prop=prop, fiber=2,
+                                                density=0.4)))
+
+    assert digests() == _BANDED_DIGESTS[name]
+    # the window's memo now also holds the stencils of other draws and the
+    # probes of a profile; the pinned draws, read from it, are unchanged
+    for p, safe, fiber, integer in itertools.product(
+            (prop - 1, prop, prop + 1), (True, False), (1, 2), (False, True)):
+        opalg.random_banded(w, 3, prop=p, fiber=fiber, safe_only=safe,
+                            integer=integer)
+    A = opalg.random_banded(w, 1, prop=prop, decay=0.7)
+    first, again = opalg.mu_profile(A, 2), opalg.mu_profile(A, 2)
+    assert np.array_equal(first.lower, again.lower)
+    assert np.array_equal(first.upper, again.upper)
+    assert digests() == _BANDED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, kw, prop", _BANDED_CASES,
+                         ids=[c[0] for c in _BANDED_CASES])
+def test_random_banded_stores_exact_propagation(name, kw, prop):
+    # the propagation set from the draw is the largest distance among the
+    # entries left after eliminate_zeros, as entry_point_pairs measures it
+    w = spaces.make_window(**kw)
+    for fiber, integer in itertools.product((1, 2), (False, True)):
+        A = opalg.random_banded(w, 4, prop=prop, decay=0.7, fiber=fiber,
+                                integer=integer, density=0.3)
+        d = A.entry_point_pairs()[2]
+        assert A._prop == (int(d.max()) if len(d) else 0)
+
+
+def test_random_banded_propagation_skips_zero_entries():
+    # integer draws can be 0 + 0i; on three points the distance-2 pairs are
+    # sometimes drawn and all zero, and then the propagation is below 2
+    w = spaces.make_window("interval_z", 1, 0)
+    dists = opalg._banded_pairs(w, 2, False)[2]
+    shorter = 0
+    for seed in range(1000):
+        A = opalg.random_banded(w, seed, prop=2, safe_only=False, integer=True)
+        d = A.entry_point_pairs()[2]
+        assert A._prop == (int(d.max()) if len(d) else 0)
+        drawn = dists[np.random.default_rng(seed).random(len(dists)) < 0.5]
+        shorter += A._prop < drawn.max(initial=0)
+    assert shorter > 0
+
+
+def test_window_memo_is_read_only(zplane):
+    for arr in opalg._banded_pairs(zplane, 2, True) + opalg._probe_subsets(zplane):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # one enumeration per (window, prop, safe_only)
+    assert opalg._banded_pairs(zplane, 2, True) is opalg._banded_pairs(zplane, 2, True)
+    assert opalg._probe_subsets(zplane) is opalg._probe_subsets(zplane)
+
+
+def test_window_memo_dies_with_window():
+    w = spaces.make_window("zd", 6, 3, dim=2)
+    A = opalg.random_banded(w, 0, prop=2, decay=0.7)
+    opalg.mu_profile(A, 2)
+    fill.fill_tuple(w, (int(w.safe_points[0]), int(w.safe_points[-1]), w.base))
+    ref = weakref.ref(w)
+    del w, A
+    gc.collect()
+    assert ref() is None
