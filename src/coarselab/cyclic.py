@@ -13,8 +13,9 @@ chain by antisymmetrized local traces: for point projections P_y,
 and on the finite window each trace is the block trace of
 A_0[z_n, z_0] A_1[z_0, z_1] ... A_n[z_{n-1}, z_n].  One vectorized join
 (``_paths``) enumerates these paths for every degree and fiber dimension:
-sparse row expansion through A_1 .. A_n over (point, fiber) indices, then a
-sorted-key probe of A_0 to close each path.
+sparse row expansion through A_1 .. A_n over (point, fiber) indices, then one
+lookup of A_0's entry at (z_n, z_0) inside its CSR row z_n to close each
+path.
 
 An alternating chain is fixed by its values on strictly increasing tuples.
 ``chi_arrays`` returns this canonical form: path rows sorted and signed by
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_sample_values
 
 from ._accel import coalesce
 from .cochain import CoarseCochain, pair
@@ -54,10 +56,6 @@ class CyclicTensor:
     def __post_init__(self):
         if self.degree < 0:
             raise DegreeError("cyclic: tensor degree must be >= 0")
-        if self.degree > MAX_DEGREE:
-            raise DegreeError(
-                f"cyclic: degrees above {MAX_DEGREE} are outside the desk-scale "
-                "build (cap on chi's (n+1)! expansion)")
         cleaned = []
         for w, ops in self.terms:
             ops = tuple(ops)
@@ -152,6 +150,20 @@ def _sort_sign(tuples: np.ndarray):
     return ordered, 1 - 2 * (inversions % 2), distinct
 
 
+def _closing_entries(A, rows, cols) -> np.ndarray:
+    """A[rows, cols] for a CSR matrix A and parallel index arrays, 0 where
+    nothing is stored: each entry is looked up in its own row, bisected when
+    A's rows are sorted and scanned when they are not.  This is scipy's
+    sampling kernel, the one ``A[rows, cols]`` runs after checking its
+    arguments; the join's indices are in range by construction."""
+    idx = A.indices.dtype
+    out = np.empty(len(rows), dtype=A.dtype)
+    csr_sample_values(A.shape[0], A.shape[1], A.indptr, A.indices, A.data,
+                      len(rows), rows.astype(idx, copy=False),
+                      cols.astype(idx, copy=False), out)
+    return out
+
+
 def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
     """Point tuples and values of the identity-order local trace products.
 
@@ -159,34 +171,30 @@ def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
     sum over fiber indices of scalar entry products, so the join runs on the
     matrices' own (point, fiber) indices k: paths k_0 .. k_n start at every
     index, grow through the CSR rows of A_1 .. A_n (Gustavson row expansion)
-    and close by probing A_0's sorted row * M + col keys for (k_n, k_0).
+    and close by looking up A_0's entry at (k_n, k_0) in its CSR row k_n;
+    paths whose closing entry is zero (not stored) are dropped.  The indices
+    are kept as one column per step and stacked once, for the closed paths.
     Each path is returned as its points k // fiber, one row per fiber index
     combination; coalescing sums them into the block trace.  Every degree
     and fiber runs the same join.
     """
     f = ops[0].fiber
     M = ops[0].mat.shape[0]
-    k = np.arange(M, dtype=np.int64)[:, None]
+    k = [np.arange(M, dtype=np.int64)]
     vals = np.ones(M, dtype=np.complex128)
     for A in ops[1:]:
-        first = A.mat.indptr[k[:, -1]].astype(np.int64)
-        counts = A.mat.indptr[k[:, -1] + 1] - first
-        src = np.repeat(np.arange(len(k)), counts)
+        first = A.mat.indptr[k[-1]].astype(np.int64)
+        counts = A.mat.indptr[k[-1] + 1] - first
+        src = np.repeat(np.arange(len(first)), counts)
         # the entry of A extending each new path: its row's first entry plus
         # its rank among the extensions of the same path
         pos = first[src] + np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
-        k = np.column_stack([k[src], A.mat.indices[pos]])
+        k = [col[src] for col in k] + [A.mat.indices[pos]]
         vals = vals[src] * A.mat.data[pos]
-    A0 = ops[0].mat
-    keys = (np.repeat(np.arange(M, dtype=np.int64), np.diff(A0.indptr)) * M
-            + A0.indices)
-    order = np.argsort(keys, kind="stable")  # sparse products leave rows unsorted
-    keys = keys[order]
-    want = k[:, -1] * M + k[:, 0]
-    at = np.searchsorted(keys, want)
-    hit = at < len(keys)
-    hit[hit] = keys[at[hit]] == want[hit]
-    return k[hit] // f, A0.data[order[at[hit]]] * vals[hit]
+    closing = _closing_entries(ops[0].mat, k[-1], k[0])
+    hit = closing != 0
+    return (np.column_stack([col[hit] for col in k]) // f,
+            closing[hit] * vals[hit])
 
 
 def chi_arrays(t: CyclicTensor):
@@ -211,7 +219,12 @@ def chi_arrays(t: CyclicTensor):
 
 def chi(t: CyclicTensor) -> UfChain:
     """Rough character chain on ordered tuples, (2 pi i) prefactor applied:
-    chi_arrays' rows expanded to their (n+1)! signed orderings."""
+    chi_arrays' rows expanded to their (n+1)! signed orderings, which
+    MAX_DEGREE caps."""
+    if t.degree > MAX_DEGREE:
+        raise DegreeError(
+            f"cyclic.chi: degrees above {MAX_DEGREE} are outside the desk-scale "
+            "build (cap on the (n+1)! expansion to ordered tuples)")
     tuples, values = chi_arrays(t)
     perms = np.array(list(permutations(range(t.degree + 1))))
     _, signs, _ = _sort_sign(perms)

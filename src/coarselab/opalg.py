@@ -52,7 +52,11 @@ class BandedOperator:
         self.window = window
         self.fiber = int(fiber)
         n = window.n_points * self.fiber
-        mat = sp.csr_matrix(mat, shape=(n, n), dtype=np.complex128)
+        # a complex CSR of the right shape (what random_banded and the
+        # algebra below build) is kept as it is; anything else converts
+        if not (isinstance(mat, sp.csr_matrix) and mat.dtype == np.complex128
+                and mat.shape == (n, n)):
+            mat = sp.csr_matrix(mat, shape=(n, n), dtype=np.complex128)
         mat.eliminate_zeros()
         self.mat = mat
         self._prop = None
@@ -65,20 +69,19 @@ class BandedOperator:
                               "or have different fiber dimensions")
 
     def entry_point_pairs(self):
-        """(rows, cols, dists) at point level for the stored entries."""
-        coo = self.mat.tocoo()
-        r = coo.row // self.fiber
-        c = coo.col // self.fiber
+        """(rows, cols, dists) at point level for the stored entries, in CSR
+        order; stores the propagation if it is not yet known."""
+        r = _csr_rows(self.mat) // self.fiber
+        c = self.mat.indices // self.fiber
         d = self.window.dist_many(r, c)
+        if self._prop is None:
+            self._prop = int(d.max(initial=0))
         return r, c, d
 
     @property
     def propagation(self) -> int:
         if self._prop is None:
-            if self.mat.nnz == 0:
-                self._prop = 0
-            else:
-                self._prop = int(self.entry_point_pairs()[2].max())
+            self.entry_point_pairs()
         return self._prop
 
     def block(self, p: int, q: int) -> np.ndarray:
@@ -108,6 +111,13 @@ class BandedOperator:
     def __repr__(self):
         return (f"BandedOperator(points={self.window.n_points}, fiber={self.fiber}, "
                 f"nnz={self.mat.nnz}, propagation={self.propagation})")
+
+
+def _csr_rows(mat) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in storage order (the
+    rows ``tocoo`` gives, without building the COO matrix)."""
+    return np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype),
+                     np.diff(mat.indptr))
 
 
 # -- norms ------------------------------------------------------------------------
@@ -199,10 +209,10 @@ class MuProfile:
 
 def offband(A: BandedOperator, R: int) -> BandedOperator:
     """Keep only entries at point distance > R."""
-    coo = A.mat.tocoo()
     _, _, d = A.entry_point_pairs()
     keep = d > R
-    mat = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
+    mat = sp.csr_matrix((A.mat.data[keep], (_csr_rows(A.mat)[keep],
+                                            A.mat.indices[keep])),
                         shape=A.mat.shape)
     return BandedOperator(A.window, mat, A.fiber)
 
@@ -231,23 +241,27 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
     f = A.fiber
     block, rows, cols = _compress(A.mat)
     rpts, cpts = rows // f, cols // f
+    sparse = sp.issparse(block)
+    if f == 1 or sparse:
+        # point columns and distances of the stored entries, in CSR order;
+        # this also stores A.propagation
+        _, pcol, dist = A.entry_point_pairs()
     radii = range(min(Rmax + 1, A.propagation))   # radii with entries beyond them
     raw = np.zeros(Rmax + 1)
-    if not sp.issparse(block):
+    if not sparse:
         d = w.dist_cross(rpts, cpts)
         opA_lower = _dense_sigma(block)
         opA = opA_lower * (1 + block.size * EPS)
         for R in radii:     # one at a time: a stack of all radii would be large
             raw[R] = _dense_norm2(np.where(d > R, block, 0))
     else:
-        coo = A.mat.tocoo()
-        a = np.abs(coo.data)
-        opA_lower = float(np.sqrt(np.bincount(coo.col, weights=a * a).max()))
-        opA = _schur_cap(coo.row, coo.col, a)
-        dist = w.dist_many(coo.row // f, coo.col // f)
+        r, c = _csr_rows(A.mat), A.mat.indices
+        a = np.abs(A.mat.data)
+        opA_lower = float(np.sqrt(np.bincount(c, weights=a * a).max()))
+        opA = _schur_cap(r, c, a)
         for R in radii:
             keep = dist > R
-            raw[R] = _schur_cap(coo.row[keep], coo.col[keep], a[keep])
+            raw[R] = _schur_cap(r[keep], c[keep], a[keep])
         block = block.tocsc()
     upper = np.minimum(opA, np.maximum.accumulate(raw[::-1])[::-1])
 
@@ -257,11 +271,10 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
     supports = _probe_subsets(w)
     if f == 1:
         # singletons: column mass beyond each radius
-        _, col, dist = A.entry_point_pairs()
-        absdata2 = np.abs(A.mat.tocoo().data) ** 2
+        absdata2 = np.abs(A.mat.data) ** 2
         for R in radii:
             m = dist > R
-            mass = np.bincount(col[m], weights=absdata2[m],
+            mass = np.bincount(pcol[m], weights=absdata2[m],
                                minlength=w.n_points)
             lower[R] = np.sqrt(mass.max())
     else:

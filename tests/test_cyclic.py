@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
 from coarselab import cochain, cyclic, opalg, spaces, ufchain
 from coarselab.errors import DegreeError, MarginError, PreconditionError
@@ -29,7 +30,7 @@ def path_products_dense(ops, fiber):
     n = len(ops) - 1
     N = ops[0].window.n_points
     blocks = [A.mat.toarray().reshape(N, fiber, N, fiber) for A in ops]
-    z, i = "abcd", "ijkl"
+    z, i = "abcde", "ijklm"
     subs = [z[n] + i[n] + z[0] + i[0]]
     subs += [z[k - 1] + i[k - 1] + z[k] + i[k] for k in range(1, n + 1)]
     return np.einsum(",".join(subs) + "->" + z[:n + 1], *blocks)
@@ -250,6 +251,34 @@ def reversed_rows(A):
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
+def test_closing_entries_match_indexing(fiber):
+    # _closing_entries calls scipy's private CSR sampling kernel; a scipy
+    # that renames it or changes what it returns must fail here
+    wq = spaces.make_window("zd", 4, 4, dim=1)
+    A = opalg.random_banded(wq, (61, fiber), prop=1, density=0.6,
+                            fiber=fiber, safe_only=False)
+    M = A.mat.shape[0]
+    rng = np.random.default_rng(fiber)
+    rows = rng.integers(0, M, size=3 * M)
+    cols = rng.integers(0, M, size=3 * M)
+    dense = A.mat.toarray()
+    where = f"scipy {scipy.__version__}: csr_sample_values"
+    for B in (A, reversed_rows(A)):
+        assert B.mat.has_sorted_indices == (B is A)
+        # many samples bisect sorted rows; one sample (under nnz / 10)
+        # scans them, as it scans unsorted rows
+        for r, c in ((rows, cols), (rows[:1], cols[:1])):
+            got = cyclic._closing_entries(B.mat, r, c)
+            assert got.dtype == np.complex128, where
+            assert np.array_equal(got, dense[r, c]), where
+            assert np.array_equal(got, np.asarray(B.mat[r, c]).ravel()), where
+        got = cyclic._closing_entries(B.mat, rows, cols)
+        assert (got == 0).any() and (got != 0).any()   # misses and hits
+        empty = cyclic._closing_entries(B.mat, rows[:0], cols[:0])
+        assert empty.shape == (0,) and empty.dtype == np.complex128, where
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_paths_against_dense_products(degree, fiber):
     # the join itself, before antisymmetrization cancels anything, on
@@ -265,10 +294,33 @@ def test_paths_against_dense_products(degree, fiber):
     assert np.abs(got - path_products_dense(ops, fiber)).max() < 1e-12
 
 
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_degree4_paths_and_chain_map(fiber):
+    # degree 4 is capped only in chi's (n+1)! expansion: the join matches
+    # the dense products, and the chain map holds on canonical rows
+    wq = spaces.make_window("zd", 3, 3, dim=1)
+    ops = tuple(reversed_rows(opalg.random_banded(
+        wq, (63, fiber, j), prop=1, decay=0.8, density=0.7, fiber=fiber,
+        safe_only=False)) for j in range(5))
+    tt, vv = cyclic._paths(ops)
+    assert tt.dtype == np.int64 and tt.shape == (len(vv), 5)
+    got = np.zeros((wq.n_points,) * 5, dtype=np.complex128)
+    np.add.at(got, tuple(tt.T), vv)
+    assert np.abs(got - path_products_dense(ops, fiber)).max() < 1e-12
+    # five distinct points on a line close a cycle only with hops of 2
+    wm = spaces.make_window("zd", 24, 20, dim=1)
+    ops = tuple(opalg.random_banded(wm, (64, fiber, j), prop=2, decay=0.8,
+                                    density=0.7, fiber=fiber)
+                for j in range(5))
+    t = cyclic.CyclicTensor(4, [(1.0, ops)])
+    assert len(cyclic.chi_arrays(t)[1]) > 0
+    assert cyclic.chain_map_check(t) < 1e-9
+
+
 def test_paths_no_closing_entry():
-    # A_0 has no entry at (z_n, z_0) for any path: probes miss between its
-    # keys (shift), land past its last key (projection onto point 0), or meet
-    # no keys at all (zero operator)
+    # A_0 has no entry at (z_n, z_0) for any path: lookups miss inside a
+    # stored row (shift), meet empty rows (projection onto point 0), or an
+    # operator with no entries at all (zero operator)
     wq = spaces.make_window("zd", 6, 4, dim=1)
     S = opalg.shift(wq, 0, 1)
     P = opalg.site_projection(wq, 0)
@@ -394,8 +446,11 @@ def test_tensor_validation(w):
     A = opalg.random_banded(w, 1, prop=1, decay=0.8)
     with pytest.raises(DegreeError):
         cyclic.CyclicTensor(1, [(1.0, (A,))])
+    # degree 4 builds, and joins in chi_arrays; only chi's (n+1)! expansion
+    # to ordered tuples is capped
+    t4 = cyclic.CyclicTensor(4, [(1.0, (A,) * 5)])
     with pytest.raises(DegreeError):
-        cyclic.CyclicTensor(4, [(1.0, (A,) * 5)])
+        cyclic.chi(t4)
     other = spaces.make_window("zd", 8, 4, dim=1)
     B = opalg.identity(other)
     with pytest.raises(DegreeError):

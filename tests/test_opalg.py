@@ -1,8 +1,11 @@
 """Operators, norms, dominating-function profiles and the decay estimates."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from coarselab import opalg, spaces
 from coarselab.errors import PreconditionError, WindowError
@@ -152,6 +155,83 @@ def test_random_banded_integer_fiber2(wsmall):
     assert np.all(vals.real == np.round(vals.real))
     assert np.all(vals.imag == np.round(vals.imag))
     assert np.abs(vals.real).max() <= 3 and np.abs(vals.imag).max() <= 3
+
+
+def _converted(window, mat, fiber):
+    """The conversion BandedOperator applies to inputs it does not keep: a
+    fresh complex CSR of the window's shape with explicit zeros dropped."""
+    n = window.n_points * fiber
+    ref = sp.csr_matrix(copy.deepcopy(mat), shape=(n, n), dtype=np.complex128)
+    ref.eliminate_zeros()
+    return ref
+
+
+def _same_csr(a, b):
+    return (type(a) is type(b) and a.shape == b.shape and a.dtype == b.dtype
+            and a.indices.dtype == b.indices.dtype
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_banded_operator_input_contract(wsmall, fiber):
+    A = opalg.random_banded(wsmall, 44, prop=2, density=0.6, fiber=fiber,
+                            safe_only=False)
+    B = opalg.random_banded(wsmall, 45, prop=1, density=0.6, fiber=fiber,
+                            safe_only=False)
+    unsorted = (A @ B).mat            # sparse products leave rows unsorted
+    assert not unsorted.has_sorted_indices
+    # a complex CSR of the right shape is kept, its explicit zeros dropped
+    for m in (A.mat.copy(), unsorted.copy()):
+        m.data[::3] = 0
+        ref = _converted(wsmall, m, fiber)
+        C = opalg.BandedOperator(wsmall, m, fiber)
+        assert C.mat is m and m.nnz == len(ref.data) and (m.data != 0).all()
+        assert _same_csr(m, ref)
+    # every other input converts as before
+    coo = A.mat.tocoo()
+    coo.data[::4] = 0
+    for inp in (coo, A.mat.toarray(), sp.csr_matrix(A.mat.real),
+                unsorted.real, sp.csr_array(unsorted)):
+        ref = _converted(wsmall, inp, fiber)
+        C = opalg.BandedOperator(wsmall, inp, fiber)
+        assert C.mat is not inp and _same_csr(C.mat, ref)
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_entry_point_pairs_match_coo(wsmall, fiber):
+    A = opalg.random_banded(wsmall, 46, prop=2, density=0.6, fiber=fiber,
+                            safe_only=False)
+    n = wsmall.n_points * fiber
+    for C in (A, A @ A, opalg.BandedOperator(wsmall, np.zeros((n, n)), fiber)):
+        coo = C.mat.tocoo()
+        r, c, d = C.entry_point_pairs()
+        assert r.dtype == coo.row.dtype and c.dtype == coo.col.dtype
+        assert np.array_equal(r, coo.row // fiber)
+        assert np.array_equal(c, coo.col // fiber)
+        assert np.array_equal(d, wsmall.dist_many(coo.row // fiber,
+                                                  coo.col // fiber))
+
+
+@pytest.mark.parametrize("cutoff", [opalg.DENSE_CUTOFF, 4])
+def test_mu_profile_one_distance_pass(w, monkeypatch, cutoff):
+    # a product has no stored propagation; its profile reads the entries'
+    # distances once, on the SVD path and on the closed-form one alike
+    monkeypatch.setattr(opalg, "DENSE_CUTOFF", cutoff)
+    A = opalg.random_banded(w, 47, prop=2, decay=0.7)
+    dist_many = spaces.Window.dist_many
+    calls = []
+
+    def counted(self, ii, jj):
+        calls.append(len(ii))
+        return dist_many(self, ii, jj)
+    monkeypatch.setattr(spaces.Window, "dist_many", counted)
+    AA = A @ A
+    prof = opalg.mu_profile(AA, 6)
+    assert calls == [AA.mat.nnz]
+    assert AA.propagation == int(AA.entry_point_pairs()[2].max())
+    assert prof.upper[AA.propagation:].max() == 0 < prof.upper[0]
 
 
 def test_mu_profile_shift(w):
