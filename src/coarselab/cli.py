@@ -112,7 +112,9 @@ def cmd_op_mu_profile(args) -> int:
     rows = [(r["R"], r["mu_lower"], r["mu_upper"]) for r in prof.table()]
     if args.csv:
         write_csv(args.csv, "mu_profile", ["R", "mu_lower", "mu_upper"], rows)
-    print(json.dumps({"op_norm": prof.op, "profile": prof.table()}))
+    print(json.dumps({"op_norm": prof.op, "profile": prof.table(),
+                      "probe_svds": prof.probe_svds,
+                      "probe_skips": prof.probe_skips}))
     return EXIT_PASS
 
 

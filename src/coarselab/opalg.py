@@ -8,7 +8,15 @@ computable, so it is sandwiched:
 
   mu_lower(R)  max over probe supports (all singletons plus 32 seeded random
                subsets) of the compressed norm: a lower bound up to the
-               rounding of one SVD (k*eps relative for k columns);
+               rounding of one SVD (k*eps relative for k columns).  A probe's
+               SVD at R is skipped when its Frobenius norm F beyond R, times
+               1 + (m*k + m + k + 2) eps for its m x k matrix, is below the
+               running max: the computed sigma is at most
+               sigma * (1 + m*k*eps) <= F * (1 + m*k*eps), and the rounding
+               of F itself (entries scaled by a power of two, so no square
+               underflows unnoticed) lies inside the rest of the factor.  So
+               a skipped SVD could not have been the max, and mu_lower is the
+               same bit for bit as with every SVD run;
   mu_upper(R)  min(op norm, running max over R' >= R of the norm of the
                off-band part at distance > R'): a certified dominating function.
 
@@ -192,6 +200,8 @@ class MuProfile:
     lower: np.ndarray
     op: float
     op_lower: float
+    probe_svds: int       # probe matrices (one per support and radius) SVD'd
+    probe_skips: int      # probe matrices whose SVD the Frobenius bound ruled out
 
     def upper_at(self, x: float) -> float:
         """Evaluate the upper profile at a real radius (floor: still certified)."""
@@ -262,13 +272,11 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
         for R in radii:
             keep = dist > R
             raw[R] = _schur_cap(r[keep], c[keep], a[keep])
-        block = block.tocsc()
     upper = np.minimum(opA, np.maximum.accumulate(raw[::-1])[::-1])
 
     # Probes: the plain SVD of the columns over a support L on the rows beyond
     # R, a lower bound within rounding (k*eps relative) of the true value.
     lower = np.zeros(Rmax + 1)
-    supports = _probe_subsets(w)
     if f == 1:
         # singletons: column mass beyond each radius
         absdata2 = np.abs(A.mat.data) ** 2
@@ -277,24 +285,107 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
             mass = np.bincount(pcol[m], weights=absdata2[m],
                                minlength=w.n_points)
             lower[R] = np.sqrt(mass.max())
-    else:
-        supports = [[p] for p in np.unique(cpts)] + list(supports)
-    for L in supports:
-        member = np.zeros(w.n_points, dtype=bool)
-        member[L] = True
-        cols_L = block[:, member[cpts]]
-        if sp.issparse(cols_L):
-            cols_L = cols_L.toarray()
-        nz = np.flatnonzero(np.any(cols_L != 0, axis=1))
-        dL = w.dist_cross(rpts[nz], L).min(axis=1)
-        Rs = np.arange(min(Rmax + 1, int(dL.max(initial=0))))
+    # Every probe's (probe, row) pairs -- its rows are those with a nonzero in
+    # its columns -- with the row's mass there and distance to the support,
+    # probe by probe, rows ascending.  The entries are scaled by 2^s, which
+    # puts the largest real or imaginary part in [1/2, 1) (see _probe_skips).
+    vals = block.data if sparse else block
+    s = -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
+                          np.abs(vals.imag).max(initial=0.0)))[1])
+    sq = np.ldexp(vals.real, s) ** 2 + np.ldexp(vals.imag, s) ** 2
+    dist_to, member = _probe_table(w)
+    colmask = member[:, cpts]               # subset x block column
+    cm = colmask.T.astype(np.float64)
+    if sparse:
+        er, ec, sq_e = _csr_rows(block), block.indices, sq
+        sq = sp.csr_matrix((sq, block.indices, block.indptr), shape=block.shape)
+        block = block.tocsc()
+    hit = ((block != 0) @ cm).T > 0
+    pj, pr = np.nonzero(hit)
+    pmass = (sq @ cm)[pr, pj]
+    pdist = dist_to[rpts[pr], pj]
+    width = colmask.sum(axis=1)             # each probe matrix's k
+    n_single = 0
+    if f > 1:
+        # singleton block columns are probes too, ahead of the subsets; their
+        # pairs come from the entries, each entry in one of them
+        ucpts, inv = np.unique(cpts, return_inverse=True)
+        if not sparse:
+            er, ec = np.nonzero(block)
+            sq_e = sq[er, ec]
+        keys, pair = np.unique(inv[ec] * len(rows) + er, return_inverse=True)
+        sj, sr = np.divmod(keys, len(rows))
+        pj = np.concatenate([sj, pj + len(ucpts)])
+        pr = np.concatenate([sr, pr])
+        pmass = np.concatenate([np.bincount(pair, weights=sq_e), pmass])
+        pdist = np.concatenate([w.dist_many(rpts[sr], ucpts[sj]), pdist])
+        width = np.concatenate([np.bincount(inv), width])
+        n_single = len(ucpts)
+    n_probes = len(width)
+    frob2 = np.array([np.bincount(pj[pdist > R], weights=pmass[pdist > R],
+                                  minlength=n_probes) for R in radii])
+    frob2 = frob2.reshape(len(radii), n_probes)
+    reach = np.zeros(n_probes, dtype=np.int64)
+    np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
+    height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
+    start = np.concatenate([[0], np.cumsum(height)])
+    # a skip against the singleton floor stays one: lower only grows
+    live = (np.arange(len(radii))[:, None] < reach) & ~_probe_skips(
+        frob2, height, width, np.ldexp(lower[radii], s)[:, None])
+    svds = 0
+    for j in np.flatnonzero(live.any(axis=0)):
+        Rs = np.flatnonzero(live[:, j] & ~_probe_skips(
+            frob2[:, j], height[j], width[j], np.ldexp(lower[radii], s)))
         if len(Rs) == 0:
             continue
+        svds += len(Rs)
+        nz, dL = pr[start[j]:start[j + 1]], pdist[start[j]:start[j + 1]]
+        cols_L = block[:, colmask[j - n_single] if j >= n_single
+                       else cpts == ucpts[j]]
+        if sp.issparse(cols_L):
+            cols_L = cols_L.toarray()
         beyond = (dL > Rs[:, None])[:, :, None]
         sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
         lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
     return MuProfile(Rmax=Rmax, upper=upper, lower=lower, op=opA,
-                     op_lower=opA_lower)
+                     op_lower=opA_lower, probe_svds=svds,
+                     probe_skips=int(reach.sum()) - svds)
+
+
+def _probe_skips(frob2, m, k, lower):
+    """Which of one probe's SVDs, an m x k matrix per radius, cannot raise
+    lower: those whose computed Frobenius norm F, times 1 + (m*k + m + k + 2)
+    eps, is below it (all in the same power-of-two scale).
+
+    The computed sigma is at most sigma * (1 + m*k*eps) (the LAPACK model of
+    _dense_norm2) and sigma <= F.  A row's mass adds at most k squares and
+    frob2 at most m row masses, so with the squares' own rounding frob2 is
+    off by at most (m + k + 1) eps/2 relative; its square root, the factor
+    and the product add a few eps/2, all inside the (m + k + 2) eps added.
+    That leaves underflow: at most 2^-1072 per entry, negligible once
+    frob2 >= 2^-960 (the scale puts the largest entry near 1); below that no
+    SVD is skipped."""
+    bound = np.sqrt(frob2) * (1 + (m * k + m + k + 2) * EPS)
+    return (frob2 >= 2.0 ** -960) & (bound < lower)
+
+
+def _probe_table(window: Window):
+    """Each point's distance to each of the PROBE_SUBSETS probe supports
+    (n_points x PROBE_SUBSETS) and their membership masks (PROBE_SUBSETS x
+    n_points), built once per window, one support at a time, and kept,
+    read-only, in its memo."""
+    def build():
+        supports = _probe_subsets(window)
+        pts = np.arange(window.n_points)
+        dist_to = np.empty((window.n_points, len(supports)), dtype=np.int64)
+        member = np.zeros((len(supports), window.n_points), dtype=bool)
+        for j, L in enumerate(supports):
+            dist_to[:, j] = window.dist_cross(pts, L).min(axis=1)
+            member[j, L] = True
+        dist_to.flags.writeable = False
+        member.flags.writeable = False
+        return dist_to, member
+    return window.derived("probe_table", build)
 
 
 def mu_norm(A: BandedOperator, n: float, profile: MuProfile | None = None,
@@ -493,19 +584,18 @@ def entry_decay_bound(A: BandedOperator, Rmax: int) -> list:
     One scalar column's (row's) mass beyond R is at most mu_upper(R)^2; the
     summed f columns of one point can exceed it, so the masses are per scalar.
     """
-    w = A.window
-    w.require_margin(Rmax, "opalg.entry_decay_bound")
+    A.window.require_margin(Rmax, "opalg.entry_decay_bound")
     prof = mu_profile(A, Rmax)
     prof_adj = mu_profile(A.adjoint(), Rmax)
-    coo = A.mat.tocoo()
-    f = A.fiber
-    dist = w.dist_many(coo.row // f, coo.col // f)
-    a2 = np.abs(coo.data) ** 2
+    # scalar rows and columns of the stored entries, in CSR order
+    srow, scol = _csr_rows(A.mat), A.mat.indices
+    _, _, dist = A.entry_point_pairs()
+    a2 = np.abs(A.mat.data) ** 2
     rows = []
     for R in range(Rmax + 1):
         m = dist > R
-        col_tail = float(np.bincount(coo.col[m], weights=a2[m]).max()) if m.any() else 0.0
-        row_tail = float(np.bincount(coo.row[m], weights=a2[m]).max()) if m.any() else 0.0
+        col_tail = float(np.bincount(scol[m], weights=a2[m]).max()) if m.any() else 0.0
+        row_tail = float(np.bincount(srow[m], weights=a2[m]).max()) if m.any() else 0.0
         cb = float(prof.upper[R]) ** 2
         rb = float(prof_adj.upper[R]) ** 2
         rows.append(DecayRow(R, col_tail, row_tail, cb, rb,

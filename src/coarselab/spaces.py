@@ -85,9 +85,10 @@ class Window:
 
     The memo (see derived) holds results that are pure functions of the
     window: the banded operators' stencils of point pairs, one entry per
-    (propagation, safe_only), the 32 probe supports of opalg.mu_profile, and
-    the filler's fillings keyed by tuple.  It is a dict on the window, so it
-    lives exactly as long as the window and keeps no other window alive.
+    (propagation, safe_only), the 32 probe supports of opalg.mu_profile and
+    each point's distance to them, and the filler's fillings keyed by tuple.
+    It is a dict on the window, so it lives exactly as long as the window and
+    keeps no other window alive.
     Its arrays are read-only.
     """
 

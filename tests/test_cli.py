@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from coarselab import cli
+from coarselab import cli, opalg, spaces
 
 
 def run(argv):
@@ -58,6 +59,29 @@ def test_op_pipeline_and_csv_determinism(tmp_path, capsys):
                 "--csv", str(csv2)]) == 0
     assert csv1.read_bytes() == csv2.read_bytes()
     assert csv1.read_text().splitlines()[0] == "# schema: coarselab.mu_profile.v1"
+
+
+def test_mu_profile_reports_probe_counts(tmp_path, capsys):
+    # every (probe, radius) matrix is either SVD'd or skipped by the bound
+    w = tmp_path / "w.json"
+    op = tmp_path / "op.json"
+    run(["space", "gen", "--kind", "zd", "--dim", "1", "--radius", "16",
+         "--margin", "8", "--out", str(w)])
+    run(["op", "gen", "--window", str(w), "--seed", "5", "--prop", "3",
+         "--out", str(op)])
+    capsys.readouterr()
+    assert run(["op", "mu-profile", "--op", str(op), "--rmax", "6"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    window = spaces.window_from_descriptor(json.loads(w.read_text()))
+    A = opalg.from_json_dict(json.loads(op.read_text()), window)
+    rows, cols, _ = A.entry_point_pairs()
+    unpruned = 0
+    for L in opalg._probe_subsets(window):
+        hit = np.isin(cols, L)
+        reach = window.dist_cross(rows[hit], L).min(axis=1).max(initial=0)
+        unpruned += min(6 + 1, int(reach))
+    assert blob["probe_svds"] > 0 and blob["probe_skips"] > 0
+    assert blob["probe_svds"] + blob["probe_skips"] == unpruned
 
 
 def test_sweep_csv_schema(tmp_path, capsys):

@@ -234,6 +234,151 @@ def test_mu_profile_one_distance_pass(w, monkeypatch, cutoff):
     assert prof.upper[AA.propagation:].max() == 0 < prof.upper[0]
 
 
+def _unpruned_profile(A, Rmax):
+    """mu_profile with every probe SVD run: per probe, its columns and rows
+    sliced from the block, each row's distance to the support from
+    dist_cross, one stacked SVD over all its radii."""
+    w, f = A.window, A.fiber
+    block, rows, cols = opalg._compress(A.mat)
+    rpts, cpts = rows // f, cols // f
+    sparse = sp.issparse(block)
+    _, pcol, dist = A.entry_point_pairs()
+    radii = range(min(Rmax + 1, A.propagation))
+    raw = np.zeros(Rmax + 1)
+    if not sparse:
+        d = w.dist_cross(rpts, cpts)
+        op_lower = opalg._dense_sigma(block)
+        op = op_lower * (1 + block.size * opalg.EPS)
+        for R in radii:
+            raw[R] = opalg._dense_norm2(np.where(d > R, block, 0))
+    else:
+        r, c = opalg._csr_rows(A.mat), A.mat.indices
+        a = np.abs(A.mat.data)
+        op_lower = float(np.sqrt(np.bincount(c, weights=a * a).max()))
+        op = opalg._schur_cap(r, c, a)
+        for R in radii:
+            keep = dist > R
+            raw[R] = opalg._schur_cap(r[keep], c[keep], a[keep])
+        block = block.tocsc()
+    upper = np.minimum(op, np.maximum.accumulate(raw[::-1])[::-1])
+    lower = np.zeros(Rmax + 1)
+    supports = list(opalg._probe_subsets(w))
+    if f == 1:
+        absdata2 = np.abs(A.mat.data) ** 2
+        for R in radii:
+            m = dist > R
+            mass = np.bincount(pcol[m], weights=absdata2[m], minlength=w.n_points)
+            lower[R] = np.sqrt(mass.max())
+    else:
+        supports = [[p] for p in np.unique(cpts)] + supports
+    matrices = 0
+    for L in supports:
+        member = np.zeros(w.n_points, dtype=bool)
+        member[L] = True
+        cols_L = block[:, member[cpts]]
+        if sp.issparse(cols_L):
+            cols_L = cols_L.toarray()
+        nz = np.flatnonzero(np.any(cols_L != 0, axis=1))
+        dL = w.dist_cross(rpts[nz], L).min(axis=1)
+        Rs = np.arange(min(Rmax + 1, int(dL.max(initial=0))))
+        if len(Rs) == 0:
+            continue
+        matrices += len(Rs)
+        beyond = (dL > Rs[:, None])[:, :, None]
+        sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
+        lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
+    return upper, lower, op, op_lower, matrices
+
+
+def _decay_items(w, seed, prop=2):
+    """The decay checks' operators: a draw, a product, a power and a Neumann
+    partial sum."""
+    A = opalg.random_banded(w, (seed, 1), prop=prop, decay=0.5)
+    B = opalg.random_banded(w, (seed, 2), prop=prop, decay=0.5)
+    P = A @ A @ A
+    S = Q = opalg.identity(w, A.fiber)
+    for _ in range(4):
+        Q = Q @ B.scale(0.04)
+        S = S + Q
+    return [A, A @ B, P, S]
+
+
+def _far_tiny(A, cut=1, factor=1e-170):
+    """A with the entries at point distance > cut scaled by factor: their
+    squares underflow next to the others'."""
+    _, _, d = A.entry_point_pairs()
+    mat = A.mat.copy()
+    mat.data[d > cut] *= factor
+    return opalg.BandedOperator(A.window, mat, A.fiber)
+
+
+@pytest.mark.parametrize("case", ["zd1", "zd2", "heisenberg3", "tree3", "fiber2",
+                                  "closed_form", "tiny", "far_tiny", "near_tie"])
+def test_mu_profile_matches_unpruned_reference(case, w, wsmall, heis, tree,
+                                               monkeypatch):
+    # skipping the SVDs that the Frobenius bound rules out leaves the profile
+    # the same bit for bit, and the skipped and run SVDs add up to all of them
+    if case == "zd1":
+        ops = [A for s in range(3) for A in _decay_items(w, s)]
+        Rmax = 8
+    elif case == "zd2":
+        wz = spaces.make_window("zd", 6, 3, dim=2)
+        ops = [A for s in range(2) for A in _decay_items(wz, s)[:2]]
+        Rmax = 3
+    elif case == "heisenberg3":
+        ops = [opalg.random_banded(heis, s, prop=1, decay=0.6) for s in range(3)]
+        ops.append(ops[0] @ ops[1])
+        Rmax = 1
+    elif case == "tree3":
+        ops = [opalg.random_banded(tree, s, prop=2, decay=0.6) for s in range(3)]
+        ops.append(ops[0] @ ops[1])
+        Rmax = 1
+    elif case == "fiber2":
+        ops = [opalg.random_banded(wsmall, (s, 4), prop=3, decay=0.6, fiber=2)
+               for s in range(3)]
+        ops.append(ops[0] @ ops[1])
+        Rmax = 5
+    elif case == "closed_form":
+        monkeypatch.setattr(opalg, "DENSE_CUTOFF", 4)
+        ops = [opalg.random_banded(w, (s, 5), prop=3, decay=0.6, fiber=f)
+               for f in (1, 2) for s in range(2)]
+        Rmax = 8
+    elif case == "tiny":
+        ops = [A.scale(1e-170) for A in _decay_items(w, 3)]
+        ops += [opalg.random_banded(wsmall, 6, prop=3, decay=0.6,
+                                    fiber=2).scale(1e-170)]
+        Rmax = 5
+    elif case == "far_tiny":
+        ops = [_far_tiny(A) for A in _decay_items(w, 4, prop=4)]
+        ops.append(_far_tiny(opalg.random_banded(w, 7, prop=4, decay=0.6,
+                                                 fiber=2)))
+        Rmax = 8
+    else:
+        # one entry x at (-4, -5): the probes on -5 see the 1 x 1 matrix [x].
+        # For these x its Frobenius norm rounds below the singleton floor and
+        # (with the LAPACK they were picked on) its SVD above it, so
+        # only the margin keeps those SVDs
+        n = w.n_points
+        col, row = w.index_of((-5,)), w.index_of((-4,))
+        ops = [opalg.BandedOperator(w, sp.csr_matrix(([x], ([row], [col])),
+                                                     shape=(n, n)))
+               for x in (-0.9087020854424418 + 1.5959965985692264j,
+                         -0.5255281949282995 - 0.4085718534159908j,
+                         1.429374484705569 + 0.8771558747518804j)]
+        Rmax = 2
+    skips = 0
+    for A in ops:
+        upper, lower, op, op_lower, matrices = _unpruned_profile(A, Rmax)
+        prof = opalg.mu_profile(A, Rmax)
+        assert np.array_equal(prof.upper, upper)
+        assert np.array_equal(prof.lower, lower)
+        assert prof.op == op and prof.op_lower == op_lower
+        assert prof.probe_svds + prof.probe_skips == matrices
+        skips += prof.probe_skips
+    if case == "zd1":
+        assert skips > 0
+
+
 def test_mu_profile_shift(w):
     S = opalg.shift(w, 0, 1)
     prof = opalg.mu_profile(S, 6)
@@ -485,6 +630,22 @@ def test_entry_decay_fiber_blocks(w):
             A = opalg.random_banded(w, (f, i), prop=3, decay=0.6, fiber=f,
                                     density=1.0)
             assert all(r.ok for r in opalg.entry_decay_bound(A, 6))
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_entry_decay_bound_matches_coo_masses(w, fiber):
+    # the scalar masses read in CSR order equal those of the COO entries
+    A = opalg.random_banded(w, (fiber, 8), prop=3, decay=0.6, fiber=fiber)
+    for B in (A, A @ A):
+        coo = B.mat.tocoo()
+        dist = w.dist_many(coo.row // fiber, coo.col // fiber)
+        a2 = np.abs(coo.data) ** 2
+        for row in opalg.entry_decay_bound(B, 6):
+            m = dist > row.R
+            assert row.col_tail == (np.bincount(coo.col[m], weights=a2[m]).max()
+                                    if m.any() else 0.0)
+            assert row.row_tail == (np.bincount(coo.row[m], weights=a2[m]).max()
+                                    if m.any() else 0.0)
 
 
 def test_adjoint_profile_symmetry(w):

@@ -415,12 +415,21 @@ def test_random_banded_propagation_skips_zero_entries():
 
 
 def test_window_memo_is_read_only(zplane):
-    for arr in opalg._banded_pairs(zplane, 2, True) + opalg._probe_subsets(zplane):
+    for arr in (opalg._banded_pairs(zplane, 2, True) + opalg._probe_subsets(zplane)
+                + opalg._probe_table(zplane)):
         with pytest.raises(ValueError):
             arr[0] = 0
     # one enumeration per (window, prop, safe_only)
     assert opalg._banded_pairs(zplane, 2, True) is opalg._banded_pairs(zplane, 2, True)
     assert opalg._probe_subsets(zplane) is opalg._probe_subsets(zplane)
+    assert opalg._probe_table(zplane) is opalg._probe_table(zplane)
+    # the probe-distance table: each point's distance to each probe support
+    dist_to, member = opalg._probe_table(zplane)
+    pts = np.arange(zplane.n_points)
+    assert dist_to.shape == (zplane.n_points, opalg.PROBE_SUBSETS)
+    for j, L in enumerate(opalg._probe_subsets(zplane)):
+        assert np.array_equal(dist_to[:, j], zplane.dist_cross(pts, L).min(axis=1))
+        assert np.array_equal(np.flatnonzero(member[j]), L)
 
 
 def test_window_memo_dies_with_window():
@@ -429,6 +438,7 @@ def test_window_memo_dies_with_window():
     opalg.mu_profile(A, 2)
     fill.fill_tuple(w, (int(w.safe_points[0]), int(w.safe_points[-1]), w.base))
     ref = weakref.ref(w)
+    table = weakref.ref(opalg._probe_table(w)[0])
     del w, A
     gc.collect()
-    assert ref() is None
+    assert ref() is None and table() is None
