@@ -236,7 +236,7 @@ def cmd_fill_run(args) -> int:
     w = _window_from_args(args, d)
     c = ufchain.from_json_dict(d, w)
     filled = fill.fill_chain(c)
-    residual = fill.simplicial_boundary(filled) - fill.fill_chain(ufchain.boundary(c)) \
+    residual = ufchain.boundary(filled) - fill.fill_chain(ufchain.boundary(c)) \
         if c.degree >= 1 else None
     out = {"simplices": len(filled), "sup_norm": filled.sup_norm()}
     if residual is not None:

@@ -329,46 +329,26 @@ def _fit_power(Rs, Ss):
     return ControlFit(C=C, N=float(N), residual=res)
 
 
-def rough_check(f: RoughMap, pairs_per_bucket: int = 100, seed: int = 0,
-                rmax: int | None = None,
+def rough_check(f: RoughMap, rmax: int | None = None,
                 residual_threshold: float = 0.5) -> RoughCheckReport:
-    """Empirical forward/backward distance controls of a sampled map.
+    """Forward/backward distance controls of a sampled map, over all pairs.
 
-    Samples >= pairs_per_bucket point pairs per source-distance bucket
-    R = 1..rmax, measures S+(R) = max image distance over pairs at source
-    distance <= R and S-(R) = max source distance over pairs at image
-    distance <= R, and fits both to C * R^N.  The check fails when a fit
-    residual exceeds the threshold or when the backward control saturates at
-    the window scale (far points collapsing to nearby images).
+    Over every pair of points where the map is defined, S+(R) is the max
+    image distance at source distance <= R and S-(R) the max source distance
+    at image distance <= R, for R = 1..rmax; both are fitted to C * R^N.
+    The check fails when a fit residual exceeds the threshold or when the
+    backward control saturates at the window scale (far points collapsing to
+    nearby images).
     """
-    rng = np.random.default_rng(seed)
     src = f.source
     defined = np.flatnonzero(f.mapping >= 0)
     if len(defined) < 2:
         raise PreconditionError("cochain.rough_check: map defined on < 2 points")
     if rmax is None:
         rmax = max(1, 2 * (src.W - src.margin))
-    d_src_all = []
-    d_img_all = []
-    for R in range(1, rmax + 1):
-        got = 0
-        attempts = 0
-        while got < pairs_per_bucket and attempts < 50 * pairs_per_bucket:
-            attempts += 1
-            a = int(defined[rng.integers(len(defined))])
-            near = defined[src.dist_cross([a], defined)[0] <= R]
-            if len(near) == 0:
-                continue
-            b = int(near[rng.integers(len(near))])
-            d_src_all.append(src.dist(a, b))
-            d_img_all.append(f.target.dist(f.apply(a), f.apply(b)))
-            got += 1
-        if got < pairs_per_bucket:
-            raise PreconditionError(
-                f"cochain.rough_check: could not sample {pairs_per_bucket} "
-                f"pairs in distance bucket R={R}")
-    d_src = np.array(d_src_all)
-    d_img = np.array(d_img_all)
+    d_src = src.dist_cross(defined, defined)
+    image = f.mapping[defined]
+    d_img = f.target.dist_cross(image, image)
     Rs = np.arange(1, rmax + 1)
     s_plus = np.array([d_img[d_src <= R].max(initial=0) for R in Rs])
     s_minus = np.array([d_src[d_img <= R].max(initial=0) for R in Rs])

@@ -4,8 +4,10 @@ The Kuhn (Freudenthal) triangulation of the integer lattice has vertex set
 Z^d, edges v -> v + 1_S for nonempty subsets S of the axes, and in 2-D the two
 triangle families [v, v+e0, v+(1,1)] and [v, v+e1, v+(1,1)].  Windows built by
 make_window order lattice points lexicographically, so sorting a simplex by
-point id is the same as sorting by coordinates; simplices are stored sorted
-with the sorting parity folded into the coefficient.
+point id is the same as sorting by coordinates.  A SimplicialChain is a
+ufchain.UfChain on sorted Kuhn simplices, the sorting parity folded into the
+coefficient; it shares UfChain's arithmetic, boundary and norms, so a
+filling and the chain it fills compare and subtract directly.
 
 The filler:
   degree 0   vertex itself
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FillError, MarginError
+from .errors import DegreeError, FillError, MarginError
 from .spaces import GrowthFit, Window, fit_growth
-from .ufchain import UfChain, norm_inf_n, shell_norm
+from .ufchain import UfChain, _accumulate, boundary, norm_inf_n, shell_norm
 from .cochain import ControlFit
 
 
@@ -50,15 +52,17 @@ def _parity_sorted(tup):
     return tuple(arr), sign, False
 
 
-class SimplicialChain:
-    """Integer/complex chain over oriented simplices of the Kuhn triangulation."""
+class SimplicialChain(UfChain):
+    """A UfChain on sorted simplices of the Kuhn triangulation.
 
-    __slots__ = ("window", "degree", "support")
+    Only construction is its own: add_simplex sorts each simplex with its
+    orientation sign and rejects anything outside the triangulation.
+    """
+
+    __slots__ = ()
 
     def __init__(self, window: Window, degree: int, terms=None):
-        self.window = window
-        self.degree = degree
-        self.support: dict[tuple, object] = {}
+        super().__init__(window, degree)
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for simplex, coeff in items:
@@ -75,74 +79,21 @@ class SimplicialChain:
         key, sign, degenerate = _parity_sorted(tuple(int(p) for p in simplex))
         if degenerate:
             return
+        if len(key) != self.degree + 1:
+            raise DegreeError(
+                f"fill.SimplicialChain: simplex {key} has arity {len(key)}, "
+                f"degree {self.degree} needs {self.degree + 1}")
         if key not in self.support and not is_kuhn_simplex(self.window, key):
             raise FillError(
                 f"fill.SimplicialChain: {tuple(self.window.label(p) for p in key)} "
                 "is not a simplex of the triangulation")
-        acc = self.support.get(key, 0) + sign * coeff
-        if acc == 0:
-            self.support.pop(key, None)
-        else:
-            self.support[key] = acc
-
-    def accumulate(self, other: "SimplicialChain", scalar=1):
-        for key, coeff in other.support.items():
-            acc = self.support.get(key, 0) + scalar * coeff
-            if acc == 0:
-                self.support.pop(key, None)
-            else:
-                self.support[key] = acc
-
-    def scale(self, z) -> "SimplicialChain":
-        out = SimplicialChain(self.window, self.degree)
-        if z != 0:
-            out.support = {k: z * v for k, v in self.support.items()}
-        return out
-
-    def __add__(self, other):
-        out = SimplicialChain(self.window, self.degree)
-        out.support = dict(self.support)
-        out.accumulate(other)
-        return out
-
-    def __sub__(self, other):
-        out = SimplicialChain(self.window, self.degree)
-        out.support = dict(self.support)
-        out.accumulate(other, -1)
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, SimplicialChain) and self.degree == other.degree
-                and self.support == other.support)
-
-    def __len__(self):
-        return len(self.support)
-
-    def sup_norm(self) -> float:
-        return max((abs(v) for v in self.support.values()), default=0.0)
-
-    def vertices(self):
-        out = set()
-        for key in self.support:
-            out.update(key)
-        return out
-
-    def __repr__(self):
-        return f"SimplicialChain(degree={self.degree}, simplices={len(self.support)})"
+        _accumulate(self.support, key, sign * coeff)
+        self._propagation = None
 
 
-def simplicial_boundary(s: SimplicialChain) -> SimplicialChain:
-    """Alternating face sum; faces of sorted simplices stay sorted."""
-    out = SimplicialChain(s.window, s.degree - 1)
-    for key, coeff in s.support.items():
-        for j in range(len(key)):
-            face = key[:j] + key[j + 1:]
-            acc = out.support.get(face, 0) + (-coeff if j % 2 else coeff)
-            if acc == 0:
-                out.support.pop(face, None)
-            else:
-                out.support[face] = acc
-    return out
+# the face sum of sorted simplices is the chain boundary; the name stays
+# for callers that spell out the simplicial side
+simplicial_boundary = boundary
 
 
 def is_kuhn_simplex(window: Window, key) -> bool:
@@ -201,79 +152,76 @@ def _staircase_steps(ca, cb):
             yield tail, tuple(cur), axis, step
 
 
-def _staircase_chain(window, ca, cb) -> SimplicialChain:
-    out = SimplicialChain(window, 1)
+# The filler's pieces add themselves (times z where they take one) to the
+# SimplicialChain `out` under construction.
+
+def _staircase(out, ca, cb):
+    i = out.window.index_of
     for tail, head, _axis, _step in _staircase_steps(ca, cb):
-        out.add_simplex((window.index_of(tail), window.index_of(head)), 1)
-    return out
+        out.add_simplex((i(tail), i(head)), 1)
 
 
-def _square_chain(window, v) -> SimplicialChain:
+def _square(out, v, z):
     """Q(v): low triangle minus high triangle; boundary is the ccw square loop."""
     a, b = v
-    out = SimplicialChain(window, 2)
-    i = window.index_of
-    out.add_simplex((i((a, b)), i((a + 1, b)), i((a + 1, b + 1))), 1)
-    out.add_simplex((i((a, b)), i((a, b + 1)), i((a + 1, b + 1))), -1)
-    return out
+    i = out.window.index_of
+    out.add_simplex((i((a, b)), i((a + 1, b)), i((a + 1, b + 1))), z)
+    out.add_simplex((i((a, b)), i((a, b + 1)), i((a + 1, b + 1))), -z)
 
 
-def _cone_edge(window, pc, u, axis, step) -> SimplicialChain:
+def _cone_edge(out, pc, u, axis, step):
     """Cone of point pc over the oriented unit step (u -> u + step*e_axis).
 
     Boundary is (step edge) - staircase(pc, head) + staircase(pc, tail).
     Steps along the last axis cone to zero; x-steps sweep a column of squares
     between the heights of pc and u.
     """
-    out = SimplicialChain(window, 2)
     if len(pc) == 1 or axis == 1:
-        return out
+        return
     # canonical +x edge at x = min; fold the step direction into the sign
     ux = u[0] if step > 0 else u[0] - 1
     sign = 1 if step > 0 else -1
     py, uy = pc[1], u[1]
     if uy > py:
         for b in range(py, uy):
-            out.accumulate(_square_chain(window, (ux, b)), -sign)
+            _square(out, (ux, b), -sign)
     elif uy < py:
         for b in range(uy, py):
-            out.accumulate(_square_chain(window, (ux, b)), sign)
-    return out
+            _square(out, (ux, b), sign)
 
 
-def _diag_correction(window, ca, cb) -> SimplicialChain:
+def _diag_correction(out, ca, cb, z):
     """K(a, b) with boundary fill1(a,b) - staircase(a,b); nonzero for diagonals."""
-    out = SimplicialChain(window, 2)
     if len(ca) != 2:
-        return out
+        return
     dx, dy = cb[0] - ca[0], cb[1] - ca[1]
-    i = window.index_of
+    i = out.window.index_of
     if (dx, dy) == (1, 1):
         a, b = ca
-        out.add_simplex((i((a, b)), i((a + 1, b)), i((a + 1, b + 1))), -1)
+        out.add_simplex((i((a, b)), i((a + 1, b)), i((a + 1, b + 1))), -z)
     elif (dx, dy) == (-1, -1):
         a, b = cb
-        out.add_simplex((i((a, b)), i((a, b + 1)), i((a + 1, b + 1))), 1)
-    return out
+        out.add_simplex((i((a, b)), i((a, b + 1)), i((a + 1, b + 1))), z)
 
 
-def _fill1(window, ca, cb) -> SimplicialChain:
+def _fill1(out, ca, cb):
     if len(ca) == 2:
         dx, dy = cb[0] - ca[0], cb[1] - ca[1]
         if (dx, dy) in ((1, 1), (-1, -1)):
             # the pair spans a diagonal Kuhn edge; orientation handled by parity
-            out = SimplicialChain(window, 1)
-            out.add_simplex((window.index_of(ca), window.index_of(cb)), 1)
-            return out
-    return _staircase_chain(window, ca, cb)
+            i = out.window.index_of
+            out.add_simplex((i(ca), i(cb)), 1)
+            return
+    _staircase(out, ca, cb)
 
 
-def fill_tuple(window: Window, tup) -> SimplicialChain:
+def fill_tuple(window: Window, tup) -> UfChain:
     """Fill an (i+1)-tuple of point ids by a degree-i chain, i <= 2.
 
     The boundary of the result is exactly the alternating sum of the fillings
     of the tuple's faces, and all vertices stay inside the bounding box of the
-    tuple's coordinates.
+    tuple's coordinates.  Fillings are memoized per window and handed out as
+    plain (immutable) UfChains.
     """
     tup = tuple(int(p) for p in tup)
     degree = len(tup) - 1
@@ -284,49 +232,42 @@ def fill_tuple(window: Window, tup) -> SimplicialChain:
         return cached
     _bbox_check(window, tup, "fill.fill_tuple")
     coords = [window.label(p) for p in tup]
+    out = SimplicialChain(window, degree)
     if degree == 0:
-        out = SimplicialChain(window, 0, {(tup[0],): 1})
+        out.add_simplex(tup, 1)
     elif degree == 1:
         # diagonal pair fills to the Kuhn edge, else to the staircase;
         # coincident points fill to zero
-        out = _fill1(window, coords[0], coords[1])
+        _fill1(out, coords[0], coords[1])
     else:
         y0, y1, y2 = coords
-        out = SimplicialChain(window, 2)
         for tail, head, axis, step in _staircase_steps(y1, y2):
-            out.accumulate(_cone_edge(window, y0, tail, axis, step))
-        out.accumulate(_diag_correction(window, y1, y2), 1)
-        out.accumulate(_diag_correction(window, y0, y2), -1)
-        out.accumulate(_diag_correction(window, y0, y1), 1)
-    memo[tup] = out
-    return out
+            _cone_edge(out, y0, tail, axis, step)
+        _diag_correction(out, y1, y2, 1)
+        _diag_correction(out, y0, y2, -1)
+        _diag_correction(out, y0, y1, 1)
+    filled = memo[tup] = UfChain(window, degree, out.support, _validated=True)
+    return filled
 
 
-def fill_chain(c: UfChain) -> SimplicialChain:
+def fill_chain(c: UfChain) -> UfChain:
     """Linear extension of fill_tuple; a chain map in exact arithmetic."""
-    out = SimplicialChain(c.window, c.degree)
+    support: dict[tuple, object] = {}
     for tup, coeff in c.support.items():
-        out.accumulate(fill_tuple(c.window, tup), coeff)
-    return out
-
-
-def inclusion(s: SimplicialChain) -> UfChain:
-    """View a simplicial chain as a uniformly finite chain on its vertex tuples."""
-    return UfChain(s.window, s.degree,
-                   {key: coeff for key, coeff in s.support.items()},
-                   _validated=True)
+        for key, v in fill_tuple(c.window, tup).support.items():
+            _accumulate(support, key, coeff * v)
+    return UfChain(c.window, c.degree, support, _validated=True)
 
 
 def roundtrip_identity(s: SimplicialChain) -> bool:
-    """fill_chain(inclusion(s)) == s, exactly."""
-    return fill_chain(inclusion(s)) == s
+    """fill_chain(s) == s, exactly."""
+    return fill_chain(s) == s
 
 
 def fill_radius(window: Window, tup) -> int:
     """Max distance from a filling vertex to the tuple's first point."""
-    chain = fill_tuple(window, tup)
-    verts = chain.vertices() or {tup[0]}
-    verts = np.fromiter(verts, dtype=np.int64)
+    verts = {p for key in fill_tuple(window, tup).support for p in key}
+    verts = np.fromiter(verts or {tup[0]}, dtype=np.int64)
     return int(window.dist_cross([int(tup[0])], verts)[0].max(initial=0))
 
 

@@ -276,22 +276,24 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
 
     # Probes: the plain SVD of the columns over a support L on the rows beyond
     # R, a lower bound within rounding (k*eps relative) of the true value.
+    # Masses are taken of the entries scaled by 2^s, which puts the largest
+    # real or imaginary part in [1/2, 1): no square over- or underflows at the
+    # ends of the float range (see _probe_skips), and the scaling is exact.
+    vals = block.data if sparse else block
+    s = -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
+                          np.abs(vals.imag).max(initial=0.0)))[1])
     lower = np.zeros(Rmax + 1)
     if f == 1:
         # singletons: column mass beyond each radius
-        absdata2 = np.abs(A.mat.data) ** 2
+        absdata2 = np.ldexp(np.abs(A.mat.data), s) ** 2
         for R in radii:
             m = dist > R
             mass = np.bincount(pcol[m], weights=absdata2[m],
                                minlength=w.n_points)
-            lower[R] = np.sqrt(mass.max())
+            lower[R] = np.ldexp(np.sqrt(mass.max()), -s)
     # Every probe's (probe, row) pairs -- its rows are those with a nonzero in
     # its columns -- with the row's mass there and distance to the support,
-    # probe by probe, rows ascending.  The entries are scaled by 2^s, which
-    # puts the largest real or imaginary part in [1/2, 1) (see _probe_skips).
-    vals = block.data if sparse else block
-    s = -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
-                          np.abs(vals.imag).max(initial=0.0)))[1])
+    # probe by probe, rows ascending.
     sq = np.ldexp(vals.real, s) ** 2 + np.ldexp(vals.imag, s) ** 2
     dist_to, member = _probe_table(w)
     colmask = member[:, cpts]               # subset x block column

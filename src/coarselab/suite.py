@@ -481,7 +481,7 @@ def check_fill_chain_map(config) -> tuple:
         c = ufchain.random_chain(w, q, n_terms=4, max_len=4,
                                  seed=int(rng.integers(2 ** 31)), coeff="int",
                                  safe_radius=min(w.margin + 8, w.W - 1))
-        lhs = fill.simplicial_boundary(fill.fill_chain(c))
+        lhs = ufchain.boundary(fill.fill_chain(c))
         rhs = fill.fill_chain(ufchain.boundary(c))
         if not (lhs == rhs):
             chain_ok = False

@@ -3,7 +3,9 @@
 A chain of degree q is a finitely supported map from (q+1)-tuples of window
 points to coefficients.  Coefficients may be ints or Fractions (exact
 combinatorial path) or complex floats (analytic path); boundary cancellation
-is exact whenever the coefficients are exact.
+is exact whenever the coefficients are exact.  This is the one chain class:
+a fill.SimplicialChain is a UfChain on sorted Kuhn simplices, so the
+filler's chains share its arithmetic, boundary and norms.
 
 Tuple length is the max pairwise distance of the tuple's points; it is the
 shell coordinate used by shell_norm (the product-metric distance to the
@@ -22,12 +24,27 @@ from .errors import DegreeError, PointNotInWindowError
 from .spaces import Window
 
 
+def _accumulate(support: dict, key: tuple, val):
+    """support[key] += val, an absent key reading 0; a zero sum drops the key."""
+    if val == 0:
+        return
+    acc = support.get(key)
+    if acc is not None:
+        val = acc + val
+        if val == 0:
+            del support[key]
+            return
+    support[key] = val
+
+
 class UfChain:
     """Finitely supported degree-q chain; value-semantic and immutable."""
 
     __slots__ = ("window", "degree", "support", "_propagation")
 
     def __init__(self, window: Window, degree: int, terms=None, _validated=False):
+        """_validated: the caller vouches that every tuple is an int tuple of
+        arity degree + 1 inside the window (faces, sums, fillings of chains)."""
         if degree < 0:
             raise DegreeError("ufchain: degree must be >= 0")
         self.window = window
@@ -36,27 +53,17 @@ class UfChain:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for tup, val in items:
-                tup = tuple(int(p) for p in tup)
-                if len(tup) != degree + 1:
-                    raise DegreeError(
-                        f"ufchain: tuple {tup} has arity {len(tup)}, "
-                        f"degree {degree} needs {degree + 1}")
                 if not _validated:
+                    tup = tuple(int(p) for p in tup)
+                    if len(tup) != degree + 1:
+                        raise DegreeError(
+                            f"ufchain: tuple {tup} has arity {len(tup)}, "
+                            f"degree {degree} needs {degree + 1}")
                     for p in tup:
                         if not (0 <= p < window.n_points):
                             raise PointNotInWindowError(
                                 f"ufchain: point id {p} not in window")
-                if val == 0:
-                    continue
-                acc = support.get(tup)
-                if acc is None:
-                    support[tup] = val
-                else:
-                    acc = acc + val
-                    if acc == 0:
-                        del support[tup]
-                    else:
-                        support[tup] = acc
+                _accumulate(support, tup, val)
         self.support = support
         self._propagation = None
 
@@ -83,11 +90,7 @@ class UfChain:
             raise DegreeError("ufchain: chain addition needs matching window/degree")
         merged = dict(self.support)
         for t, v in other.support.items():
-            acc = merged.get(t, 0) + v
-            if acc == 0:
-                merged.pop(t, None)
-            else:
-                merged[t] = acc
+            _accumulate(merged, t, v)
         return UfChain(self.window, self.degree, merged, _validated=True)
 
     def __sub__(self, other: "UfChain") -> "UfChain":
@@ -99,6 +102,9 @@ class UfChain:
         return UfChain(self.window, self.degree,
                        {t: z * v for t, v in self.support.items()}, _validated=True)
 
+    def sup_norm(self) -> float:
+        return max((abs(v) for v in self.support.values()), default=0.0)
+
     def __eq__(self, other):
         return (isinstance(other, UfChain) and self.degree == other.degree
                 and self.window is other.window and self.support == other.support)
@@ -107,7 +113,7 @@ class UfChain:
         return id(self)
 
     def __repr__(self):
-        return (f"UfChain(degree={self.degree}, terms={len(self.support)}, "
+        return (f"{type(self).__name__}(degree={self.degree}, terms={len(self.support)}, "
                 f"propagation={self.propagation})")
 
     # -- array interop (fast path used by the character map) -----------------
@@ -139,17 +145,7 @@ def boundary(c: UfChain) -> UfChain:
     out: dict[tuple, object] = {}
     for tup, val in c.support.items():
         for j in range(len(tup)):
-            face = tup[:j] + tup[j + 1:]
-            term = -val if j % 2 else val
-            acc = out.get(face)
-            if acc is None:
-                out[face] = term
-            else:
-                acc = acc + term
-                if acc == 0:
-                    del out[face]
-                else:
-                    out[face] = acc
+            _accumulate(out, tup[:j] + tup[j + 1:], -val if j % 2 else val)
     return UfChain(c.window, c.degree - 1, out, _validated=True)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coarselab import fill, spaces, ufchain
-from coarselab.errors import FillError, MarginError
+from coarselab.errors import DegreeError, FillError, MarginError
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def test_staircase_on_line(wz):
     chain = fill.fill_tuple(wz, (i((0,)), i((5,))))
     assert len(chain) == 5
     assert chain.sup_norm() == 1
-    b = fill.simplicial_boundary(chain)
+    b = ufchain.boundary(chain)
     assert b.support == {(i((5,)),): 1, (i((0,)),): -1}
 
 
@@ -48,10 +48,10 @@ def test_fill_triangle_boundary_exact(w2):
     j = w2.index_of
     tup = (j((0, 0)), j((3, 0)), j((0, 3)))
     F = fill.fill_tuple(w2, tup)
-    lhs = fill.simplicial_boundary(F)
-    rhs = fill.SimplicialChain(w2, 1)
+    lhs = ufchain.boundary(F)
+    rhs = ufchain.UfChain(w2, 1)
     for k in range(3):
-        rhs.accumulate(fill.fill_tuple(w2, tup[:k] + tup[k + 1:]), (-1) ** k)
+        rhs = rhs + fill.fill_tuple(w2, tup[:k] + tup[k + 1:]).scale((-1) ** k)
     assert lhs == rhs
     assert all(v == int(v) for v in F.support.values())
 
@@ -62,11 +62,10 @@ def test_boundary_of_filling_random_exact(w2):
         pts = [tuple(int(x) for x in rng.integers(-4, 5, size=2))
                for _ in range(3)]
         tup = tuple(w2.index_of(p) for p in pts)
-        lhs = fill.simplicial_boundary(fill.fill_tuple(w2, tup))
-        rhs = fill.SimplicialChain(w2, 1)
+        lhs = ufchain.boundary(fill.fill_tuple(w2, tup))
+        rhs = ufchain.UfChain(w2, 1)
         for k in range(3):
-            rhs.accumulate(fill.fill_tuple(w2, tup[:k] + tup[k + 1:]),
-                           (-1) ** k)
+            rhs = rhs + fill.fill_tuple(w2, tup[:k] + tup[k + 1:]).scale((-1) ** k)
         assert lhs == rhs
 
 
@@ -96,7 +95,7 @@ def test_fill_chain_examples(wz):
     # closed triangle relation pushed to degree 1 fills to a cycle
     a, b, cc = i((0,)), i((3,)), i((6,))
     rel = ufchain.UfChain(wz, 1, [((a, b), 1), ((b, cc), 1), ((a, cc), -1)])
-    assert len(fill.simplicial_boundary(fill.fill_chain(rel))) == 0
+    assert len(ufchain.boundary(fill.fill_chain(rel))) == 0
 
 
 def test_fill_chain_map_random(w2):
@@ -106,7 +105,7 @@ def test_fill_chain_map_random(w2):
             c = ufchain.random_chain(w2, q, n_terms=4, max_len=3,
                                      seed=int(rng.integers(2 ** 31)),
                                      coeff="int", safe_radius=7)
-            lhs = fill.simplicial_boundary(fill.fill_chain(c))
+            lhs = ufchain.boundary(fill.fill_chain(c))
             rhs = fill.fill_chain(ufchain.boundary(c))
             assert lhs == rhs
 
@@ -305,6 +304,44 @@ def test_fill_memoization_determinism(wz):
     b = fill.fill_tuple(wz, tup)
     assert a is b  # memoized per window
     assert fill.fill_tuple(wz, tup).support == a.support
+
+
+def test_memoized_filling_cannot_be_changed(wz):
+    # the memo hands out a plain UfChain: no in-place builder, and its
+    # arithmetic returns new chains, so later calls see the same filling
+    i = wz.index_of
+    tup = (i((0,)), i((3,)))
+    F = fill.fill_tuple(wz, tup)
+    before = dict(F.support)
+    assert type(F) is ufchain.UfChain and len(before) == 3
+    for name in ("add_simplex", "accumulate"):
+        assert not hasattr(F, name)
+    assert (F + F).support is not F.support
+    F.scale(5)
+    F - F
+    assert fill.fill_tuple(wz, tup).support == before
+    assert type(fill.fill_chain(ufchain.UfChain(wz, 1, {tup: 1}))) is ufchain.UfChain
+
+
+def test_add_simplex_resets_cached_propagation(w2):
+    j = w2.index_of
+    s = fill.SimplicialChain(w2, 1)
+    assert s.propagation == 0
+    edge = (j((2, 2)), j((3, 3)))
+    s.add_simplex(edge, 1)
+    assert s.propagation == w2.tuple_length(edge) > 0
+
+
+def test_simplicial_chain_is_a_ufchain(w2):
+    j = w2.index_of
+    s = fill.SimplicialChain(w2, 1, {(j((1, 0)), j((0, 0))): 2})
+    assert isinstance(s, ufchain.UfChain)
+    assert s.support == {(j((0, 0)), j((1, 0))): -2}
+    assert ufchain.boundary(s) == ufchain.UfChain(
+        w2, 0, {(j((1, 0)),): -2, (j((0, 0)),): 2})
+    assert s.sup_norm() == 2 and (s - s).support == {}
+    with pytest.raises(DegreeError):
+        s.add_simplex((j((0, 0)),), 1)
 
 
 def test_lattice_only():

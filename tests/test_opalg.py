@@ -264,11 +264,15 @@ def _unpruned_profile(A, Rmax):
     lower = np.zeros(Rmax + 1)
     supports = list(opalg._probe_subsets(w))
     if f == 1:
-        absdata2 = np.abs(A.mat.data) ** 2
+        # the floor of the scaled entries, as in mu_profile
+        vals = block.data if sparse else block
+        s = -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
+                              np.abs(vals.imag).max(initial=0.0)))[1])
+        absdata2 = np.ldexp(np.abs(A.mat.data), s) ** 2
         for R in radii:
             m = dist > R
             mass = np.bincount(pcol[m], weights=absdata2[m], minlength=w.n_points)
-            lower[R] = np.sqrt(mass.max())
+            lower[R] = np.ldexp(np.sqrt(mass.max()), -s)
     else:
         supports = [[p] for p in np.unique(cpts)] + supports
     matrices = 0
@@ -377,6 +381,25 @@ def test_mu_profile_matches_unpruned_reference(case, w, wsmall, heis, tree,
         skips += prof.probe_skips
     if case == "zd1":
         assert skips > 0
+
+
+@pytest.mark.parametrize("case", ["huge", "subnormal_square"])
+def test_mu_profile_singleton_floor_at_float_range_ends(case, w):
+    # the singleton floor squares the entries: scaled by 1e170 the squares
+    # overflowed (lower = inf above a finite upper), and a single 1.6e-162
+    # entry's square rounded up in the subnormal range (lower > upper)
+    if case == "huge":
+        A = opalg.random_banded(w, 0, prop=4, decay=0.6).scale(1e170)
+        Rmax = 5
+    else:
+        n = w.n_points
+        A = opalg.BandedOperator(w, sp.csr_matrix(
+            ([1.6e-162], ([w.index_of((0,))], [w.index_of((2,))])), shape=(n, n)))
+        Rmax = 3
+    prof = opalg.mu_profile(A, Rmax)
+    assert np.all(np.isfinite(prof.lower)) and np.all(np.isfinite(prof.upper))
+    assert np.all(prof.lower <= prof.upper)
+    assert prof.lower[0] > 0
 
 
 def test_mu_profile_shift(w):
