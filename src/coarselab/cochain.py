@@ -5,6 +5,11 @@ sums/scalings, coboundaries) so the near-diagonal support condition stays
 checkable as windows grow.  Two coboundary conventions exist: "full" sums the
 alternating faces from index 0 (this one is adjoint to the chain boundary and
 is the default), "from1" starts at index 1; both square to zero.
+
+Every node evaluates on rows: values(window, tuples) takes an (S, q+1) array
+of point ids and returns the S values, so a pairing is one masked sum over a
+chain's rows and a support check one call over its candidate tuples;
+evaluate() is the one-row case.
 """
 
 from __future__ import annotations
@@ -15,17 +20,18 @@ import numpy as np
 
 from .errors import DegreeError, MarginError, PointNotInWindowError, PreconditionError
 from .spaces import Window
-from .ufchain import UfChain, norm_inf_n
+from .ufchain import UfChain, _column, _exact, norm_inf_n
 
 CONVENTIONS = ("full", "from1")
 
 
 class CoarseCochain:
-    """Base expression node; subclasses implement value()."""
+    """Base expression node; subclasses implement values()."""
 
     degree: int
 
-    def value(self, window: Window, tup) -> complex:
+    def values(self, window: Window, tuples: np.ndarray) -> np.ndarray:
+        """The cochain on each row of an (S, degree+1) array of point ids."""
         raise NotImplementedError
 
     def coboundary(self, convention: str = "full") -> "CoarseCochain":
@@ -50,13 +56,11 @@ class Jump(CoarseCochain):
         self.axis = axis
         self.threshold = threshold
 
-    def _h(self, window, p):
-        return 1 if window.coords[p][self.axis] >= self.threshold else 0
-
-    def value(self, window, tup):
+    def values(self, window, tuples):
         if window.coords is None:
             raise PreconditionError("cochain.Jump: needs a lattice window")
-        return self._h(window, tup[1]) - self._h(window, tup[0])
+        h = (window.coords[:, self.axis] >= self.threshold).astype(np.int64)
+        return h[tuples[:, 1]] - h[tuples[:, 0]]
 
     def __repr__(self):
         return f"Jump(axis={self.axis}, threshold={self.threshold})"
@@ -75,8 +79,9 @@ class Table(CoarseCochain):
                     f"cochain.Table: tuple {t} has arity {len(t)}, "
                     f"degree {degree} needs {degree + 1}")
 
-    def value(self, window, tup):
-        return self.entries.get(tuple(tup), 0)
+    def values(self, window, tuples):
+        get = self.entries.get
+        return _column([get(t, 0) for t in map(tuple, tuples.tolist())])
 
     def __repr__(self):
         return f"Table(degree={self.degree}, entries={len(self.entries)})"
@@ -90,11 +95,11 @@ class Indicator(CoarseCochain):
         self.points = frozenset(int(p) for p in points) if points is not None else None
         self.predicate = predicate
 
-    def value(self, window, tup):
-        p = tup[0]
+    def values(self, window, tuples):
         if self.points is not None:
-            return 1 if p in self.points else 0
-        return 1 if self.predicate(window.label(p)) else 0
+            return np.isin(tuples[:, 0], list(self.points)).astype(np.int64)
+        return np.array([1 if self.predicate(window.label(p)) else 0
+                         for p in tuples[:, 0].tolist()], dtype=np.int64)
 
 
 class Sum(CoarseCochain):
@@ -104,8 +109,8 @@ class Sum(CoarseCochain):
         self.degree = left.degree
         self.left, self.right = left, right
 
-    def value(self, window, tup):
-        return self.left.value(window, tup) + self.right.value(window, tup)
+    def values(self, window, tuples):
+        return self.left.values(window, tuples) + self.right.values(window, tuples)
 
 
 class Scale(CoarseCochain):
@@ -113,8 +118,8 @@ class Scale(CoarseCochain):
         self.degree = child.degree
         self.z, self.child = z, child
 
-    def value(self, window, tup):
-        return self.z * self.child.value(window, tup)
+    def values(self, window, tuples):
+        return self.z * self.child.values(window, tuples)
 
 
 class Coboundary(CoarseCochain):
@@ -128,12 +133,11 @@ class Coboundary(CoarseCochain):
         self.child = child
         self.convention = convention
 
-    def value(self, window, tup):
+    def values(self, window, tuples):
         lo = 0 if self.convention == "full" else 1
-        total = 0
-        for i in range(lo, len(tup)):
-            face = tup[:i] + tup[i + 1:]
-            v = self.child.value(window, face)
+        total = np.zeros(len(tuples), dtype=np.int64)
+        for i in range(lo, tuples.shape[1]):
+            v = self.child.values(window, np.delete(tuples, i, axis=1))
             total = total + (-v if i % 2 else v)
         return total
 
@@ -146,9 +150,11 @@ class Pullback(CoarseCochain):
         self.f = rough_map
         self.child = child
 
-    def value(self, window, tup):
-        image = tuple(self.f.apply(p) for p in tup)
-        return self.child.value(self.f.target, image)
+    def values(self, window, tuples):
+        image = self.f.mapping[tuples]
+        if (image < 0).any():
+            self.f.apply(int(tuples[image < 0][0]))      # raises MarginError
+        return self.child.values(self.f.target, image)
 
 
 def evaluate(phi: CoarseCochain, window: Window, tup) -> complex:
@@ -160,7 +166,7 @@ def evaluate(phi: CoarseCochain, window: Window, tup) -> complex:
             f"degree {phi.degree}")
     for p in tup:
         window.check_point(p)
-    return phi.value(window, tup)
+    return phi.values(window, np.array([tup], dtype=np.int64)).tolist()[0]
 
 
 def coboundary(phi: CoarseCochain, convention: str = "full") -> CoarseCochain:
@@ -180,73 +186,65 @@ class SupportSlice:
 def support_check(phi: CoarseCochain, window: Window, Rmax: int) -> dict[int, SupportSlice]:
     """Measure supp(phi) intersected with tuples of length <= R, per R <= Rmax.
 
-    The diameter is taken in the product metric.  When the support touches the
-    boundary of the margin-safe region the slice is flagged as unbounded within
-    the window (boundedness cannot be certified from this window alone).
+    The candidate tuples of margin-safe points, pairwise within Rmax, are
+    grown one column at a time and evaluated in one call.  The diameter is
+    taken in the product metric.  When the support touches the boundary of
+    the margin-safe region the slice is flagged as unbounded within the
+    window (boundedness cannot be certified from this window alone).
     """
     window.require_margin(Rmax, "cochain.support_check")
     q = phi.degree
     safe = window.safe_points
     safe_limit = window.W - window.margin
-    # enumerate support tuples of length <= Rmax among safe points
-    supported = []
-    if q == 0:
-        for p in safe:
-            if phi.value(window, (int(p),)) != 0:
-                supported.append(((int(p),), 0))
-    else:
-        ball = {int(p): [int(x) for x in safe[
-            window.dist_cross([int(p)], safe)[0] <= Rmax]] for p in safe}
-
-        def extend(partial):
-            if len(partial) == q + 1:
-                if phi.value(window, partial) != 0:
-                    supported.append((partial, window.tuple_length(partial)))
-                return
-            for nxt in ball[partial[0]]:
-                ok = all(window.dist(p, nxt) <= Rmax for p in partial)
-                if ok:
-                    extend(partial + (nxt,))
-
-        for p in safe:
-            extend((int(p),))
+    near = window.dist_cross(safe, safe) <= Rmax
+    rows = np.arange(len(safe))[:, None]
+    for _ in range(q):
+        r, nxt = np.nonzero(near[rows[:, 0]])
+        ok = near[rows[r], nxt[:, None]].all(axis=1)
+        rows = np.column_stack([rows[r[ok]], nxt[ok]])
+    tuples = safe[rows]
+    tuples = tuples[phi.values(window, tuples) != 0]
+    lengths = window.tuple_lengths(tuples)
     report = {}
     for R in range(1, Rmax + 1):
-        tuples = [t for t, ln in supported if ln <= R]
-        if not tuples:
-            report[R] = SupportSlice(R, 0, 0, False)
-            continue
-        arr = np.array(tuples, dtype=np.int64)
-        diam = 0
-        for j in range(q + 1):
-            col = np.unique(arr[:, j])
-            diam = max(diam, int(window.dist_cross(col, col).max()))
+        arr = tuples[lengths <= R]
+        diam = max(int(window.dist_cross(col, col).max(initial=0))
+                   for col in map(np.unique, arr.T))
         touches = bool((window.dist_to_base[arr] >= safe_limit).any())
-        report[R] = SupportSlice(R, len(tuples), diam, touches)
+        report[R] = SupportSlice(R, len(arr), diam, touches)
     return report
 
 
 # -- pairing ---------------------------------------------------------------------
 
-def pair(phi: CoarseCochain, c: UfChain, check_margin: bool = True) -> complex:
-    """<phi, c> = sum over the chain support of phi(tuple) * coefficient.
+def pair_arrays(phi: CoarseCochain, window: Window, tuples: np.ndarray,
+                values: np.ndarray, check_margin: bool = True):
+    """<phi, sum_r values[r] * tuples[r]>, for rows without repeats.
 
-    Margin-safety is enforced for contributing tuples (nonzero cochain value
-    against nonzero coefficient); vacuous tuples may live near the edge.
+    Margin-safety is enforced for contributing rows (nonzero cochain value);
+    vacuous rows may live near the edge.
     """
-    if phi.degree != c.degree:
+    if tuples.shape[1] != phi.degree + 1:
         raise DegreeError(
-            f"cochain.pair: cochain degree {phi.degree} vs chain degree {c.degree}")
-    w = c.window
-    total = 0
-    for tup, val in c.support.items():
-        v = phi.value(w, tup)
-        if v == 0:
-            continue
-        if check_margin:
-            w.check_tuple_safe(tup, "cochain.pair")
-        total = total + v * val
-    return total
+            f"cochain.pair: cochain degree {phi.degree} vs chain degree "
+            f"{tuples.shape[1] - 1}")
+    phis = phi.values(window, tuples)
+    hit = phis != 0
+    if check_margin:
+        unsafe = np.flatnonzero(hit & ~window.safe_mask[tuples].all(axis=1))
+        if len(unsafe):
+            window.check_tuple_safe(tuples[unsafe[0]], "cochain.pair")
+    phis, values = phis[hit], values[hit]
+    if len(values) and phis.dtype.kind in "iu":
+        values = _exact(values, len(values) * int(np.abs(phis).max()))
+    total = (phis * values).sum()
+    return total.item() if isinstance(total, np.generic) else total
+
+
+def pair(phi: CoarseCochain, c: UfChain, check_margin: bool = True):
+    """<phi, c> = sum over the chain support of phi(tuple) * coefficient,
+    enforcing margin-safety for contributing tuples (see pair_arrays)."""
+    return pair_arrays(phi, c.window, c.tuples, c.values, check_margin)
 
 
 # -- rough maps -------------------------------------------------------------------
@@ -287,11 +285,7 @@ class RoughMap:
 
     def compose(self, other: "RoughMap") -> "RoughMap":
         """self after other (other: X->Y, self: Y->Z)."""
-        mapping = np.full(other.source.n_points, -1, dtype=np.int64)
-        for p in range(other.source.n_points):
-            j = other.mapping[p]
-            if j >= 0 and self.mapping[j] >= 0:
-                mapping[p] = self.mapping[j]
+        mapping = np.where(other.mapping >= 0, self.mapping[other.mapping], -1)
         return RoughMap(other.source, self.target, mapping)
 
 

@@ -20,25 +20,26 @@ path.
 An alternating chain is fixed by its values on strictly increasing tuples.
 ``chi_arrays`` returns this canonical form: path rows sorted and signed by
 their sorting permutation, rows with a repeated point dropped (they cancel),
-coalesced once.  ``chain_map_check`` runs wholly on it; only ``chi`` expands
-it to the (n+1)! signed orderings, and MAX_DEGREE caps that expansion.
+coalesced once.  ``chain_map_check`` runs wholly on it; ``chi`` and
+``character_pairing`` (which builds no chain) expand it to the (n+1)! signed
+orderings, and MAX_DEGREE caps that one expansion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_sample_values
 
 from ._accel import coalesce
-from .cochain import CoarseCochain, pair
+from .cochain import CoarseCochain, pair_arrays
 from .errors import DegreeError, MarginError, PreconditionError
 from .opalg import BandedOperator, identity, op_norm, safe_projector
 from .spaces import Window
-from .ufchain import UfChain, boundary_arrays
+from .ufchain import UfChain, boundary_arrays, sort_sign
 
 TWO_PI_I = 2j * math.pi
 MAX_DEGREE = 3
@@ -139,17 +140,6 @@ def chern1(u: BandedOperator, n: int,
 
 # -- the rough character ----------------------------------------------------------
 
-def _sort_sign(tuples: np.ndarray):
-    """Each row sorted, the sign of its sorting permutation (the parity of the
-    row's inversions) and whether the row's points are distinct."""
-    inversions = np.zeros(len(tuples), dtype=np.int64)
-    for i, j in combinations(range(tuples.shape[1]), 2):
-        inversions += tuples[:, i] > tuples[:, j]
-    ordered = np.sort(tuples, axis=1)
-    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    return ordered, 1 - 2 * (inversions % 2), distinct
-
-
 def _closing_entries(A, rows, cols) -> np.ndarray:
     """A[rows, cols] for a CSR matrix A and parallel index arrays, 0 where
     nothing is stored: each entry is looked up in its own row, bisected when
@@ -210,27 +200,31 @@ def chi_arrays(t: CyclicTensor):
             f"cyclic.chi: total operator propagation {total_prop} exceeds the "
             f"window margin {w.margin}")
     paths = [_paths(ops) for _, ops in t.terms]
-    tuples, sign, distinct = _sort_sign(np.concatenate([tt for tt, _ in paths]))
+    tuples, sign, distinct = sort_sign(np.concatenate([tt for tt, _ in paths]))
     values = sign * np.concatenate([weight * vv for (weight, _), (_, vv)
                                     in zip(t.terms, paths)])
     tuples, values = coalesce(tuples[distinct], values[distinct])
     return tuples, values / math.factorial(t.degree + 1)
 
 
-def chi(t: CyclicTensor) -> UfChain:
-    """Rough character chain on ordered tuples, (2 pi i) prefactor applied:
-    chi_arrays' rows expanded to their (n+1)! signed orderings, which
-    MAX_DEGREE caps."""
+def _ordered_arrays(t: CyclicTensor):
+    """chi_arrays' rows expanded to their (n+1)! signed orderings, (2 pi i)
+    prefactor applied; MAX_DEGREE caps the expansion."""
     if t.degree > MAX_DEGREE:
         raise DegreeError(
             f"cyclic.chi: degrees above {MAX_DEGREE} are outside the desk-scale "
             "build (cap on the (n+1)! expansion to ordered tuples)")
     tuples, values = chi_arrays(t)
     perms = np.array(list(permutations(range(t.degree + 1))))
-    _, signs, _ = _sort_sign(perms)
+    _, signs, _ = sort_sign(perms)
     tuples = tuples[:, perms].reshape(-1, perms.shape[1])
     values = (values[:, None] * signs).ravel() * t.numeric_prefactor()
-    return UfChain.from_arrays(t.window, t.degree, tuples, values)
+    return tuples, values
+
+
+def chi(t: CyclicTensor) -> UfChain:
+    """Rough character chain on ordered tuples, (2 pi i) prefactor applied."""
+    return UfChain.from_arrays(t.window, t.degree, *_ordered_arrays(t))
 
 
 def chain_map_check(t: CyclicTensor) -> float:
@@ -268,9 +262,9 @@ class PairingResult:
 
 
 def character_pairing(phi: CoarseCochain, t: CyclicTensor) -> PairingResult:
-    """<phi, chi(t)>, reported both raw and with (2 pi i)^tau stripped."""
-    chain = chi(t)
-    raw = complex(pair(phi, chain))
+    """<phi, chi(t)>, reported both raw and with (2 pi i)^tau stripped; phi is
+    paired with the ordered rows of chi directly."""
+    raw = complex(pair_arrays(phi, t.window, *_ordered_arrays(t)))
     stripped = raw / (TWO_PI_I ** t.tau_power) if t.tau_power else raw
     return PairingResult(raw=raw, tau_power=t.tau_power, stripped=stripped)
 

@@ -4,10 +4,12 @@ The Kuhn (Freudenthal) triangulation of the integer lattice has vertex set
 Z^d, edges v -> v + 1_S for nonempty subsets S of the axes, and in 2-D the two
 triangle families [v, v+e0, v+(1,1)] and [v, v+e1, v+(1,1)].  Windows built by
 make_window order lattice points lexicographically, so sorting a simplex by
-point id is the same as sorting by coordinates.  A SimplicialChain is a
+point id is the same as sorting by coordinates.  A filling is a
 ufchain.UfChain on sorted Kuhn simplices, the sorting parity folded into the
-coefficient; it shares UfChain's arithmetic, boundary and norms, so a
-filling and the chain it fills compare and subtract directly.
+coefficient, so a filling and the chain it fills compare and subtract
+directly.  fill_chain collects the pieces of all its tuples, then sorts them
+with their signs, checks them against the triangulation and coalesces them
+once; fill_tuple is fill_chain of a one-term chain.
 
 The filler:
   degree 0   vertex itself
@@ -32,32 +34,14 @@ import numpy as np
 
 from .errors import DegreeError, FillError, MarginError
 from .spaces import GrowthFit, Window, fit_growth
-from .ufchain import UfChain, _accumulate, boundary, norm_inf_n, shell_norm
+from .ufchain import UfChain, boundary, norm_inf_n, shell_norm, sort_sign
 from .cochain import ControlFit
 
 
-def _parity_sorted(tup):
-    """Sort a tuple, returning (sorted, sign of permutation, degenerate?)."""
-    arr = list(tup)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(arr)):
-        if arr[i] == arr[i - 1]:
-            return tuple(arr), 0, True
-    return tuple(arr), sign, False
-
-
 class SimplicialChain(UfChain):
-    """A UfChain on sorted simplices of the Kuhn triangulation.
-
-    Only construction is its own: add_simplex sorts each simplex with its
-    orientation sign and rejects anything outside the triangulation.
-    """
+    """A UfChain on sorted Kuhn simplices, built in place by add_simplex,
+    which sorts each simplex with its orientation sign and rejects anything
+    outside the triangulation."""
 
     __slots__ = ()
 
@@ -76,19 +60,20 @@ class SimplicialChain(UfChain):
         """
         if coeff == 0:
             return
-        key, sign, degenerate = _parity_sorted(tuple(int(p) for p in simplex))
-        if degenerate:
+        ordered, sign, distinct = sort_sign(np.array([simplex], dtype=np.int64))
+        if not distinct[0]:
             return
+        key = tuple(ordered[0].tolist())
         if len(key) != self.degree + 1:
             raise DegreeError(
                 f"fill.SimplicialChain: simplex {key} has arity {len(key)}, "
                 f"degree {self.degree} needs {self.degree + 1}")
-        if key not in self.support and not is_kuhn_simplex(self.window, key):
+        if not kuhn_rows(self.window, ordered)[0]:
             raise FillError(
                 f"fill.SimplicialChain: {tuple(self.window.label(p) for p in key)} "
                 "is not a simplex of the triangulation")
-        _accumulate(self.support, key, sign * coeff)
-        self._propagation = None
+        self._assign(*UfChain(self.window, self.degree,
+                               [*self.terms(), (key, int(sign[0]) * coeff)]).arrays())
 
 
 # the face sum of sorted simplices is the chain boundary; the name stays
@@ -96,21 +81,21 @@ class SimplicialChain(UfChain):
 simplicial_boundary = boundary
 
 
-def is_kuhn_simplex(window: Window, key) -> bool:
-    """Is the sorted id tuple a genuine simplex of the triangulation?"""
-    coords = [window.label(p) for p in key]
-    q = len(key) - 1
+def kuhn_rows(window: Window, rows: np.ndarray) -> np.ndarray:
+    """Which rows of sorted point ids are simplices of the triangulation:
+    edges step by a nonzero 0/1 vector, triangles (2-D only) by one unit
+    step along each axis."""
+    q = rows.shape[1] - 1
     if q == 0:
-        return True
+        return np.ones(len(rows), dtype=bool)
+    steps = np.diff(window.coords[rows], axis=1)
+    unit = np.all((steps == 0) | (steps == 1), axis=2)
     if q == 1:
-        d = np.array(coords[1]) - np.array(coords[0])
-        return bool(np.all((d == 0) | (d == 1)) and np.any(d != 0))
+        return unit[:, 0] & np.any(steps[:, 0] != 0, axis=1)
     if q == 2 and window.dim == 2:
-        v0, v1, v2 = (np.array(c) for c in coords)
-        d1, d2 = v1 - v0, v2 - v1
-        steps = {tuple(d1), tuple(d2)}
-        return steps in ({(1, 0), (0, 1)}, {(0, 1), (1, 0)}) and tuple(d1 + d2) == (1, 1)
-    return False
+        return (unit.all(axis=1) & (steps.sum(axis=2) == 1).all(axis=1)
+                & np.any(steps[:, 0] != steps[:, 1], axis=1))
+    return np.zeros(len(rows), dtype=bool)
 
 
 # -- the filler -----------------------------------------------------------------
@@ -127,17 +112,20 @@ def _require_fillable(window: Window, degree: int, what: str):
                         "1-D and 2-D lattice windows")
 
 
-def _bbox_check(window: Window, tup, what: str):
-    coords = np.array([window.label(p) for p in tup], dtype=np.int64)
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
+def _bbox_check(window: Window, tuples: np.ndarray, what: str):
+    """Every tuple's coordinate box lies in the window, or MarginError."""
+    coords = window.coords[tuples]
+    lo, hi = coords.min(axis=1), coords.max(axis=1)
     # l1 and linf grow with each |coordinate|: one corner is the farthest
     corner = np.where(np.abs(lo) > np.abs(hi), lo, hi)
-    dist = int(window._zd_norm(corner))
-    if dist > window.W:
-        labels = tuple(window.label(int(p)) for p in tup)
+    dist = window._zd_norm(corner)
+    outside = np.flatnonzero(dist > window.W)
+    if len(outside):
+        r = outside[0]
+        labels = tuple(window.label(int(p)) for p in tuples[r])
         raise MarginError(
             f"{what}: filling of tuple {labels} needs the box corner "
-            f"{tuple(int(x) for x in corner)} at distance {dist} > W={window.W}; "
+            f"{tuple(corner[r].tolist())} at distance {int(dist[r])} > W={window.W}; "
             "enlarge the window or its margin")
 
 
@@ -152,21 +140,14 @@ def _staircase_steps(ca, cb):
             yield tail, tuple(cur), axis, step
 
 
-# The filler's pieces add themselves (times z where they take one) to the
-# SimplicialChain `out` under construction.
-
-def _staircase(out, ca, cb):
-    i = out.window.index_of
-    for tail, head, _axis, _step in _staircase_steps(ca, cb):
-        out.add_simplex((i(tail), i(head)), 1)
-
+# The filler's pieces append (simplex, coefficient) pairs to the list `out`,
+# each simplex a tuple of lattice coordinates in any vertex order.
 
 def _square(out, v, z):
     """Q(v): low triangle minus high triangle; boundary is the ccw square loop."""
     a, b = v
-    i = out.window.index_of
-    out.add_simplex((i((a, b)), i((a + 1, b)), i((a + 1, b + 1))), z)
-    out.add_simplex((i((a, b)), i((a, b + 1)), i((a + 1, b + 1))), -z)
+    out.append((((a, b), (a + 1, b), (a + 1, b + 1)), z))
+    out.append((((a, b), (a, b + 1), (a + 1, b + 1)), -z))
 
 
 def _cone_edge(out, pc, u, axis, step):
@@ -195,68 +176,62 @@ def _diag_correction(out, ca, cb, z):
     if len(ca) != 2:
         return
     dx, dy = cb[0] - ca[0], cb[1] - ca[1]
-    i = out.window.index_of
     if (dx, dy) == (1, 1):
         a, b = ca
-        out.add_simplex((i((a, b)), i((a + 1, b)), i((a + 1, b + 1))), -z)
+        out.append((((a, b), (a + 1, b), (a + 1, b + 1)), -z))
     elif (dx, dy) == (-1, -1):
         a, b = cb
-        out.add_simplex((i((a, b)), i((a, b + 1)), i((a + 1, b + 1))), z)
+        out.append((((a, b), (a, b + 1), (a + 1, b + 1)), z))
 
 
 def _fill1(out, ca, cb):
-    if len(ca) == 2:
-        dx, dy = cb[0] - ca[0], cb[1] - ca[1]
-        if (dx, dy) in ((1, 1), (-1, -1)):
-            # the pair spans a diagonal Kuhn edge; orientation handled by parity
-            i = out.window.index_of
-            out.add_simplex((i(ca), i(cb)), 1)
-            return
-    _staircase(out, ca, cb)
+    if len(ca) == 2 and (cb[0] - ca[0], cb[1] - ca[1]) in ((1, 1), (-1, -1)):
+        # the pair spans a diagonal Kuhn edge; orientation handled by parity
+        out.append(((ca, cb), 1))
+    else:
+        out.extend(((tail, head), 1) for tail, head, _, _ in _staircase_steps(ca, cb))
 
 
-def fill_tuple(window: Window, tup) -> UfChain:
-    """Fill an (i+1)-tuple of point ids by a degree-i chain, i <= 2.
-
-    The boundary of the result is exactly the alternating sum of the fillings
-    of the tuple's faces, and all vertices stay inside the bounding box of the
-    tuple's coordinates.  Fillings are memoized per window and handed out as
-    plain (immutable) UfChains.
-    """
-    tup = tuple(int(p) for p in tup)
-    degree = len(tup) - 1
-    _require_fillable(window, degree, "fill.fill_tuple")
-    memo = window.derived("fill", dict)
-    cached = memo.get(tup)
-    if cached is not None:
-        return cached
-    _bbox_check(window, tup, "fill.fill_tuple")
-    coords = [window.label(p) for p in tup]
-    out = SimplicialChain(window, degree)
-    if degree == 0:
-        out.add_simplex(tup, 1)
-    elif degree == 1:
+def _fill_pieces(out, y):
+    """The pieces of the filling of the coordinate tuple y."""
+    if len(y) == 1:
+        out.append((y, 1))
+    elif len(y) == 2:
         # diagonal pair fills to the Kuhn edge, else to the staircase;
         # coincident points fill to zero
-        _fill1(out, coords[0], coords[1])
+        _fill1(out, *y)
     else:
-        y0, y1, y2 = coords
+        y0, y1, y2 = y
         for tail, head, axis, step in _staircase_steps(y1, y2):
             _cone_edge(out, y0, tail, axis, step)
         _diag_correction(out, y1, y2, 1)
         _diag_correction(out, y0, y2, -1)
         _diag_correction(out, y0, y1, 1)
-    filled = memo[tup] = UfChain(window, degree, out.support, _validated=True)
-    return filled
 
 
 def fill_chain(c: UfChain) -> UfChain:
-    """Linear extension of fill_tuple; a chain map in exact arithmetic."""
-    support: dict[tuple, object] = {}
-    for tup, coeff in c.support.items():
-        for key, v in fill_tuple(c.window, tup).support.items():
-            _accumulate(support, key, coeff * v)
-    return UfChain(c.window, c.degree, support, _validated=True)
+    """Fill each tuple of c (degree <= 2) by a chain of the triangulation,
+    times its coefficient; a chain map in exact arithmetic.  The boundary of
+    a tuple's filling is exactly the alternating sum of the fillings of its
+    faces, and its vertices stay inside the tuple's coordinate box."""
+    w, q = c.window, c.degree
+    _require_fillable(w, q, "fill.fill_chain")
+    _bbox_check(w, c.tuples, "fill.fill_chain")
+    pieces, owner = [], []
+    for r, y in enumerate(w.coords[c.tuples].tolist()):
+        _fill_pieces(pieces, tuple(map(tuple, y)))
+        owner += [r] * (len(pieces) - len(owner))
+    simplices = np.array([s for s, _ in pieces], dtype=np.int64).reshape(-1, q + 1, w.dim)
+    rows, sign, distinct = sort_sign(w.index_many(simplices))
+    if not kuhn_rows(w, rows[distinct]).all():
+        raise FillError("fill.fill_chain: a piece is not a simplex of the triangulation")
+    values = c.values[owner] * (sign * np.array([z for _, z in pieces], dtype=np.int64))
+    return UfChain.from_arrays(w, q, rows[distinct], values[distinct])
+
+
+def fill_tuple(window: Window, tup) -> UfChain:
+    """The filling of one (i+1)-tuple of point ids, i <= 2 (see fill_chain)."""
+    return fill_chain(UfChain(window, len(tup) - 1, {tuple(tup): 1}))
 
 
 def roundtrip_identity(s: SimplicialChain) -> bool:
@@ -266,8 +241,9 @@ def roundtrip_identity(s: SimplicialChain) -> bool:
 
 def fill_radius(window: Window, tup) -> int:
     """Max distance from a filling vertex to the tuple's first point."""
-    verts = {p for key in fill_tuple(window, tup).support for p in key}
-    verts = np.fromiter(verts or {tup[0]}, dtype=np.int64)
+    verts = np.unique(fill_tuple(window, tup).tuples)
+    if len(verts) == 0:
+        verts = np.array([tup[0]])
     return int(window.dist_cross([int(tup[0])], verts)[0].max(initial=0))
 
 
@@ -370,7 +346,7 @@ def coefficient_sum_bound(c: UfChain, profile: ControlFit) -> tuple[float, float
         return vols[r]
 
     prof = profile.profile or {}
-    rmax = int(max((w.tuple_length(t) for t in c.support), default=0))
+    rmax = c.propagation
     rhs = 0.0
     for R in range(1, rmax + 1):
         s = shell_norm(c, R)

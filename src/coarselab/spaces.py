@@ -86,7 +86,8 @@ class Window:
     The memo (see derived) holds results that are pure functions of the
     window: the banded operators' stencils of point pairs, one entry per
     (propagation, safe_only), the 32 probe supports of opalg.mu_profile and
-    each point's distance to them, and the filler's fillings keyed by tuple.
+    each point's distance to them, and the balls ufchain.random_chain draws
+    tuples from, one anchor -> ball dict per radius.
     It is a dict on the window, so it lives exactly as long as the window and
     keeps no other window alive.
     Its arrays are read-only.
@@ -340,14 +341,9 @@ class Window:
 
     def tuple_length(self, tup) -> int:
         """Max pairwise distance within a point tuple (0 for singletons)."""
-        m = len(tup)
-        best = 0
-        for a in range(m):
-            for b in range(a + 1, m):
-                dd = self.dist(tup[a], tup[b])
-                if dd > best:
-                    best = dd
-        return best
+        for p in tup:
+            self.check_point(p)
+        return int(self.tuple_lengths([tup])[0])
 
     def tuple_lengths(self, tuples: np.ndarray) -> np.ndarray:
         """Vectorized tuple_length over an (S, m) index array."""
@@ -366,9 +362,6 @@ class Window:
             raise MarginError(
                 f"{what} requires margin >= {radius}, but the window "
                 f"(kind={self.kind}, W={self.W}) declares margin={self.margin}")
-
-    def is_safe(self, i: int) -> bool:
-        return bool(self.safe_mask[i])
 
     def check_tuple_safe(self, tup, what: str):
         for p in tup:

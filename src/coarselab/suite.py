@@ -202,8 +202,7 @@ def demo_winding(k: int, W: int, margin: int) -> WindingReport:
 def demo_degree0(window: spaces.Window, e: opalg.BandedOperator,
                  phi: cochain.CoarseCochain) -> complex:
     """<phi, chi(e)> = sum over points of phi(y) times the local trace of e."""
-    tensor = cyclic.CyclicTensor(0, [(1.0, (e,))])
-    return complex(cochain.pair(phi, cyclic.chi(tensor)))
+    return cyclic.character_pairing(phi, cyclic.CyclicTensor(0, [(1.0, (e,))])).raw
 
 
 @dataclass
@@ -245,13 +244,9 @@ def demo_tree_fundamental_class(W: int) -> TreeDemoReport:
         for c in kids:
             flow_in[c] = out_flow
             terms[(c, p)] = out_flow
-    t = ufchain.UfChain(w, 1, terms, _validated=True)
+    t = ufchain.UfChain(w, 1, terms)
     bt = ufchain.boundary(t)
-    ok = True
-    for p in w.safe_points:
-        if bt.coefficient((int(p),)) != 1:
-            ok = False
-            break
+    ok = all(bt.coefficient((p,)) == 1 for p in w.safe_points.tolist())
     max_coeff = max((float(v) for v in terms.values()), default=0.0)
 
     # the expected-fail witness: every safe vertex of the interval routes one
@@ -298,7 +293,7 @@ def check_boundary_identities(config) -> tuple:
             if q == 1:
                 # the boundary map on degree 0 is zero; its image must have
                 # vanishing augmentation
-                if sum(v for _, v in bc.terms()) != 0:
+                if bc.values.sum() != 0:
                     chains_ok = False
             elif len(ufchain.boundary(bc)) != 0:
                 chains_ok = False
@@ -500,7 +495,7 @@ def _random_unit_chain(w, q, rng):
     s = fill.SimplicialChain(w, q)
     pts = w.safe_points
     tries = 0
-    while len(s.support) < 5 and tries < 200:
+    while len(s) < 5 and tries < 200:
         tries += 1
         p = int(pts[rng.integers(len(pts))])
         if q == 0:

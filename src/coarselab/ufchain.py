@@ -1,11 +1,14 @@
 """Uniformly finite chains on a window: boundary, decay norms, shells.
 
 A chain of degree q is a finitely supported map from (q+1)-tuples of window
-points to coefficients.  Coefficients may be ints or Fractions (exact
-combinatorial path) or complex floats (analytic path); boundary cancellation
-is exact whenever the coefficients are exact.  This is the one chain class:
-a fill.SimplicialChain is a UfChain on sorted Kuhn simplices, so the
-filler's chains share its arithmetic, boundary and norms.
+points to coefficients.  A UfChain holds it as two read-only arrays: `tuples`,
+(S, q+1) int64 point ids in lexicographic row order without repeats, and
+`values`, the S nonzero coefficients: ints or Fractions (exact) or complex
+floats.  Ints are int64 until a sum or product could reach 2^63, Python ints
+in an object column from then on, so exact coefficients cancel exactly.
+Python terms (a dict or (tuple, value) pairs) are summed in Python in input
+order; arrays go through ``coalesce`` (``from_arrays``), and so does every
+operation.  ``sort_sign`` serves the character map and the filler alike.
 
 Tuple length is the max pairwise distance of the tuple's points; it is the
 shell coordinate used by shell_norm (the product-metric distance to the
@@ -16,6 +19,8 @@ artifact standardizes on tuple length).
 from __future__ import annotations
 
 import json
+from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,54 +28,104 @@ from ._accel import coalesce
 from .errors import DegreeError, PointNotInWindowError
 from .spaces import Window
 
+_INT64_LIMIT = 2 ** 63
 
-def _accumulate(support: dict, key: tuple, val):
-    """support[key] += val, an absent key reading 0; a zero sum drops the key."""
-    if val == 0:
-        return
-    acc = support.get(key)
-    if acc is not None:
-        val = acc + val
-        if val == 0:
-            del support[key]
-            return
-    support[key] = val
+
+def _exact(values: np.ndarray, factor) -> np.ndarray:
+    """values, as Python ints in an object column if they are ints and one of
+    them times `factor` (or a sum of `factor` of them) could reach 2^63."""
+    if values.dtype.kind in "iu" and len(values):
+        largest = max(int(values.max()), -int(values.min()))
+        if largest * factor >= _INT64_LIMIT:
+            return values.astype(object)
+    return values
+
+
+def _column(vals: list) -> np.ndarray:
+    """Python coefficients as one array: int64 for ints below 2^63, object for
+    larger ints (which numpy would round to float) and for Fractions."""
+    if all(isinstance(v, int) for v in vals):
+        fits = all(-_INT64_LIMIT < v < _INT64_LIMIT for v in vals)
+        return np.array(vals, dtype=np.int64 if fits else object)
+    return np.array(vals)
+
+
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    # hypot rounds as Python's abs(complex) does; np.abs differs in the last bit
+    if values.dtype.kind == "c":
+        return np.hypot(values.real, values.imag)
+    return np.abs(values)
+
+
+def _sup(values: np.ndarray) -> float:
+    return float(_magnitudes(values).max(initial=0.0))
+
+
+def _check_rows(window: Window, degree: int, tuples: np.ndarray):
+    if tuples.shape[1] != degree + 1:
+        raise DegreeError(f"ufchain: tuples have arity {tuples.shape[1]}, "
+                          f"degree {degree} needs {degree + 1}")
+    outside = (tuples < 0) | (tuples >= window.n_points)
+    if outside.any():
+        raise PointNotInWindowError(
+            f"ufchain: point id {int(tuples[outside][0])} not in window")
+    return tuples
 
 
 class UfChain:
     """Finitely supported degree-q chain; value-semantic and immutable."""
 
-    __slots__ = ("window", "degree", "support", "_propagation")
+    __slots__ = ("window", "degree", "tuples", "values", "_support", "_propagation")
 
-    def __init__(self, window: Window, degree: int, terms=None, _validated=False):
-        """_validated: the caller vouches that every tuple is an int tuple of
-        arity degree + 1 inside the window (faces, sums, fillings of chains)."""
+    def __init__(self, window: Window, degree: int, terms=None):
         if degree < 0:
             raise DegreeError("ufchain: degree must be >= 0")
         self.window = window
         self.degree = int(degree)
-        support: dict[tuple, object] = {}
+        acc: dict[tuple, object] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for tup, val in items:
-                if not _validated:
-                    tup = tuple(int(p) for p in tup)
-                    if len(tup) != degree + 1:
-                        raise DegreeError(
-                            f"ufchain: tuple {tup} has arity {len(tup)}, "
-                            f"degree {degree} needs {degree + 1}")
-                    for p in tup:
-                        if not (0 <= p < window.n_points):
-                            raise PointNotInWindowError(
-                                f"ufchain: point id {p} not in window")
-                _accumulate(support, tup, val)
-        self.support = support
-        self._propagation = None
+                key = tuple(int(p) for p in tup)
+                acc[key] = acc[key] + val if key in acc else val
+        for key in acc:
+            if len(key) != degree + 1:
+                raise DegreeError(
+                    f"ufchain: tuple {key} has arity {len(key)}, "
+                    f"degree {degree} needs {degree + 1}")
+        _check_rows(window, degree,
+                    np.array(list(acc), dtype=np.int64).reshape(-1, degree + 1))
+        keys = sorted(k for k, v in acc.items() if v != 0)
+        self._assign(np.array(keys, dtype=np.int64).reshape(-1, degree + 1),
+                     _column([acc[k] for k in keys]))
+
+    def _assign(self, tuples: np.ndarray, values: np.ndarray):
+        """Take coalesced arrays: lex-sorted rows without repeats, no zeros."""
+        self.tuples, self.values = tuples.view(), values.view()
+        self.tuples.flags.writeable = self.values.flags.writeable = False
+        self._support = self._propagation = None
+        return self
+
+    @classmethod
+    def from_arrays(cls, window: Window, degree: int, tuples, values) -> "UfChain":
+        """The chain sum_r values[r] * tuples[r]: repeated rows are summed in
+        input order, zeros dropped."""
+        tuples = _check_rows(window, degree, np.asarray(tuples, dtype=np.int64))
+        values = _exact(np.asarray(values), len(values))
+        return _coalesced(window, degree, *coalesce(tuples, values))
 
     # -- basic structure ---------------------------------------------------
 
     def __len__(self):
-        return len(self.support)
+        return len(self.values)
+
+    @property
+    def support(self):
+        """Read-only tuple -> coefficient mapping, built on first use."""
+        if self._support is None:
+            self._support = MappingProxyType(dict(zip(
+                map(tuple, self.tuples.tolist()), self.values.tolist())))
+        return self._support
 
     def terms(self):
         return self.support.items()
@@ -78,102 +133,95 @@ class UfChain:
     def coefficient(self, tup):
         return self.support.get(tuple(int(p) for p in tup), 0)
 
+    def arrays(self):
+        return self.tuples, self.values
+
     @property
     def propagation(self):
         if self._propagation is None:
-            self._propagation = max(
-                (self.window.tuple_length(t) for t in self.support), default=0)
+            self._propagation = int(
+                self.window.tuple_lengths(self.tuples).max(initial=0))
         return self._propagation
 
     def __add__(self, other: "UfChain") -> "UfChain":
         if other.degree != self.degree or other.window is not self.window:
             raise DegreeError("ufchain: chain addition needs matching window/degree")
-        merged = dict(self.support)
-        for t, v in other.support.items():
-            _accumulate(merged, t, v)
-        return UfChain(self.window, self.degree, merged, _validated=True)
+        return UfChain.from_arrays(self.window, self.degree,
+                                   np.concatenate([self.tuples, other.tuples]),
+                                   np.concatenate([self.values, other.values]))
 
     def __sub__(self, other: "UfChain") -> "UfChain":
         return self + other.scale(-1)
 
     def scale(self, z) -> "UfChain":
-        if z == 0:
-            return UfChain(self.window, self.degree)
-        return UfChain(self.window, self.degree,
-                       {t: z * v for t, v in self.support.items()}, _validated=True)
+        exact = isinstance(z, (int, np.integer))
+        values = (_exact(self.values, abs(int(z))) if exact else self.values) * z
+        keep = values != 0
+        return _coalesced(self.window, self.degree, self.tuples[keep], values[keep])
 
     def sup_norm(self) -> float:
-        return max((abs(v) for v in self.support.values()), default=0.0)
+        return _sup(self.values)
 
     def __eq__(self, other):
         return (isinstance(other, UfChain) and self.degree == other.degree
-                and self.window is other.window and self.support == other.support)
+                and self.window is other.window
+                and np.array_equal(self.tuples, other.tuples)
+                and np.array_equal(self.values, other.values))
 
     def __hash__(self):
         return id(self)
 
     def __repr__(self):
-        return (f"{type(self).__name__}(degree={self.degree}, terms={len(self.support)}, "
+        return (f"{type(self).__name__}(degree={self.degree}, terms={len(self)}, "
                 f"propagation={self.propagation})")
 
-    # -- array interop (fast path used by the character map) -----------------
 
-    @classmethod
-    def from_arrays(cls, window: Window, degree: int, tuples: np.ndarray,
-                    values: np.ndarray) -> "UfChain":
-        c = cls(window, degree)
-        c.support = {tuple(int(x) for x in row): complex(v)
-                     for row, v in zip(tuples, values) if v != 0}
-        return c
-
-    def arrays(self):
-        S = len(self.support)
-        tuples = np.empty((S, self.degree + 1), dtype=np.int64)
-        values = np.empty(S, dtype=np.complex128)
-        for i, (t, v) in enumerate(self.support.items()):
-            tuples[i] = t
-            values[i] = complex(v)
-        return tuples, values
+def _coalesced(window: Window, degree: int, tuples, values) -> UfChain:
+    """A plain UfChain on arrays that are already coalesced."""
+    c = UfChain.__new__(UfChain)
+    c.window, c.degree = window, degree
+    return c._assign(tuples, values)
 
 
 # -- operations ----------------------------------------------------------------
 
-def boundary(c: UfChain) -> UfChain:
-    """Alternating face sum; exact cancellation for exact coefficients."""
-    if c.degree == 0:
-        raise DegreeError("ufchain.boundary: degree 0 chains have no boundary")
-    out: dict[tuple, object] = {}
-    for tup, val in c.support.items():
-        for j in range(len(tup)):
-            _accumulate(out, tup[:j] + tup[j + 1:], -val if j % 2 else val)
-    return UfChain(c.window, c.degree - 1, out, _validated=True)
+def sort_sign(tuples: np.ndarray):
+    """Each row sorted, the sign of its sorting permutation (the parity of the
+    row's inversions) and whether the row's points are distinct."""
+    inversions = np.zeros(len(tuples), dtype=np.int64)
+    for i, j in combinations(range(tuples.shape[1]), 2):
+        inversions += tuples[:, i] > tuples[:, j]
+    ordered = np.sort(tuples, axis=1)
+    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    return ordered, 1 - 2 * (inversions % 2), distinct
 
 
 def boundary_arrays(window: Window, degree: int, tuples: np.ndarray,
                     values: np.ndarray):
-    """boundary() on the raw-array representation (vectorized)."""
+    """Alternating face sum of the chain sum_r values[r] * tuples[r], coalesced."""
     if degree == 0:
         raise DegreeError("ufchain.boundary: degree 0 chains have no boundary")
     S, m = tuples.shape
+    values = _exact(values, m * S)
     cols = np.arange(m)
-    parts_t = []
-    parts_v = []
-    for j in range(m):
-        parts_t.append(tuples[:, cols != j])
-        parts_v.append(values if j % 2 == 0 else -values)
-    if S == 0:
-        return np.empty((0, m - 1), dtype=np.int64), np.empty(0, np.complex128)
-    return coalesce(np.concatenate(parts_t), np.concatenate(parts_v))
+    return coalesce(np.concatenate([tuples[:, cols != j] for j in range(m)]),
+                    np.concatenate([values if j % 2 == 0 else -values
+                                    for j in range(m)]))
+
+
+def boundary(c: UfChain) -> UfChain:
+    """Alternating face sum; exact cancellation for exact coefficients."""
+    return _coalesced(c.window, c.degree - 1,
+                      *boundary_arrays(c.window, c.degree, c.tuples, c.values))
 
 
 def norm_inf_n(c: UfChain, n: float) -> float:
-    """sup |a| * length^n over the support; 0^0 = 1 so diagonals count at n=0."""
-    best = 0.0
-    for tup, val in c.support.items():
-        ln = c.window.tuple_length(tup)
-        weight = 1.0 if (ln == 0 and n == 0) else float(ln) ** n
-        best = max(best, abs(val) * weight)
-    return best
+    """sup |a| * length^n over the support; 0^0 = 1 so diagonals count at n=0.
+    The power is taken once per distinct length in Python, as the scalar
+    expression rounds (numpy's pow differs in the last bit)."""
+    lengths, inverse = np.unique(c.window.tuple_lengths(c.tuples), return_inverse=True)
+    weights = np.array([float(ln) ** n for ln in lengths.tolist()])[inverse]
+    return float((_magnitudes(c.values) * weights).max(initial=0.0))
 
 
 def graded_norm(c: UfChain, n: float) -> float:
@@ -184,12 +232,8 @@ def graded_norm(c: UfChain, n: float) -> float:
 
 def shell_norm(c: UfChain, R: int) -> float:
     """sup |a| over tuples with length in (R-1, R]."""
-    best = 0.0
-    for tup, val in c.support.items():
-        ln = c.window.tuple_length(tup)
-        if R - 1 < ln <= R:
-            best = max(best, abs(val))
-    return best
+    lengths = c.window.tuple_lengths(c.tuples)
+    return _sup(c.values[(R - 1 < lengths) & (lengths <= R)])
 
 
 # -- generation and serialization ----------------------------------------------
@@ -207,11 +251,15 @@ def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
     anchors = np.flatnonzero(window.dist_to_base <= window.W - safe_radius)
     if len(anchors) == 0:
         raise PointNotInWindowError("ufchain.random_chain: no safe anchor points")
+    balls = window.derived(("ball", max_len), dict)
     terms = []
     for _ in range(n_terms):
         a = int(anchors[rng.integers(len(anchors))])
-        near = np.flatnonzero(
-            window.dist_cross([a], np.arange(window.n_points))[0] <= max_len)
+        near = balls.get(a)
+        if near is None:
+            near = balls[a] = np.flatnonzero(
+                window.dist_cross([a], np.arange(window.n_points))[0] <= max_len)
+            near.flags.writeable = False
         tup = tuple(int(near[rng.integers(len(near))]) for _ in range(degree + 1))
         if coeff == "int":
             v = int(rng.integers(1, 6)) * (1 if rng.random() < 0.5 else -1)
@@ -223,10 +271,8 @@ def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
 
 
 def to_json_dict(c: UfChain) -> dict:
-    terms = []
-    for tup, val in sorted(c.support.items()):
-        z = complex(val)
-        terms.append({"tuple": list(tup), "re": z.real, "im": z.imag})
+    terms = [{"tuple": tup, "re": complex(v).real, "im": complex(v).imag}
+             for tup, v in zip(c.tuples.tolist(), c.values.tolist())]
     return {"degree": c.degree, "terms": terms, "window": c.window.descriptor()}
 
 
@@ -239,4 +285,3 @@ def from_json_dict(d: dict, window: Window) -> UfChain:
 def save_chain(c: UfChain, path: str):
     with open(path, "w") as fh:
         json.dump(to_json_dict(c), fh, indent=1)
-

@@ -1,5 +1,7 @@
 """Coarse cochains: coboundary conventions, support, pairing, rough maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,123 @@ def test_continuity_sweep_skips_trivial(w):
 
     res = cochain.continuity_sweep(J, diag_sampler, n=2, trials=5, seed=0)
     assert res.trivial == 5 and res.max_ratio == 0
+
+
+# -- the row evaluation against a scalar reference ---------------------------------
+
+def _scalar(phi, window, tup):
+    """phi on one tuple, from the definition of each node."""
+    if isinstance(phi, cochain.Jump):
+        def h(p):
+            return 1 if window.coords[p][phi.axis] >= phi.threshold else 0
+        return h(tup[1]) - h(tup[0])
+    if isinstance(phi, cochain.Table):
+        return phi.entries.get(tuple(tup), 0)
+    if isinstance(phi, cochain.Indicator):
+        if phi.points is not None:
+            return 1 if tup[0] in phi.points else 0
+        return 1 if phi.predicate(window.label(tup[0])) else 0
+    if isinstance(phi, cochain.Sum):
+        return _scalar(phi.left, window, tup) + _scalar(phi.right, window, tup)
+    if isinstance(phi, cochain.Scale):
+        return phi.z * _scalar(phi.child, window, tup)
+    if isinstance(phi, cochain.Coboundary):
+        lo = 0 if phi.convention == "full" else 1
+        total = 0
+        for i in range(lo, len(tup)):
+            v = _scalar(phi.child, window, tup[:i] + tup[i + 1:])
+            total += -v if i % 2 else v
+        return total
+    if isinstance(phi, cochain.Pullback):
+        return _scalar(phi.child, phi.f.target, tuple(phi.f.apply(p) for p in tup))
+    raise TypeError(phi)
+
+
+def _rows(rng, pts, q, count):
+    return np.array([[int(pts[rng.integers(len(pts))]) for _ in range(q + 1)]
+                     for _ in range(count)], dtype=np.int64)
+
+
+def _node_zoo(w):
+    rng = np.random.default_rng(31)
+    pts = w.safe_points
+    table = cochain.Table(1, {tuple(r): int(rng.integers(-5, 6))
+                              for r in _rows(rng, pts[:8], 1, 30).tolist()})
+    table0 = cochain.Table(0, {(int(p),): int(rng.integers(1, 4)) for p in pts[::3]})
+    by_points = cochain.Indicator(points=pts[::2])
+    by_label = cochain.Indicator(predicate=lambda lb: lb[0] % 3 == 1)
+    big = spaces.make_window("zd", 45, 4, dim=1)
+    doubling = cochain.RoughMap.from_callable(w, big, lambda lb: (2 * lb[0],))
+    return [cochain.Jump(0, 0), cochain.Jump(0, -3), table, table0, by_points,
+            by_label, cochain.Sum(table, cochain.Jump(0, 2)),
+            cochain.Scale(2.5 - 1j, table), cochain.Scale(3, by_label),
+            cochain.coboundary(table0), cochain.coboundary(table0, "from1"),
+            cochain.coboundary(table, "full"), cochain.coboundary(table, "from1"),
+            cochain.coboundary(cochain.coboundary(by_points, "from1"), "full"),
+            cochain.pullback(doubling, cochain.Jump(0, 1)),
+            cochain.pullback(doubling, cochain.coboundary(by_label))]
+
+
+def test_values_match_scalar_definitions(w):
+    rng = np.random.default_rng(32)
+    for phi in _node_zoo(w):
+        # half the rows among the first few points, where the tables live
+        rows = np.concatenate([_rows(rng, w.safe_points, phi.degree, 60),
+                               _rows(rng, w.safe_points[:8], phi.degree, 60)])
+        got = phi.values(w, rows)
+        assert got.shape == (len(rows),)
+        expected = [_scalar(phi, w, tuple(r)) for r in rows.tolist()]
+        assert got.tolist() == expected, phi
+        assert cochain.evaluate(phi, w, rows[0]) == expected[0]
+        assert len(phi.values(w, rows[:0])) == 0
+
+
+def test_pullback_values_raise_where_map_undefined(w):
+    big = spaces.make_window("zd", 45, 4, dim=1)
+    f = cochain.RoughMap.from_callable(w, big, lambda lb: (2 * lb[0],))
+    outside = int(np.flatnonzero(f.mapping < 0)[0])
+    inside = int(w.safe_points[0])
+    rows = np.array([[inside, inside], [inside, outside]], dtype=np.int64)
+    with pytest.raises(MarginError):
+        cochain.pullback(f, cochain.Jump(0, 0)).values(w, rows)
+    with pytest.raises(MarginError):
+        _scalar(cochain.pullback(f, cochain.Jump(0, 0)), w, tuple(rows[1].tolist()))
+
+
+def _support_brute_force(phi, w, Rmax):
+    safe = [int(p) for p in w.safe_points]
+    limit = w.W - w.margin
+    supported = [t for t in itertools.product(safe, repeat=phi.degree + 1)
+                 if w.tuple_length(t) <= Rmax and _scalar(phi, w, t) != 0]
+    out = {}
+    for R in range(1, Rmax + 1):
+        ts = [t for t in supported if w.tuple_length(t) <= R]
+        diam = max((w.dist(a[j], b[j]) for a in ts for b in ts
+                    for j in range(phi.degree + 1)), default=0)
+        touches = any(w.dist_to_base[p] >= limit for t in ts for p in t)
+        out[R] = (len(ts), diam, touches)
+    return out
+
+
+SUPPORT_CASES = {
+    "jump": (1, lambda i: cochain.Jump(0, 0)),
+    "table2": (1, lambda i: cochain.Table(2, {(i((0,)), i((1,)), i((3,))): 2,
+                                              (i((2,)), i((2,)), i((1,))): 1,
+                                              (i((-4,)), i((0,)), i((2,))): 5})),
+    "indicator": (1, lambda i: cochain.Indicator(predicate=lambda lb: lb[0] >= 2)),
+    "d_points": (2, lambda i: cochain.coboundary(
+        cochain.Indicator(points=[i((0, 0)), i((1, 0))]))),
+    "jump_plane": (2, lambda i: cochain.Jump(1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUPPORT_CASES))
+def test_support_check_against_brute_force(case):
+    dim, make = SUPPORT_CASES[case]
+    w = spaces.make_window("zd", 9 if dim == 1 else 5, 3 if dim == 1 else 2, dim=dim)
+    phi = make(w.index_of)
+    Rmax = 3 if dim == 1 else 2
+    report = cochain.support_check(phi, w, Rmax)
+    expected = _support_brute_force(phi, w, Rmax)
+    assert {R: (s.count, s.diameter, s.unbounded_within_window)
+            for R, s in report.items()} == expected

@@ -231,7 +231,7 @@ def test_sort_sign():
     rng = np.random.default_rng(7)
     rows += [rng.integers(-3, 3, size=(200, m)) * 2 ** 40 for m in range(1, 5)]
     for tuples in rows:
-        ordered, sign, distinct = cyclic._sort_sign(tuples)
+        ordered, sign, distinct = ufchain.sort_sign(tuples)
         for row, o, s, d in zip(tuples, ordered, sign, distinct):
             assert list(o) == sorted(row)
             assert s == _perm_sign_oracle(np.argsort(row, kind="stable"))
@@ -403,6 +403,31 @@ def test_character_pairing_winding(w):
         res = cyclic.character_pairing(J, cyclic.chern1(u, 0))
         assert res.stripped == pytest.approx(-k, abs=1e-10)
         assert res.raw == pytest.approx(-k * 2j * math.pi, abs=1e-9)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_character_pairing_matches_pair_on_chi(degree):
+    # the pairing on chi's ordered rows equals pair() on the chain chi builds;
+    # phi is a random table on safe tuples of chi's support, so it is nonzero
+    w = spaces.make_window("zd", 12, 8, dim=1)
+    ops = tuple(opalg.random_banded(w, 50 + j, prop=2, decay=0.8, density=0.9)
+                for j in range(degree + 1))
+    t = cyclic.CyclicTensor(degree, [(1.0, ops)])
+    chain = cyclic.chi(t)
+    rows = chain.tuples[w.safe_mask[chain.tuples].all(axis=1)]
+    rng = np.random.default_rng(degree)
+    picked = rows[rng.choice(len(rows), size=min(40, len(rows)), replace=False)]
+    phi = cochain.Table(degree, {tuple(r): complex(rng.normal(), rng.normal())
+                                 for r in picked.tolist()})
+    expected = cochain.pair(phi, chain)
+    got = cyclic.character_pairing(phi, t)
+    assert abs(expected) > 1e-6
+    assert got.raw == pytest.approx(expected, rel=1e-12)
+    assert got.stripped == pytest.approx(expected / (2j * math.pi) ** t.tau_power,
+                                         rel=1e-12)
+    with pytest.raises(DegreeError):
+        cyclic.character_pairing(cochain.Jump(0, 0), cyclic.CyclicTensor(
+            degree + 1, [(1.0, ops + (ops[0],))]))
 
 
 def test_character_pairing_identity_unitary(w):

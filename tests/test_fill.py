@@ -1,5 +1,6 @@
 """The simplicial filler: boundary compatibility, roundtrip, the main estimate."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -149,11 +150,15 @@ def test_non_kuhn_simplex_rejected(w2):
 
 def test_kuhn_membership(w2):
     j = w2.index_of
-    assert fill.is_kuhn_simplex(w2, (j((0, 0)), j((1, 0)), j((1, 1))))
+
+    def kuhn(*pts):
+        return fill.kuhn_rows(w2, np.array([sorted(j(p) for p in pts)]))[0]
+
+    assert kuhn((0, 0), (1, 0), (1, 1))
     # the anti-diagonal split is not part of the triangulation
-    assert not fill.is_kuhn_simplex(w2, (j((0, 0)), j((1, 0)), j((0, 1))))
-    assert fill.is_kuhn_simplex(w2, (j((0, 0)), j((1, 1))))
-    assert not fill.is_kuhn_simplex(w2, (j((0, 0)), j((1, -1))))
+    assert not kuhn((0, 0), (1, 0), (0, 1))
+    assert kuhn((0, 0), (1, 1))
+    assert not kuhn((0, 0), (1, -1))
 
 
 def test_margin_violation_names_tuple(w2):
@@ -301,13 +306,11 @@ def test_fill_memoization_determinism(wz):
     i = wz.index_of
     tup = (i((0,)), i((7,)))
     a = fill.fill_tuple(wz, tup)
-    b = fill.fill_tuple(wz, tup)
-    assert a is b  # memoized per window
     assert fill.fill_tuple(wz, tup).support == a.support
 
 
 def test_memoized_filling_cannot_be_changed(wz):
-    # the memo hands out a plain UfChain: no in-place builder, and its
+    # a filling is a plain UfChain: no in-place builder, and its
     # arithmetic returns new chains, so later calls see the same filling
     i = wz.index_of
     tup = (i((0,)), i((3,)))
@@ -348,3 +351,20 @@ def test_lattice_only():
     t = spaces.make_window("tree3", 4, 1)
     with pytest.raises(FillError):
         fill.fill_tuple(t, (0, 1))
+
+
+def test_fill_chain_pinned():
+    # fillings of random integer chains of degrees 1 and 2 on a 1-D and a 2-D
+    # window: simplices, coefficients and their Python types, recorded when
+    # each tuple was filled on its own through a per-window memo
+    rng = np.random.default_rng(2024)
+    digest = hashlib.sha256()
+    for W, margin, dim in ((20, 4, 1), (14, 4, 2)):
+        w = spaces.make_window("zd", W, margin, dim=dim)
+        for q in (1, 2):
+            for _ in range(20):
+                c = ufchain.random_chain(w, q, n_terms=4, max_len=4,
+                                         seed=int(rng.integers(2 ** 31)), coeff="int",
+                                         safe_radius=min(w.margin + 8, w.W - 1))
+                digest.update(repr(sorted(fill.fill_chain(c).support.items())).encode())
+    assert digest.hexdigest()[:16] == "2f09e9585c402399"

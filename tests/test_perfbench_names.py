@@ -74,9 +74,29 @@ def test_module_attributes_the_scripts_use_resolve(script):
     ("coarselab.fill", "simplicial_boundary"),
     ("coarselab.fill", "SimplicialChain.add_simplex"),
     ("coarselab.ufchain", "UfChain.arrays"),
+    ("coarselab.ufchain", "UfChain.terms"),
     ("coarselab.cyclic", "boundary_arrays"),
     ("coarselab.ufchain", "coalesce"),
 ])
 def test_names_called_through_objects_exist(module, qualname):
     # reached through a class or an instance, which the source scan misses
     assert callable(_resolve(module, qualname))
+
+
+def test_chain_support_reachable():
+    # workloads compare chi(t).support; a property, so not callable
+    assert hasattr(_resolve("coarselab.ufchain", "UfChain"), "support")
+
+
+def test_python_terms_chain_skips_the_kernel(monkeypatch):
+    # perfbench/selftest.py counts exactly one traced coalesce call after
+    # building UfChain(w, 0, {(0,): 1}), so that construction must not call it
+    from coarselab import spaces, ufchain
+    calls = []
+    real = ufchain.coalesce
+    monkeypatch.setattr(ufchain, "coalesce", lambda *a: calls.append(1) or real(*a))
+    c = ufchain.UfChain(spaces.make_window("zd", 2, 0, dim=1), 0, {(0,): 1})
+    c.arrays()
+    assert calls == []
+    c + c
+    assert calls == [1]

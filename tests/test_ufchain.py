@@ -172,3 +172,62 @@ def test_boundary_arrays_matches_dict_path(w):
     assert set(got) == set(expected)
     for k, v in got.items():
         assert v == pytest.approx(complex(expected[k]))
+
+
+def test_int64_coefficients_never_wrap(w):
+    # a sum or product that could reach 2^63 is taken in Python ints
+    p = w.index_of((0,))
+    rows = np.full((3, 1), p, dtype=np.int64)
+    big = np.full(3, 2 ** 62, dtype=np.int64)
+    c = ufchain.UfChain.from_arrays(w, 0, rows, big)
+    assert c.coefficient((p,)) == 3 * 2 ** 62
+    small = ufchain.UfChain(w, 0, {(p,): 2 ** 40})
+    assert small.values.dtype == np.int64
+    assert small.scale(2 ** 40).coefficient((p,)) == 2 ** 80
+    assert small.scale(-3).values.dtype == np.int64
+    half = ufchain.UfChain(w, 0, {(p,): 2 ** 62})
+    assert (half + half).coefficient((p,)) == 2 ** 63
+    edges = ufchain.UfChain(w, 1, {(p, p + 1): 2 ** 62, (p + 2, p + 1): 2 ** 62})
+    assert ufchain.boundary(edges).coefficient((p + 1,)) == 2 ** 63
+
+
+def test_chain_arrays_and_support_are_read_only(w):
+    c = ufchain.random_chain(w, 1, n_terms=5, max_len=3, seed=4, coeff="int")
+    with pytest.raises(ValueError):
+        c.tuples[0, 0] = 0
+    with pytest.raises(ValueError):
+        c.values[0] = 7
+    with pytest.raises(TypeError):
+        c.support[(0, 1)] = 1
+    assert len(c.support) == len(c)
+
+
+def test_chain_rows_coalesced(w):
+    i = w.index_of
+    c = ufchain.UfChain(w, 1, [((i((2,)), i((0,))), 1), ((i((0,)), i((1,))), 2),
+                               ((i((2,)), i((0,))), -1), ((i((0,)), i((1,))), 3)])
+    assert c.tuples.tolist() == [[i((0,)), i((1,))]]
+    assert c.values.tolist() == [5]
+    r = ufchain.random_chain(w, 2, n_terms=30, max_len=4, seed=2)
+    assert np.all(np.diff(r.tuples @ (w.n_points ** np.arange(2, -1, -1))) > 0)
+    assert np.all(r.values != 0)
+
+
+def test_norms_match_loop_reference(w):
+    # the vectorized norms against the scalar loops they replaced: equal
+    # bit for bit, since each term's arithmetic is unchanged
+    w2 = spaces.make_window("zd", 10, 3, dim=2)
+    for win, seed, coeff in ((w, 1, "complex"), (w, 2, "int"), (w2, 3, "complex")):
+        for q in (0, 1, 2):
+            c = ufchain.random_chain(win, q, n_terms=12, max_len=4, seed=seed, coeff=coeff)
+            lengths = {t: win.tuple_length(t) for t, _ in c.terms()}
+            for n in (0, 1, 3, 2.7, 9.763537466128486):
+                expected = max((abs(v) * (1.0 if lengths[t] == 0 and n == 0
+                                          else float(lengths[t]) ** n)
+                                for t, v in c.terms()), default=0.0)
+                assert ufchain.norm_inf_n(c, n) == expected
+            for R in range(1, 6):
+                assert ufchain.shell_norm(c, R) == max(
+                    (abs(v) for t, v in c.terms() if R - 1 < lengths[t] <= R), default=0)
+            assert c.sup_norm() == max((abs(v) for _, v in c.terms()), default=0)
+            assert c.propagation == max(lengths.values(), default=0)
