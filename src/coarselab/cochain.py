@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegreeError, MarginError, PointNotInWindowError, PreconditionError
 from .spaces import Window
-from .ufchain import UfChain, _column, _exact, norm_inf_n
+from .ufchain import UfChain, exact_column, norm_inf_n
 
 CONVENTIONS = ("full", "from1")
 
@@ -81,7 +81,7 @@ class Table(CoarseCochain):
 
     def values(self, window, tuples):
         get = self.entries.get
-        return _column([get(t, 0) for t in map(tuple, tuples.tolist())])
+        return exact_column([get(t, 0) for t in map(tuple, tuples.tolist())])
 
     def __repr__(self):
         return f"Table(degree={self.degree}, entries={len(self.entries)})"
@@ -110,16 +110,19 @@ class Sum(CoarseCochain):
         self.left, self.right = left, right
 
     def values(self, window, tuples):
-        return self.left.values(window, tuples) + self.right.values(window, tuples)
+        return (exact_column(self.left.values(window, tuples), 2)
+                + exact_column(self.right.values(window, tuples), 2))
 
 
 class Scale(CoarseCochain):
     def __init__(self, z, child: CoarseCochain):
         self.degree = child.degree
-        self.z, self.child = z, child
+        self.z = int(z) if isinstance(z, np.integer) else z
+        self.child = child
 
     def values(self, window, tuples):
-        return self.z * self.child.values(window, tuples)
+        v = self.child.values(window, tuples)
+        return self.z * (exact_column(v, abs(self.z)) if isinstance(self.z, int) else v)
 
 
 class Coboundary(CoarseCochain):
@@ -135,9 +138,9 @@ class Coboundary(CoarseCochain):
 
     def values(self, window, tuples):
         lo = 0 if self.convention == "full" else 1
-        total = np.zeros(len(tuples), dtype=np.int64)
-        for i in range(lo, tuples.shape[1]):
-            v = self.child.values(window, np.delete(tuples, i, axis=1))
+        total, m = np.zeros(len(tuples), dtype=np.int64), tuples.shape[1]
+        for i in range(lo, m):
+            v = exact_column(self.child.values(window, np.delete(tuples, i, axis=1)), m)
             total = total + (-v if i % 2 else v)
         return total
 
@@ -235,8 +238,8 @@ def pair_arrays(phi: CoarseCochain, window: Window, tuples: np.ndarray,
         if len(unsafe):
             window.check_tuple_safe(tuples[unsafe[0]], "cochain.pair")
     phis, values = phis[hit], values[hit]
-    if len(values) and phis.dtype.kind in "iu":
-        values = _exact(values, len(values) * int(np.abs(phis).max()))
+    if phis.dtype.kind in "iu":
+        values = exact_column(values, len(values) * int(np.abs(phis).max(initial=1)))
     total = (phis * values).sum()
     return total.item() if isinstance(total, np.generic) else total
 

@@ -5,7 +5,7 @@ points to coefficients.  A UfChain holds it as two read-only arrays: `tuples`,
 (S, q+1) int64 point ids in lexicographic row order without repeats, and
 `values`, the S nonzero coefficients: ints or Fractions (exact) or complex
 floats.  Ints are int64 until a sum or product could reach 2^63, Python ints
-in an object column from then on, so exact coefficients cancel exactly.
+from then on (``exact_column`` decides), so exact coefficients cancel exactly.
 Python terms (a dict or (tuple, value) pairs) are summed in Python in input
 order; arrays go through ``coalesce`` (``from_arrays``), and so does every
 operation.  ``sort_sign`` serves the character map and the filler alike.
@@ -31,23 +31,21 @@ from .spaces import Window
 _INT64_LIMIT = 2 ** 63
 
 
-def _exact(values: np.ndarray, factor) -> np.ndarray:
-    """values, as Python ints in an object column if they are ints and one of
-    them times `factor` (or a sum of `factor` of them) could reach 2^63."""
-    if values.dtype.kind in "iu" and len(values):
-        largest = max(int(values.max()), -int(values.min()))
-        if largest * factor >= _INT64_LIMIT:
-            return values.astype(object)
-    return values
-
-
-def _column(vals: list) -> np.ndarray:
-    """Python coefficients as one array: int64 for ints below 2^63, object for
-    larger ints (which numpy would round to float) and for Fractions."""
-    if all(isinstance(v, int) for v in vals):
-        fits = all(-_INT64_LIMIT < v < _INT64_LIMIT for v in vals)
-        return np.array(vals, dtype=np.int64 if fits else object)
-    return np.array(vals)
+def exact_column(values, factor: int = 1) -> np.ndarray:
+    """Coefficients (a list or an array) as an array on which `factor` times
+    the largest entry, or a sum of `factor` entries, is exact: int columns
+    are int64 while that stays below 2^63 and Python ints (object) beyond,
+    where numpy would wrap or turn [-1, 2**63] into float64."""
+    if isinstance(values, list):
+        if not all(isinstance(v, int) for v in values):
+            return np.array(values)
+        largest = max([1, *map(abs, values)])
+    else:
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            return values
+        largest = max(int(values.max(initial=1)), -int(values.min(initial=0)))
+    return np.asarray(values, dtype=np.int64 if largest * factor < _INT64_LIMIT else object)
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
@@ -97,7 +95,7 @@ class UfChain:
                     np.array(list(acc), dtype=np.int64).reshape(-1, degree + 1))
         keys = sorted(k for k, v in acc.items() if v != 0)
         self._assign(np.array(keys, dtype=np.int64).reshape(-1, degree + 1),
-                     _column([acc[k] for k in keys]))
+                     exact_column([acc[k] for k in keys]))
 
     def _assign(self, tuples: np.ndarray, values: np.ndarray):
         """Take coalesced arrays: lex-sorted rows without repeats, no zeros."""
@@ -111,7 +109,7 @@ class UfChain:
         """The chain sum_r values[r] * tuples[r]: repeated rows are summed in
         input order, zeros dropped."""
         tuples = _check_rows(window, degree, np.asarray(tuples, dtype=np.int64))
-        values = _exact(np.asarray(values), len(values))
+        values = exact_column(values, len(values))
         return _coalesced(window, degree, *coalesce(tuples, values))
 
     # -- basic structure ---------------------------------------------------
@@ -154,8 +152,9 @@ class UfChain:
         return self + other.scale(-1)
 
     def scale(self, z) -> "UfChain":
-        exact = isinstance(z, (int, np.integer))
-        values = (_exact(self.values, abs(int(z))) if exact else self.values) * z
+        z = int(z) if isinstance(z, np.integer) else z
+        values = (exact_column(self.values, abs(z)) if isinstance(z, int)
+                  else self.values) * z
         keep = values != 0
         return _coalesced(self.window, self.degree, self.tuples[keep], values[keep])
 
@@ -202,7 +201,7 @@ def boundary_arrays(window: Window, degree: int, tuples: np.ndarray,
     if degree == 0:
         raise DegreeError("ufchain.boundary: degree 0 chains have no boundary")
     S, m = tuples.shape
-    values = _exact(values, m * S)
+    values = exact_column(values, m * S)
     cols = np.arange(m)
     return coalesce(np.concatenate([tuples[:, cols != j] for j in range(m)]),
                     np.concatenate([values if j % 2 == 0 else -values

@@ -326,6 +326,28 @@ def test_pullback_values_raise_where_map_undefined(w):
         _scalar(cochain.pullback(f, cochain.Jump(0, 0)), w, tuple(rows[1].tolist()))
 
 
+def test_node_values_never_wrap(w):
+    # int64 values that a sum, a scaling or a coboundary could push to 2^63
+    # are taken in Python ints, as the scalar definitions take them
+    p, r, s = (int(x) for x in w.safe_points[:3])
+    huge = cochain.Table(0, {(p,): 2 ** 62, (r,): -2 ** 62, (s,): 2 ** 30})
+    edges = cochain.Table(1, {(p, r): 2 ** 62, (r, p): -2 ** 62, (s, s): 3})
+    nodes = [cochain.Scale(2 ** 40, huge), cochain.Scale(-2, huge),
+             cochain.Sum(huge, huge), cochain.Sum(edges, cochain.Scale(3, edges)),
+             cochain.coboundary(huge), cochain.coboundary(huge, "from1"),
+             cochain.coboundary(edges), cochain.Scale(5, cochain.coboundary(edges))]
+    for phi in nodes:
+        rows = np.array(list(itertools.product((p, r, s), repeat=phi.degree + 1)),
+                        dtype=np.int64)
+        expected = [_scalar(phi, w, tuple(t)) for t in rows.tolist()]
+        assert phi.values(w, rows).tolist() == expected, phi
+    assert cochain.evaluate(cochain.Scale(2 ** 40, huge), w, (s,)) == 2 ** 70
+    assert cochain.evaluate(cochain.Sum(huge, huge), w, (p,)) == 2 ** 63
+    assert cochain.evaluate(cochain.coboundary(huge), w, (r, p)) == 2 ** 63
+    c = ufchain.UfChain(w, 1, {(r, p): 3, (s, p): 1})
+    assert cochain.pair(cochain.coboundary(huge), c) == 3 * 2 ** 63 + 2 ** 62 - 2 ** 30
+
+
 def _support_brute_force(phi, w, Rmax):
     safe = [int(p) for p in w.safe_points]
     limit = w.W - w.margin

@@ -147,6 +147,18 @@ def test_point_validation(w):
         ufchain.UfChain(w, 1, {(0, 1, 2): 1})
 
 
+def test_random_chain_same_with_warm_ball_cache():
+    # the second draw reads the anchors' balls from the window's memo; the
+    # chain must equal a draw on a fresh window
+    cold = spaces.make_window("zd", 8, 2, dim=2)
+    first = ufchain.random_chain(cold, 2, n_terms=20, max_len=3, seed=9, coeff="int")
+    warm = ufchain.random_chain(cold, 2, n_terms=20, max_len=3, seed=9, coeff="int")
+    fresh = ufchain.random_chain(spaces.make_window("zd", 8, 2, dim=2), 2,
+                                 n_terms=20, max_len=3, seed=9, coeff="int")
+    assert len(cold.derived(("ball", 3), dict)) > 0
+    assert dict(first.terms()) == dict(warm.terms()) == dict(fresh.terms())
+
+
 def test_json_roundtrip(w):
     c = ufchain.random_chain(w, 1, n_terms=7, max_len=4, seed=13)
     d = ufchain.to_json_dict(c)
@@ -163,15 +175,36 @@ def test_array_roundtrip(w):
     assert dict(c.terms()) == dict(c2.terms())
 
 
+def _face_sum(c):
+    """The boundary as a dict face-sum loop over the chain's terms."""
+    out = {}
+    for tup, val in c.terms():
+        for j in range(len(tup)):
+            face = tup[:j] + tup[j + 1:]
+            out[face] = out.get(face, 0) + (-val if j % 2 else val)
+    return {t: v for t, v in out.items() if v != 0}
+
+
 def test_boundary_arrays_matches_dict_path(w):
-    c = ufchain.random_chain(w, 2, n_terms=12, max_len=5, seed=21)
-    tuples, values = c.arrays()
-    bt, bv = ufchain.boundary_arrays(w, 2, tuples, values)
-    expected = dict(ufchain.boundary(c).terms())
-    got = {tuple(int(x) for x in row): v for row, v in zip(bt, bv)}
-    assert set(got) == set(expected)
-    for k, v in got.items():
-        assert v == pytest.approx(complex(expected[k]))
+    # boundary_arrays against the face-sum loop it replaced: exact on int
+    # chains, to rounding on complex ones (rows are summed in another order)
+    w2 = spaces.make_window("zd", 10, 3, dim=2)
+    for win, seed in ((w, 21), (w2, 22)):
+        for q in (1, 2, 3):
+            for coeff in ("int", "complex"):
+                c = ufchain.random_chain(win, q, n_terms=12, max_len=3, seed=seed,
+                                         coeff=coeff)
+                bt, bv = ufchain.boundary_arrays(win, q, *c.arrays())
+                got = dict(zip(map(tuple, bt.tolist()), bv.tolist()))
+                expected = _face_sum(c)
+                assert dict(ufchain.boundary(c).terms()) == got
+                if coeff == "int":
+                    assert got == expected
+                    assert all(type(v) is int for v in got.values())
+                else:
+                    assert set(got) <= set(expected)
+                    for k, v in expected.items():
+                        assert got.get(k, 0) == pytest.approx(v, abs=1e-12)
 
 
 def test_int64_coefficients_never_wrap(w):
@@ -189,6 +222,12 @@ def test_int64_coefficients_never_wrap(w):
     assert (half + half).coefficient((p,)) == 2 ** 63
     edges = ufchain.UfChain(w, 1, {(p, p + 1): 2 ** 62, (p + 2, p + 1): 2 ** 62})
     assert ufchain.boundary(edges).coefficient((p + 1,)) == 2 ** 63
+    mixed = ufchain.UfChain(w, 0, {(p,): -1, (p + 1,): 2 ** 63})
+    assert mixed.values.tolist() == [-1, 2 ** 63]
+    assert ufchain.exact_column([-1, 2 ** 63]).dtype == object
+    assert ufchain.exact_column(np.array([2 ** 62]), 2).tolist() == [2 ** 62]
+    assert ufchain.exact_column(np.array([2 ** 62]), 2).dtype == object
+    assert ufchain.exact_column([3, -4], 2).dtype == np.int64
 
 
 def test_chain_arrays_and_support_are_read_only(w):
