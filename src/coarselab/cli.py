@@ -4,7 +4,13 @@ Subcommands: space gen; op gen|mu-profile|verify-product|verify-power|neumann;
 chain gen|norm; cochain pair|sweep; fill run|verify-estimate; chi;
 chain-map-check; demo winding|degree0|tree; suite run.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage/precondition error.
+Each handler loads its inputs, calls the library and prints one JSON line
+through the encoder `suite.plain` (dataclass reports print whole, complex
+numbers as {"re", "im"}).  Chain, operator and tensor files embed their
+window descriptor; --window overrides it.
+
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage/precondition error
+(including input files that are not JSON or lack a required field).
 CSV files open with a versioned schema comment line followed by the header
 row.
 """
@@ -33,18 +39,40 @@ def write_csv(path: str, kind: str, header, rows):
             writer.writerow(row)
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _emit(blob, passed=True) -> int:
+    print(json.dumps(suite.plain(blob)))
+    return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 
-def _window_from_args(args, embedded: dict | None = None) -> spaces.Window:
+def _read(path: str, build):
+    """build(d) for the JSON object d in the file at path; a file that is not
+    a JSON object or lacks a field build needs is a precondition error."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise TypeError("not a JSON object")
+        return build(d)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise PreconditionError(
+            f"cli: malformed input file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _window(args, embedded: dict | None = None) -> spaces.Window:
     if getattr(args, "window", None):
-        return spaces.window_from_descriptor(_load_json(args.window))
+        return _read(args.window, spaces.window_from_descriptor)
     if embedded is not None and "window" in embedded:
         return spaces.window_from_descriptor(embedded["window"])
     raise PreconditionError("cli: no window given (pass --window w.json or use "
                             "a file that embeds its window descriptor)")
+
+
+def _load(path: str, args, from_json):
+    """(object, window) for a chain, operator or tensor file."""
+    def build(d):
+        w = _window(args, d)
+        return from_json(d, w), w
+    return _read(path, build)
 
 
 def _parse_cochain(spec: str, window: spaces.Window) -> cochain.CoarseCochain:
@@ -59,10 +87,9 @@ def _parse_cochain(spec: str, window: spaces.Window) -> cochain.CoarseCochain:
     if parts[0] == "point":
         return cochain.Indicator(points=[window.index_of((int(parts[1]),))])
     if parts[0] == "tablefile":
-        d = _load_json(parts[1])
-        return cochain.Table(d["degree"],
-                             {tuple(t["tuple"]): complex(t["re"], t.get("im", 0))
-                              for t in d["terms"]})
+        return _read(parts[1], lambda d: cochain.Table(
+            d["degree"], {tuple(t["tuple"]): complex(t["re"], t.get("im", 0))
+                          for t in d["terms"]}))
     raise PreconditionError(f"cli: unknown cochain spec {spec!r} "
                             "(use jump:axis:thr, range:a:b, point:x, "
                             "tablefile:path)")
@@ -75,9 +102,14 @@ def _parse_projection(spec: str, window: spaces.Window) -> opalg.BandedOperator:
     if parts[0] == "site":
         return opalg.site_projection(window, window.index_of((int(parts[1]),)))
     if parts[0] == "opfile":
-        return opalg.from_json_dict(_load_json(parts[1]), window)
+        return _read(parts[1], lambda d: opalg.from_json_dict(d, window))
     raise PreconditionError(f"cli: unknown projection spec {spec!r} "
                             "(use even, site:x, opfile:path)")
+
+
+def _safe_radius(args, w: spaces.Window) -> int:
+    # default: every point of every tuple margin-safe
+    return w.margin + args.max_len if args.safe_radius is None else args.safe_radius
 
 
 # -- subcommand handlers -------------------------------------------------------------
@@ -89,44 +121,36 @@ def cmd_space_gen(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(desc, fh, indent=1)
-    print(json.dumps({"window": desc, "points": w.n_points,
-                      "safe_points": int(len(w.safe_points))}))
-    return EXIT_PASS
+    return _emit({"window": desc, "points": w.n_points,
+                  "safe_points": len(w.safe_points)})
 
 
 def cmd_op_gen(args) -> int:
-    w = _window_from_args(args)
-    A = opalg.random_banded(w, args.seed, args.prop, decay=args.decay,
+    A = opalg.random_banded(_window(args), args.seed, args.prop, decay=args.decay,
                             fiber=args.fiber, density=args.density)
     opalg.save_operator(A, args.out)
-    print(json.dumps({"nnz": int(A.mat.nnz), "propagation": A.propagation,
-                      "out": args.out}))
-    return EXIT_PASS
+    return _emit({"nnz": A.mat.nnz, "propagation": A.propagation,
+                  "out": args.out})
 
 
 def cmd_op_mu_profile(args) -> int:
-    d = _load_json(args.op)
-    w = _window_from_args(args, d)
-    A = opalg.from_json_dict(d, w)
+    A, _ = _load(args.op, args, opalg.from_json_dict)
     prof = opalg.mu_profile(A, args.rmax)
-    rows = [(r["R"], r["mu_lower"], r["mu_upper"]) for r in prof.table()]
     if args.csv:
-        write_csv(args.csv, "mu_profile", ["R", "mu_lower", "mu_upper"], rows)
-    print(json.dumps({"op_norm": prof.op, "profile": prof.table(),
-                      "probe_svds": prof.probe_svds,
-                      "probe_skips": prof.probe_skips}))
-    return EXIT_PASS
+        write_csv(args.csv, "mu_profile", ["R", "mu_lower", "mu_upper"],
+                  [(r["R"], r["mu_lower"], r["mu_upper"]) for r in prof.table()])
+    return _emit({"op_norm": prof.op, "profile": prof.table(),
+                  "probe_svds": prof.probe_svds,
+                  "probe_skips": prof.probe_skips})
 
 
 def cmd_op_verify_product(args) -> int:
     if args.op and args.op2:
-        d1, d2 = _load_json(args.op), _load_json(args.op2)
-        w = _window_from_args(args, d1)
-        tables = [opalg.check_product_estimate(opalg.from_json_dict(d1, w),
-                                               opalg.from_json_dict(d2, w),
-                                               args.rmax)]
+        A, w = _load(args.op, args, opalg.from_json_dict)
+        B = _read(args.op2, lambda d: opalg.from_json_dict(d, w))
+        tables = [opalg.check_product_estimate(A, B, args.rmax)]
     else:
-        w = _window_from_args(args)
+        w = _window(args)
         tables = []
         for i in range(args.pairs):
             A = opalg.random_banded(w, (args.seed, i, 0), args.prop,
@@ -140,17 +164,15 @@ def cmd_op_verify_product(args) -> int:
                 for i, t in enumerate(tables) for r in t.rows]
         write_csv(args.csv, "product_estimate",
                   ["pair", "R", "lhs", "rhs", "ok"], rows)
-    print(json.dumps({"pairs": len(tables), "passed": ok}))
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _emit({"pairs": len(tables), "passed": ok}, ok)
 
 
 def cmd_op_verify_power(args) -> int:
-    d = _load_json(args.op) if args.op else None
-    w = _window_from_args(args, d)
-    if d:
-        A = opalg.from_json_dict(d, w)
+    if args.op:
+        A, _ = _load(args.op, args, opalg.from_json_dict)
     else:
-        A = opalg.random_banded(w, args.seed, args.prop, decay=args.decay)
+        A = opalg.random_banded(_window(args), args.seed, args.prop,
+                                decay=args.decay)
     nrm = opalg.op_norm(A)
     if nrm > 1:
         A = A.scale(0.95 / nrm)
@@ -162,62 +184,48 @@ def cmd_op_verify_power(args) -> int:
         rows = [r for r in tab.rows if r.n == n]
         by_n.append({"n": n, "passed": all(r.ok for r in rows),
                      "min_slack": min((r.rhs - r.lhs for r in rows), default=None)})
-    print(json.dumps({"rows": len(tab.rows), "passed": tab.passed,
-                      "by_n": by_n}))
-    return EXIT_PASS if tab.passed else EXIT_CHECK_FAILED
+    return _emit({"rows": len(tab.rows), "passed": tab.passed, "by_n": by_n},
+                 tab.passed)
 
 
 def cmd_op_neumann(args) -> int:
-    d = _load_json(args.op)
-    w = _window_from_args(args, d)
-    B = opalg.from_json_dict(d, w)
+    B, _ = _load(args.op, args, opalg.from_json_dict)
     _, rep = opalg.neumann_inverse(B, args.n, tol=args.tol)
-    print(json.dumps({"measured": rep.measured, "bound": rep.bound,
-                      "terms": rep.terms, "passed": rep.passed}))
-    return EXIT_PASS if rep.passed else EXIT_CHECK_FAILED
+    return _emit(rep, rep.passed)
 
 
 def cmd_chain_gen(args) -> int:
-    w = _window_from_args(args)
+    w = _window(args)
     c = ufchain.random_chain(w, args.degree, args.terms, args.max_len,
                              args.seed, coeff=args.coeff,
-                             safe_radius=args.safe_radius)
+                             safe_radius=_safe_radius(args, w))
     ufchain.save_chain(c, args.out)
-    print(json.dumps({"degree": c.degree, "terms": len(c),
-                      "propagation": c.propagation, "out": args.out}))
-    return EXIT_PASS
+    return _emit({"degree": c.degree, "terms": len(c),
+                  "propagation": c.propagation, "out": args.out})
 
 
 def cmd_chain_norm(args) -> int:
-    d = _load_json(args.chain)
-    w = _window_from_args(args, d)
-    c = ufchain.from_json_dict(d, w)
+    c, _ = _load(args.chain, args, ufchain.from_json_dict)
     out = {"norm_inf_n": ufchain.norm_inf_n(c, args.n),
            "graded_norm": ufchain.graded_norm(c, args.n)}
     if args.shell is not None:
         out["shell_norm"] = ufchain.shell_norm(c, args.shell)
-    print(json.dumps(out))
-    return EXIT_PASS
+    return _emit(out)
 
 
 def cmd_cochain_pair(args) -> int:
-    d = _load_json(args.chain)
-    w = _window_from_args(args, d)
-    c = ufchain.from_json_dict(d, w)
-    phi = _parse_cochain(args.cochain, w)
-    value = complex(cochain.pair(phi, c))
-    print(json.dumps({"re": value.real, "im": value.imag}))
-    return EXIT_PASS
+    c, w = _load(args.chain, args, ufchain.from_json_dict)
+    return _emit(complex(cochain.pair(_parse_cochain(args.cochain, w), c)))
 
 
 def cmd_cochain_sweep(args) -> int:
-    w = _window_from_args(args)
+    w = _window(args)
     phi = _parse_cochain(args.cochain, w)
+    safe_radius = _safe_radius(args, w)
 
     def sampler(s):
         return ufchain.random_chain(w, phi.degree, args.terms, args.max_len,
-                                    s, coeff="complex",
-                                    safe_radius=args.safe_radius)
+                                    s, coeff="complex", safe_radius=safe_radius)
 
     res = cochain.continuity_sweep(phi, sampler, args.n, args.trials,
                                    seed=args.seed)
@@ -226,39 +234,30 @@ def cmd_cochain_sweep(args) -> int:
                 for r in res.rows]
         write_csv(args.csv, "pairing_sweep",
                   ["trial", "pairing_re", "pairing_im", "norm", "ratio"], rows)
-    print(json.dumps({"max_ratio": res.max_ratio, "trials": args.trials,
-                      "trivial": res.trivial}))
-    return EXIT_PASS
+    return _emit({"max_ratio": res.max_ratio, "trials": args.trials,
+                  "trivial": res.trivial})
 
 
 def cmd_fill_run(args) -> int:
-    d = _load_json(args.chain)
-    w = _window_from_args(args, d)
-    c = ufchain.from_json_dict(d, w)
+    c, _ = _load(args.chain, args, ufchain.from_json_dict)
     filled = fill.fill_chain(c)
-    residual = ufchain.boundary(filled) - fill.fill_chain(ufchain.boundary(c)) \
-        if c.degree >= 1 else None
     out = {"simplices": len(filled), "sup_norm": filled.sup_norm()}
-    if residual is not None:
+    if c.degree >= 1:
+        residual = ufchain.boundary(filled) - fill.fill_chain(ufchain.boundary(c))
         out["chain_map_residual"] = residual.sup_norm()
-    print(json.dumps(out))
-    return EXIT_PASS
+    return _emit(out)
 
 
 def cmd_fill_verify_estimate(args) -> int:
-    d = _load_json(args.chain)
-    w = _window_from_args(args, d)
-    c = ufchain.from_json_dict(d, w)
+    c, _ = _load(args.chain, args, ufchain.from_json_dict)
     rep = fill.verify_crucial_estimate(c)
-    blob = rep.as_dict()
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(blob, fh, indent=1)
+            json.dump(suite.plain(rep), fh, indent=1)
     if args.csv:
         write_csv(args.csv, "fill_profile", ["R", "s_prime"],
                   sorted(rep.s_profile.items()))
-    print(json.dumps(blob))
-    return EXIT_PASS if rep.passed else EXIT_CHECK_FAILED
+    return _emit(rep, rep.passed)
 
 
 def _tensor_from_json(d: dict, w: spaces.Window) -> cyclic.CyclicTensor:
@@ -272,19 +271,15 @@ def _tensor_from_json(d: dict, w: spaces.Window) -> cyclic.CyclicTensor:
 
 def cmd_chi(args) -> int:
     if args.tensor:
-        d = _load_json(args.tensor)
-        w = _window_from_args(args, d)
-        t = _tensor_from_json(d, w)
+        t, _ = _load(args.tensor, args, _tensor_from_json)
     elif args.chern1 is not None:
-        w = _window_from_args(args)
-        t = cyclic.chern1(opalg.winding_unitary(w, args.chern1), 0)
+        t = cyclic.chern1(opalg.winding_unitary(_window(args), args.chern1), 0)
     else:
         raise PreconditionError("cli: chi needs --tensor t.json or --chern1 k")
     chain = cyclic.chi(t)
     ufchain.save_chain(chain, args.out)
-    print(json.dumps({"degree": chain.degree, "terms": len(chain),
-                      "tau_power": t.tau_power, "out": args.out}))
-    return EXIT_PASS
+    return _emit({"degree": chain.degree, "terms": len(chain),
+                  "tau_power": t.tau_power, "out": args.out})
 
 
 def cmd_chain_map_check(args) -> int:
@@ -297,50 +292,29 @@ def cmd_chain_map_check(args) -> int:
         return cyclic.chain_map_check(
             cyclic.CyclicTensor(args.degree, [(1.0, ops)]))
 
-    residuals = [one(i) for i in range(args.trials)]
-    worst = max(residuals) if residuals else 0.0
+    worst = max((one(i) for i in range(args.trials)), default=0.0)
     ok = worst < 1e-9
-    print(json.dumps({"trials": args.trials, "max_residual": worst,
-                      "passed": ok}))
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _emit({"trials": args.trials, "max_residual": worst, "passed": ok}, ok)
 
 
 def cmd_demo_winding(args) -> int:
-    rep = suite.demo_winding(args.k, args.W, args.margin)
-    ratio = None if rep.ratio is None else {"re": rep.ratio.real,
-                                            "im": rep.ratio.imag}
-    print(json.dumps({"k": rep.k,
-                      "pairing_raw": {"re": rep.pairing_raw.real,
-                                      "im": rep.pairing_raw.imag},
-                      "pairing_stripped": {"re": rep.pairing_stripped.real,
-                                           "im": rep.pairing_stripped.imag},
-                      "oracle_index": rep.oracle_index, "ratio": ratio}))
-    return EXIT_PASS
+    return _emit(suite.demo_winding(args.k, args.W, args.margin))
 
 
 def cmd_demo_degree0(args) -> int:
-    w = _window_from_args(args) if args.window else \
-        spaces.make_window("zd", 16, 4, dim=1)
+    w = _window(args) if args.window else spaces.make_window("zd", 16, 4, dim=1)
     e = _parse_projection(args.e, w)
     phi = _parse_cochain(args.phi, w)
-    value = suite.demo_degree0(w, e, phi)
-    print(json.dumps({"re": value.real, "im": value.imag}))
-    return EXIT_PASS
+    return _emit(suite.demo_degree0(w, e, phi))
 
 
 def cmd_demo_tree(args) -> int:
     rep = suite.demo_tree_fundamental_class(args.W)
-    print(json.dumps({"tree_exact": rep.tree_exact,
-                      "tree_max_coeff": rep.tree_max_coeff,
-                      "z_expected_fail": rep.z_expected_fail,
-                      "z_witness_coeff": rep.z_witness_coeff}))
-    return EXIT_PASS if rep.tree_exact and rep.z_expected_fail \
-        else EXIT_CHECK_FAILED
+    return _emit(rep, rep.tree_exact and rep.z_expected_fail)
 
 
 def cmd_suite_run(args) -> int:
-    config = _load_json(args.config) if args.config else None
-    report = suite.run_suite(config)
+    report = suite.run_suite()
     print(f"suite: {'PASS' if report.passed else 'FAIL'} "
           f"({report.wall_clock:.1f}s)")
     if args.json:
@@ -424,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-len", dest="max_len", type=int, default=4)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--coeff", choices=["int", "complex"], default="complex")
-    g.add_argument("--safe-radius", dest="safe_radius", type=int, default=None)
+    g.add_argument("--safe-radius", dest="safe_radius", type=int, default=None,
+                   help="anchor distance from the edge (default margin + max-len)")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_chain_gen)
     g = csub.add_parser("norm")
@@ -449,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=7)
     g.add_argument("--terms", type=int, default=40)
     g.add_argument("--max-len", dest="max_len", type=int, default=6)
-    g.add_argument("--safe-radius", dest="safe_radius", type=int, default=None)
+    g.add_argument("--safe-radius", dest="safe_radius", type=int, default=None,
+                   help="anchor distance from the edge (default margin + max-len)")
     g.add_argument("--csv")
     g.set_defaults(fn=cmd_cochain_sweep)
 
@@ -504,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("suite", help="acceptance suite")
     stsub = st.add_subparsers(dest="sub", required=True)
     g = stsub.add_parser("run")
-    g.add_argument("--config", help="JSON config overriding suite defaults")
     g.add_argument("--json", help="write the full report to this file")
     g.set_defaults(fn=cmd_suite_run)
 
@@ -516,10 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CoarselabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (CoarselabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

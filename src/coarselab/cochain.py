@@ -23,6 +23,7 @@ from .spaces import Window
 from .ufchain import UfChain, exact_column, norm_inf_n
 
 CONVENTIONS = ("full", "from1")
+FIT_RESIDUAL_MAX = 0.5     # rough_check: largest accepted log-log fit residual
 
 
 class CoarseCochain:
@@ -221,7 +222,7 @@ def support_check(phi: CoarseCochain, window: Window, Rmax: int) -> dict[int, Su
 # -- pairing ---------------------------------------------------------------------
 
 def pair_arrays(phi: CoarseCochain, window: Window, tuples: np.ndarray,
-                values: np.ndarray, check_margin: bool = True):
+                values: np.ndarray):
     """<phi, sum_r values[r] * tuples[r]>, for rows without repeats.
 
     Margin-safety is enforced for contributing rows (nonzero cochain value);
@@ -233,10 +234,9 @@ def pair_arrays(phi: CoarseCochain, window: Window, tuples: np.ndarray,
             f"{tuples.shape[1] - 1}")
     phis = phi.values(window, tuples)
     hit = phis != 0
-    if check_margin:
-        unsafe = np.flatnonzero(hit & ~window.safe_mask[tuples].all(axis=1))
-        if len(unsafe):
-            window.check_tuple_safe(tuples[unsafe[0]], "cochain.pair")
+    unsafe = np.flatnonzero(hit & ~window.safe_mask[tuples].all(axis=1))
+    if len(unsafe):
+        window.check_tuple_safe(tuples[unsafe[0]], "cochain.pair")
     phis, values = phis[hit], values[hit]
     if phis.dtype.kind in "iu":
         values = exact_column(values, len(values) * int(np.abs(phis).max(initial=1)))
@@ -244,10 +244,10 @@ def pair_arrays(phi: CoarseCochain, window: Window, tuples: np.ndarray,
     return total.item() if isinstance(total, np.generic) else total
 
 
-def pair(phi: CoarseCochain, c: UfChain, check_margin: bool = True):
+def pair(phi: CoarseCochain, c: UfChain):
     """<phi, c> = sum over the chain support of phi(tuple) * coefficient,
     enforcing margin-safety for contributing tuples (see pair_arrays)."""
-    return pair_arrays(phi, c.window, c.tuples, c.values, check_margin)
+    return pair_arrays(phi, c.window, c.tuples, c.values)
 
 
 # -- rough maps -------------------------------------------------------------------
@@ -326,14 +326,13 @@ def _fit_power(Rs, Ss):
     return ControlFit(C=C, N=float(N), residual=res)
 
 
-def rough_check(f: RoughMap, rmax: int | None = None,
-                residual_threshold: float = 0.5) -> RoughCheckReport:
+def rough_check(f: RoughMap, rmax: int | None = None) -> RoughCheckReport:
     """Forward/backward distance controls of a sampled map, over all pairs.
 
     Over every pair of points where the map is defined, S+(R) is the max
     image distance at source distance <= R and S-(R) the max source distance
     at image distance <= R, for R = 1..rmax; both are fitted to C * R^N.
-    The check fails when a fit residual exceeds the threshold or when the
+    The check fails when a fit residual exceeds FIT_RESIDUAL_MAX or when the
     backward control saturates at the window scale (far points collapsing to
     nearby images).
     """
@@ -358,9 +357,9 @@ def rough_check(f: RoughMap, rmax: int | None = None,
     if diam > 2 and s_minus[0] >= 0.5 * diam:
         warnings.append(
             "backward control saturates at the window scale: far points map close")
-    if fit_p.residual > residual_threshold:
+    if fit_p.residual > FIT_RESIDUAL_MAX:
         warnings.append(f"forward fit residual {fit_p.residual:.3f} above threshold")
-    if fit_m.residual > residual_threshold and not warnings:
+    if fit_m.residual > FIT_RESIDUAL_MAX and not warnings:
         warnings.append(f"backward fit residual {fit_m.residual:.3f} above threshold")
     return RoughCheckReport(fit_p, fit_m, passed=not warnings, warnings=warnings)
 

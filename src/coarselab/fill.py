@@ -296,11 +296,6 @@ class FillingReport:
     passed: bool
     chain_norm: float = 0.0
 
-    def as_dict(self):
-        return {"C": self.C, "N": self.N, "D": self.D, "M": self.M, "q": self.q,
-                "n": self.n, "lhs": self.lhs, "rhs": self.rhs,
-                "passed": self.passed, "chain_norm": self.chain_norm}
-
 
 def verify_crucial_estimate(c: UfChain, growth: GrowthFit | None = None,
                             profile: ControlFit | None = None) -> FillingReport:

@@ -489,14 +489,13 @@ class NeumannReport:
     passed: bool
 
 
-def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13,
-                    Rmax: int | None = None):
+def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
     """Geometric series for (id - B)^(-1) with the decay-norm bound report.
 
     Requires ||B||_op < 1 / (2^(n+1) * 5).  The report compares the certified
     lower decay norm of the truncated inverse against
     max(||inv||_op, 1 + ||B||_{mu,n} + ||B||_{mu,n} / (1 - ||B||_op)), with a
-    slack of tail * Rmax^n for the truncation.
+    slack of tail * Rmax^n for the truncation, Rmax the window's margin.
     """
     q = op_norm(B)
     thresh = 1.0 / (2 ** (n + 1) * 5)
@@ -504,8 +503,7 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13,
         raise PreconditionError(
             f"opalg.neumann_inverse: ||B||_op = {q:.6f} is not below "
             f"1/(2^{n + 1} * 5) = {thresh:.6f} required for n = {n}")
-    if Rmax is None:
-        Rmax = B.window.margin
+    Rmax = B.window.margin
     S = identity(B.window, B.fiber)
     P = identity(B.window, B.fiber)
     terms = 0
@@ -526,14 +524,14 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13,
     return S, report
 
 
-def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12,
-                       report_n: int = 2):
+def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12):
     """Apply f(A) = sum_{i>=1} a_i A^i for a power series with f(0) = 0.
 
     coeffs[i] is the coefficient of A^(i+1).  The convergence radius is
     certified by a root test on the trailing quarter of the supplied
     coefficients (heuristic, documented); truncation stops once the remaining
-    certified tail is below tol in operator norm.
+    certified tail is below tol in operator norm.  The report carries the
+    decay norm ||f(A)||_{mu,2}.
     """
     coeffs = list(coeffs)
     if not coeffs:
@@ -566,7 +564,7 @@ def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12,
         used = i + 1
     rmax = min(A.window.margin, max(1, used * max(A.propagation, 1)))
     report = {"terms_used": used, "tail_bound": max(remaining, 0.0),
-              "mu_norm": mu_norm(out, report_n, Rmax=rmax) if rmax >= 1 else None}
+              "mu_norm": mu_norm(out, 2, Rmax=rmax) if rmax >= 1 else None}
     return out, report
 
 

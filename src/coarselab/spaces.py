@@ -432,10 +432,6 @@ class GrowthFit:
     exponential_flag: bool
     volumes: np.ndarray = field(repr=False, default=None)
 
-    def as_dict(self):
-        return {"D": self.D, "M": self.M, "residual": self.residual,
-                "exponential_flag": self.exponential_flag}
-
 
 def fit_growth(w: Window) -> GrowthFit:
     """Fit the volume growth of balls around the base point.

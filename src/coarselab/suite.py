@@ -3,14 +3,15 @@
 Every check returns a CheckResult whose `details` carry the measured
 constants and residuals; a reported pass always corresponds to an inequality
 evaluated in the sound (certified-lower against certified-upper) direction or
-to an exact identity.
+to an exact identity.  The checks take no arguments: their sizes are fixed
+and their random streams all derive from SEED.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -18,30 +19,15 @@ import numpy as np
 from . import cochain, cyclic, fill, opalg, spaces, ufchain
 from .errors import CoarselabError, MarginError, PreconditionError
 
-DEFAULT_CONFIG = {
-    "seed": 7,
-    "boundary_instances": 500,
-    "adjointness_instances": 200,
-    "chain_map_trials": 200,
-    "cyclic_instances": 100,
-    "product_pairs": 100,
-    "power_ops": 50,
-    "neumann_ops": 50,
-    "fill_instances": 200,
-    "crucial_chains": 200,
-    "winding_W": 28,
-    "winding_margin": 20,
-    "heisenberg_W": 16,
-    "sweep_trials": 500,
-}
+SEED = 7
 
 
 @dataclass
 class CheckResult:
     name: str
     passed: bool
-    details: dict
     elapsed: float
+    details: dict
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -53,7 +39,6 @@ class CheckResult:
 @dataclass
 class RunReport:
     command: str
-    config: dict
     checks: list = field(default_factory=list)
     wall_clock: float = 0.0
 
@@ -62,19 +47,19 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self):
-        return {"command": self.command, "config": self.config,
-                "wall_clock": self.wall_clock,
-                "passed": self.passed,
-                "checks": [{"name": c.name, "passed": c.passed,
-                            "elapsed": c.elapsed, "details": _plain(c.details)}
-                           for c in self.checks]}
+        return {"command": self.command, "wall_clock": self.wall_clock,
+                "passed": self.passed, "checks": plain(self.checks)}
 
 
-def _plain(obj):
+def plain(obj):
+    """JSON-ready copy: dataclasses become dicts of their fields, complex
+    numbers {"re", "im"} pairs and numpy scalars Python scalars."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return [plain(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, complex):
@@ -84,10 +69,10 @@ def _plain(obj):
 
 def _timed(fn):
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper():
         t0 = time.perf_counter()
-        name, passed, details = fn(*args, **kwargs)
-        return CheckResult(name, passed, details, time.perf_counter() - t0)
+        name, passed, details = fn()
+        return CheckResult(name, passed, time.perf_counter() - t0, details)
     return wrapper
 
 
@@ -182,7 +167,7 @@ def demo_winding(k: int, W: int, margin: int) -> WindingReport:
     compare with the exact Toeplitz index of the half-window compression."""
     if margin < 4 * abs(k) + 4:
         raise MarginError(
-            f"cli.demo_winding: margin {margin} is below the required "
+            f"suite.demo_winding: margin {margin} is below the required "
             f"4|k| + 4 = {4 * abs(k) + 4}")
     w = spaces.make_window("zd", W, margin, dim=1)
     u = opalg.winding_unitary(w, k)
@@ -227,7 +212,7 @@ def demo_tree_fundamental_class(W: int) -> TreeDemoReport:
     boundary is exact and the coefficient is at least W.
     """
     if W < 4:
-        raise PreconditionError("cli.demo_tree: needs W >= 4")
+        raise PreconditionError("suite.demo_tree_fundamental_class: needs W >= 4")
     w = spaces.make_window("tree3", W, 1)
     flow_in = {0: Fraction(0)}
     terms = {}
@@ -279,10 +264,10 @@ def _mixed_windows():
 
 
 @_timed
-def check_boundary_identities(config) -> tuple:
-    rng = np.random.default_rng(config["seed"])
+def check_boundary_identities() -> tuple:
+    rng = np.random.default_rng(SEED)
     windows = _mixed_windows()
-    n = config["boundary_instances"]
+    n = 500
     chains_ok = True
     for q in (1, 2, 3):
         for i in range(n):
@@ -317,10 +302,10 @@ def check_boundary_identities(config) -> tuple:
 
 
 @_timed
-def check_pairing_adjointness(config) -> tuple:
-    rng = np.random.default_rng(config["seed"] + 1)
+def check_pairing_adjointness() -> tuple:
+    rng = np.random.default_rng(SEED + 1)
     windows = _mixed_windows()
-    n = config["adjointness_instances"]
+    n = 200
     adj_ok = True
     descent_ok = True
     for i in range(n):
@@ -355,16 +340,15 @@ def check_pairing_adjointness(config) -> tuple:
 
 
 @_timed
-def check_chain_map(config) -> tuple:
-    trials = config["chain_map_trials"]
-    seed = config["seed"] + 2
+def check_chain_map() -> tuple:
+    seed = SEED + 2
     worst = 0.0
     windows = [spaces.make_window("zd", 32, 12, dim=1),
                spaces.make_window("zd", 32, 12, dim=2)]
     count = 0
     for w in windows:
         for degree in (1, 2):
-            for i in range(trials):
+            for _ in range(200):
                 ops = tuple(
                     opalg.random_banded(w, (seed, count, j), prop=2,
                                         decay=0.7, density=0.3)
@@ -377,15 +361,13 @@ def check_chain_map(config) -> tuple:
 
 
 @_timed
-def check_cyclic_invariance(config) -> tuple:
-    n_inst = config["cyclic_instances"]
-    seed = config["seed"] + 3
+def check_cyclic_invariance() -> tuple:
+    seed = SEED + 3
     w = spaces.make_window("zd", 32, 12, dim=1)
     wsmall = spaces.make_window("zd", 12, 8, dim=1)
     exact = True
     tested = 0
-    for degree, window, count in ((1, w, n_inst), (2, w, n_inst),
-                                  (3, wsmall, max(10, n_inst // 5))):
+    for degree, window, count in ((1, w, 100), (2, w, 100), (3, wsmall, 20)):
         for i in range(count):
             ops = tuple(opalg.random_banded(window, (seed, degree, i, j),
                                             prop=2, density=0.4, integer=True)
@@ -401,9 +383,9 @@ def check_cyclic_invariance(config) -> tuple:
 
 
 @_timed
-def check_product_estimate(config) -> tuple:
-    pairs = config["product_pairs"]
-    seed = config["seed"] + 4
+def check_product_estimate() -> tuple:
+    pairs = 100
+    seed = SEED + 4
     w = spaces.make_window("zd", 32, 16, dim=1)
     all_ok = True
     worst_gap = np.inf
@@ -421,9 +403,9 @@ def check_product_estimate(config) -> tuple:
 
 
 @_timed
-def check_power_estimate(config) -> tuple:
-    n_ops = config["power_ops"]
-    seed = config["seed"] + 5
+def check_power_estimate() -> tuple:
+    n_ops = 50
+    seed = SEED + 5
     w = spaces.make_window("zd", 32, 16, dim=1)
     all_ok = True
     ratio = 0.0
@@ -439,9 +421,9 @@ def check_power_estimate(config) -> tuple:
 
 
 @_timed
-def check_neumann(config) -> tuple:
-    n_ops = config["neumann_ops"]
-    seed = config["seed"] + 6
+def check_neumann() -> tuple:
+    n_ops = 50
+    seed = SEED + 6
     w = spaces.make_window("zd", 32, 16, dim=1)
     all_ok = True
     worst = 0.0
@@ -462,10 +444,9 @@ def check_neumann(config) -> tuple:
 
 
 @_timed
-def check_fill_chain_map(config) -> tuple:
-    n_inst = config["fill_instances"]
-    seed = config["seed"] + 7
-    rng = np.random.default_rng(seed)
+def check_fill_chain_map() -> tuple:
+    n_inst = 200
+    rng = np.random.default_rng(SEED + 7)
     w1 = spaces.make_window("zd", 20, 4, dim=1)
     w2 = spaces.make_window("zd", 14, 4, dim=2)
     chain_ok = True
@@ -517,10 +498,9 @@ def _random_unit_chain(w, q, rng):
 
 
 @_timed
-def check_crucial_estimate(config) -> tuple:
-    n_chains = config["crucial_chains"]
-    seed = config["seed"] + 8
-    rng = np.random.default_rng(seed)
+def check_crucial_estimate() -> tuple:
+    n_chains = 200
+    rng = np.random.default_rng(SEED + 8)
     w = spaces.make_window("zd", 24, 4, dim=2)
     growth = spaces.fit_growth(w)
     profiles = {q: fill.contractibility_profile(w, q, rmax=8) for q in (1, 2)}
@@ -544,10 +524,8 @@ def check_crucial_estimate(config) -> tuple:
 
 
 @_timed
-def check_winding(config) -> tuple:
-    W = config["winding_W"]
-    margin = config["winding_margin"]
-    reports = [demo_winding(k, W, margin) for k in (1, 2, 3, 4)]
+def check_winding() -> tuple:
+    reports = [demo_winding(k, 28, 20) for k in (1, 2, 3, 4)]
     ratios = [r.ratio for r in reports]
     spread = max(abs(r - ratios[0]) for r in ratios)
     k1 = reports[0]
@@ -560,10 +538,10 @@ def check_winding(config) -> tuple:
 
 
 @_timed
-def check_growth_fits(config) -> tuple:
+def check_growth_fits() -> tuple:
     w1 = spaces.make_window("zd", 16, 0, dim=1)
     w2 = spaces.make_window("zd", 16, 0, dim=2)
-    wh = spaces.make_window("heisenberg3", config["heisenberg_W"], 0)
+    wh = spaces.make_window("heisenberg3", 16, 0)
     wt = spaces.make_window("tree3", 7, 0)
     f1 = spaces.fit_growth(w1)
     f2 = spaces.fit_growth(w2)
@@ -578,9 +556,7 @@ def check_growth_fits(config) -> tuple:
 
 
 @_timed
-def check_continuity_trend(config) -> tuple:
-    trials = config["sweep_trials"]
-    seed = config["seed"] + 9
+def check_continuity_trend() -> tuple:
     phi = cochain.Jump(0, 0)
     maxima = {}
     for W in (16, 24, 32):
@@ -590,8 +566,8 @@ def check_continuity_trend(config) -> tuple:
             return ufchain.random_chain(_w, 1, n_terms=40, max_len=6, seed=s,
                                         coeff="complex", safe_radius=7)
 
-        res = cochain.continuity_sweep(phi, sampler, n=3, trials=trials,
-                                       seed=seed)
+        res = cochain.continuity_sweep(phi, sampler, n=3, trials=500,
+                                       seed=SEED + 9)
         maxima[W] = res.max_ratio
     # no growth with W: every window's ratio stays within 1.2x the smallest
     # window's (the ratio falls as W grows, as the uniform bound predicts)
@@ -617,28 +593,20 @@ ALL_CHECKS = [
 ]
 
 
-def run_suite(config: dict | None = None, echo=print) -> RunReport:
-    """Run every acceptance check with seeds from the config."""
-    cfg = dict(DEFAULT_CONFIG)
-    if config:
-        unknown = set(config) - set(cfg)
-        if unknown:
-            raise PreconditionError(
-                f"cli.run_suite: unknown config keys {sorted(unknown)}")
-        cfg.update(config)
-    report = RunReport(command="suite run", config=cfg)
+def run_suite() -> RunReport:
+    """Run every acceptance check, printing one line per check."""
+    report = RunReport(command="suite run")
     t0 = time.perf_counter()
     for chk in ALL_CHECKS:
         t1 = time.perf_counter()
         try:
-            result = chk(cfg)
+            result = chk()
         except CoarselabError as exc:
             # precondition violations surface as clean per-check failures
             name = chk.__name__.removeprefix("check_")
-            result = CheckResult(name, False, {"error": str(exc)},
-                                 time.perf_counter() - t1)
+            result = CheckResult(name, False, time.perf_counter() - t1,
+                                 {"error": str(exc)})
         report.checks.append(result)
-        if echo:
-            echo(result.line())
+        print(result.line())
     report.wall_clock = time.perf_counter() - t0
     return report

@@ -239,8 +239,13 @@ def shell_norm(c: UfChain, R: int) -> float:
 
 def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
                  seed, coeff: str = "complex", safe_radius: int | None = None) -> UfChain:
-    """Seeded random chain with margin-safe support and bounded tuple length.
+    """Seeded random chain of tuples drawn around margin-safe anchors.
 
+    Each term picks an anchor at distance <= W - safe_radius from the base
+    (safe_radius defaults to the margin, so only the anchor is sure to be
+    margin-safe) and draws its degree + 1 points from the ball of radius
+    max_len around it.  The whole support is margin-safe when safe_radius >=
+    margin + max_len.
     coeff: 'complex' (unit-disk complex floats), 'int' (nonzero in [-5, 5]),
     used by the exact combinatorial tests.
     """

@@ -1,11 +1,15 @@
-"""Command-line surface: pipelines, determinism, exit codes."""
+"""Command-line surface: pipelines, determinism, exit codes, pinned output."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coarselab import cli, opalg, spaces
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -33,6 +37,10 @@ def test_chain_pipeline(tmp_path, capsys):
                 "--terms", "6", "--max-len", "3", "--seed", "5",
                 "--out", str(c)]) == 0
     capsys.readouterr()
+    # the default safe radius, margin + max-len, keeps every point safe
+    window = spaces.window_from_descriptor(json.loads(w.read_text()))
+    points = [p for t in json.loads(c.read_text())["terms"] for p in t["tuple"]]
+    assert window.safe_mask[points].all()
     assert run(["chain", "norm", "--chain", str(c), "--n", "2",
                 "--shell", "3"]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -163,14 +171,116 @@ def test_usage_errors(tmp_path, capsys):
     # margin precondition surfaces as usage error with the module named
     assert run(["demo", "winding", "--k", "4", "--W", "12",
                 "--margin", "4"]) == 2
-    err = capsys.readouterr().err
-    assert "demo_winding" in err
+    assert "error: suite.demo_winding: " in capsys.readouterr().err
+    assert run(["demo", "tree", "--W", "3"]) == 2
+    assert "error: suite.demo_tree_fundamental_class: " in capsys.readouterr().err
 
 
-def test_suite_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"not_a_key": 1}))
-    assert run(["suite", "run", "--config", str(cfg)]) == 2
+_WINDOW = {"kind": "zd", "W": 8, "margin": 2, "metric": "l1", "dim": 1}
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("{not json", ["chain", "norm", "--chain", "in.json"]),
+    (json.dumps({"degree": 1, "window": _WINDOW}),
+     ["chain", "norm", "--chain", "in.json"]),
+    (json.dumps({"fiber": 1, "window": _WINDOW}),
+     ["op", "mu-profile", "--op", "in.json", "--rmax", "2"]),
+    (json.dumps({"W": 8, "margin": 2}),
+     ["chain", "gen", "--window", "in.json", "--degree", "1", "--out", "c.json"]),
+], ids=["not-json", "chain-without-terms", "operator-without-entries",
+        "window-without-kind"])
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(text)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cli: malformed input file")
+
+
+def _walkthrough():
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```console\n", 1)[1].split("```", 1)[0]
+    cmds = [c.strip() for line in block.splitlines() for c in line.split(";")]
+    return [shlex.split(c)[1:] for c in cmds if c.startswith("coarselab ")]
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    # every README command but `suite run` (tests/test_acceptance.py runs
+    # those checks), in order, in one directory
+    monkeypatch.chdir(tmp_path)
+    cmds = [argv for argv in _walkthrough() if argv[:2] != ["suite", "run"]]
+    assert len(cmds) == 13
+    for argv in cmds:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def _out(argv, capsys):
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_pinned_json_output(tmp_path, capsys):
+    # bytes the command printed before its output went through suite.plain
+    assert _out(["demo", "winding", "--k", "3"], capsys) == (
+        '{"k": 3, "pairing_raw": {"re": 0.0, "im": -18.84955592153876}, '
+        '"pairing_stripped": {"re": -3.0, "im": -0.0}, "oracle_index": -3, '
+        '"ratio": {"re": 1.0, "im": 0.0}}\n')
+    assert _out(["demo", "tree", "--W", "5"], capsys) == (
+        '{"tree_exact": true, "tree_max_coeff": 0.9583333333333334, '
+        '"z_expected_fail": true, "z_witness_coeff": 9.0}\n')
+    assert _out(["demo", "degree0"], capsys) == '{"re": 5.0, "im": 0.0}\n'
+    w = spaces.make_window("zd", 8, 2, dim=1)
+    ids = [w.index_of((x,)) for x in (-2, -1, 0, 1, 2)]
+    chain = tmp_path / "c.json"
+    chain.write_text(json.dumps({"degree": 1, "window": w.descriptor(), "terms": [
+        {"tuple": [ids[0], ids[2]], "re": 1.5, "im": -2.0},
+        {"tuple": [ids[1], ids[3]], "re": -0.25},
+        {"tuple": [ids[2], ids[4]], "re": 3.0, "im": 0.5},
+        {"tuple": [ids[4], ids[1]], "re": 2.0, "im": 1.0}]}))
+    assert _out(["cochain", "pair", "--cochain", "jump:0:0",
+                 "--chain", str(chain)], capsys) == '{"re": -0.75, "im": -3.0}\n'
+
+
+def test_neumann_prints_its_report(tmp_path, capsys):
+    # 0.01 on the diagonal, 0.02i on the superdiagonal of the 17-point line
+    w = spaces.make_window("zd", 8, 4, dim=1)
+    entries = []
+    for x in range(-8, 9):
+        p = w.index_of((x,))
+        entries.append({"row": p, "col": p, "block": [[[0.01, 0.0]]]})
+        if x < 8:
+            entries.append({"row": p, "col": w.index_of((x + 1,)),
+                            "block": [[[0.0, 0.02]]]})
+    op = tmp_path / "b.json"
+    op.write_text(json.dumps({"fiber": 1, "entries": entries,
+                              "window": w.descriptor()}))
+    blob = json.loads(_out(["op", "neumann", "--op", str(op), "--n", "1"], capsys))
+    assert set(blob) == {"measured", "bound", "op_inverse", "terms", "tail",
+                         "slack", "passed"}
+    assert {k: blob[k] for k in ("measured", "bound", "terms", "passed")} == {
+        "measured": 1.0305991516768098, "bound": 1.0607021657370026,
+        "terms": 8, "passed": True}
+
+
+def test_verify_estimate_prints_its_report(tmp_path, capsys):
+    w = spaces.make_window("zd", 12, 4, dim=2)
+    ids = {c: w.index_of(c) for c in [(0, 0), (2, 1), (1, -1), (-1, 2), (3, 0), (3, 3)]}
+    chain = tmp_path / "c.json"
+    chain.write_text(json.dumps({"degree": 1, "window": w.descriptor(), "terms": [
+        {"tuple": [ids[0, 0], ids[2, 1]], "re": 1.0},
+        {"tuple": [ids[1, -1], ids[-1, 2]], "re": 0.5, "im": -0.5},
+        {"tuple": [ids[3, 0], ids[3, 3]], "re": -2.0}]}))
+    out = tmp_path / "report.json"
+    blob = json.loads(_out(["fill", "verify-estimate", "--chain", str(chain),
+                            "--out", str(out)], capsys))
+    assert json.loads(out.read_text()) == blob
+    assert blob["s_profile"] == {"1": 1, "2": 2, "3": 3, "4": 4}
+    del blob["s_profile"]
+    assert blob == {"C": 1.0, "N": 1.0, "D": 5.0, "M": 1.881463494520229, "q": 1,
+                    "n": 5.762926989040459, "lhs": 2.0, "rhs": 17034741.91164582,
+                    "passed": True, "chain_norm": 7543.937899240651}
 
 
 def test_op_verify_power_reports_each_power(tmp_path, capsys):

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from coarselab import cochain, fill, opalg, spaces, suite
-from coarselab.errors import FillError, MarginError, PreconditionError
+from coarselab import cochain, cyclic, fill, opalg, spaces, suite, ufchain
+from coarselab.errors import FillError, MarginError
 
 
 def test_toeplitz_oracle_shift_blocks():
@@ -80,13 +80,12 @@ def test_demo_tree_z_witness_coefficient(W):
 
 
 def _unit_chain_supports():
-    # the rng stream of check_fill_chain_map at the suite seed
-    cfg = suite.DEFAULT_CONFIG
-    rng = np.random.default_rng(cfg["seed"] + 7)
+    # the rng stream of check_fill_chain_map's 200 instances
+    rng = np.random.default_rng(suite.SEED + 7)
     w1 = spaces.make_window("zd", 20, 4, dim=1)
     w2 = spaces.make_window("zd", 14, 4, dim=2)
     out = []
-    for i in range(cfg["fill_instances"]):
+    for i in range(200):
         w = (w1, w2)[i % 2]
         q = 1 + (i // 2) % 2
         rng.integers(2 ** 31)
@@ -113,30 +112,49 @@ def test_random_unit_chain_errors_propagate(monkeypatch):
         suite._random_unit_chain(w, 1, np.random.default_rng(0))
 
 
-def test_run_suite_surfaces_margin_errors_cleanly():
-    cfg = {"seed": 1, "boundary_instances": 2, "adjointness_instances": 2,
-           "chain_map_trials": 1, "cyclic_instances": 2, "product_pairs": 1,
-           "power_ops": 1, "neumann_ops": 1, "fill_instances": 2,
-           "crucial_chains": 2, "winding_W": 12, "winding_margin": 0,
-           "heisenberg_W": 8, "sweep_trials": 5}
-    report = suite.run_suite(cfg, echo=None)
+def test_run_suite_surfaces_margin_errors_cleanly(monkeypatch, capsys):
+    def refuse(k, W, margin):
+        raise MarginError("suite.demo_winding: margin refused")
+
+    monkeypatch.setattr(suite, "demo_winding", refuse)
+    monkeypatch.setattr(suite, "ALL_CHECKS",
+                        [suite.check_winding, suite.check_growth_fits])
+    report = suite.run_suite()
     assert not report.passed
     winding = next(c for c in report.checks if c.name == "winding")
     assert not winding.passed
     assert "margin" in winding.details["error"]
+    assert [c.passed for c in report.checks] == [False, True]
+    assert capsys.readouterr().out.splitlines()[0].startswith("[FAIL] winding")
     json.dumps(report.as_dict())  # serializable
 
 
-def test_run_suite_rejects_unknown_config():
-    with pytest.raises(PreconditionError):
-        suite.run_suite({"bogus": 1}, echo=None)
+def _chain_map_residuals():
+    # check_chain_map's first three tensors: 1-D window, degree 1
+    w = spaces.make_window("zd", 32, 12, dim=1)
+    out = []
+    for count in range(3):
+        ops = tuple(opalg.random_banded(w, (suite.SEED + 2, count, j), prop=2,
+                                        decay=0.7, density=0.3) for j in range(2))
+        out.append(cyclic.chain_map_check(cyclic.CyclicTensor(1, [(1.0, ops)])))
+    return out
+
+
+def _crucial_reports():
+    # check_crucial_estimate's first four chains, degrees 1 and 2
+    rng = np.random.default_rng(suite.SEED + 8)
+    w = spaces.make_window("zd", 24, 4, dim=2)
+    growth = spaces.fit_growth(w)
+    profiles = {q: fill.contractibility_profile(w, q, rmax=8) for q in (1, 2)}
+    out = []
+    for i in range(4):
+        q = 1 + i % 2
+        c = ufchain.random_chain(w, q, n_terms=5, max_len=4,
+                                 seed=int(rng.integers(2 ** 31)), safe_radius=9)
+        out.append(fill.verify_crucial_estimate(c, growth, profiles[q]))
+    return out
 
 
 def test_checks_deterministic_across_runs():
-    cfg = dict(suite.DEFAULT_CONFIG, chain_map_trials=3, crucial_chains=5)
-    a = suite.check_chain_map(cfg)
-    b = suite.check_chain_map(cfg)
-    assert a.details == b.details
-    a2 = suite.check_crucial_estimate(cfg)
-    b2 = suite.check_crucial_estimate(cfg)
-    assert a2.details == b2.details
+    assert _chain_map_residuals() == _chain_map_residuals()
+    assert _crucial_reports() == _crucial_reports()
