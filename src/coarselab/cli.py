@@ -107,6 +107,11 @@ def _parse_projection(spec: str, window: spaces.Window) -> opalg.BandedOperator:
                             "(use even, site:x, opfile:path)")
 
 
+def _rmax(args, w: spaces.Window) -> int:
+    # default: the window's margin, the largest radius a profile may read
+    return w.margin if args.rmax is None else args.rmax
+
+
 def _safe_radius(args, w: spaces.Window) -> int:
     # default: every point of every tuple margin-safe
     return w.margin + args.max_len if args.safe_radius is None else args.safe_radius
@@ -134,8 +139,8 @@ def cmd_op_gen(args) -> int:
 
 
 def cmd_op_mu_profile(args) -> int:
-    A, _ = _load(args.op, args, opalg.from_json_dict)
-    prof = opalg.mu_profile(A, args.rmax)
+    A, w = _load(args.op, args, opalg.from_json_dict)
+    prof = opalg.mu_profile(A, _rmax(args, w))
     if args.csv:
         write_csv(args.csv, "mu_profile", ["R", "mu_lower", "mu_upper"],
                   [(r["R"], r["mu_lower"], r["mu_upper"]) for r in prof.table()])
@@ -148,7 +153,7 @@ def cmd_op_verify_product(args) -> int:
     if args.op and args.op2:
         A, w = _load(args.op, args, opalg.from_json_dict)
         B = _read(args.op2, lambda d: opalg.from_json_dict(d, w))
-        tables = [opalg.check_product_estimate(A, B, args.rmax)]
+        tables = [opalg.check_product_estimate(A, B, _rmax(args, w))]
     else:
         w = _window(args)
         tables = []
@@ -157,7 +162,7 @@ def cmd_op_verify_product(args) -> int:
                                     decay=args.decay)
             B = opalg.random_banded(w, (args.seed, i, 1), args.prop,
                                     decay=args.decay)
-            tables.append(opalg.check_product_estimate(A, B, args.rmax))
+            tables.append(opalg.check_product_estimate(A, B, _rmax(args, w)))
     ok = all(t.passed for t in tables)
     if args.csv:
         rows = [(i, r.R, r.lhs, r.rhs, r.ok)
@@ -178,7 +183,7 @@ def cmd_op_verify_power(args) -> int:
         A = A.scale(0.95 / nrm)
         print(f"note: operator normalized by 0.95/{nrm:.4f} to satisfy the "
               "norm precondition", file=sys.stderr)
-    tab = opalg.check_power_estimate(A, args.nmax, args.rmax)
+    tab = opalg.check_power_estimate(A, args.nmax, _rmax(args, A.window))
     by_n = []
     for n in range(1, args.nmax + 1):
         rows = [r for r in tab.rows if r.n == n]
@@ -359,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = osub.add_parser("mu-profile")
     add_window(g)
     g.add_argument("--op", required=True)
-    g.add_argument("--rmax", type=int, default=16)
+    g.add_argument("--rmax", type=int, default=None,
+                   help="largest radius (default: the window's margin)")
     g.add_argument("--csv")
     g.set_defaults(fn=cmd_op_mu_profile)
     g = osub.add_parser("verify-product")
@@ -370,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pairs", type=int, default=20)
     g.add_argument("--prop", type=int, default=3)
     g.add_argument("--decay", type=float, default=0.6)
-    g.add_argument("--rmax", type=int, default=16)
+    g.add_argument("--rmax", type=int, default=None,
+                   help="largest radius (default: the window's margin)")
     g.add_argument("--csv")
     g.set_defaults(fn=cmd_op_verify_product)
     g = osub.add_parser("verify-power")
@@ -380,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--prop", type=int, default=2)
     g.add_argument("--decay", type=float, default=0.5)
     g.add_argument("--nmax", type=int, default=4)
-    g.add_argument("--rmax", type=int, default=16)
+    g.add_argument("--rmax", type=int, default=None,
+                   help="largest radius (default: the window's margin)")
     g.set_defaults(fn=cmd_op_verify_power)
     g = osub.add_parser("neumann")
     add_window(g)

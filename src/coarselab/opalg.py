@@ -20,6 +20,15 @@ computable, so it is sandwiched:
   mu_upper(R)  min(op norm, running max over R' >= R of the norm of the
                off-band part at distance > R'): a certified dominating function.
 
+A profile (MuProfile) computes each of its parts on the first read and keeps
+it: the op norm, the off-band norms (upper) and the probes (lower), so a check
+pays only for the parts it reads; the product estimate, for one, reads the
+factors' upper profiles and the product's lower one.  Operators are treated as
+immutable: the entries' distances, the propagation and the SVD of the nonzero
+block are kept on the operator when first computed (op_norm and a profile's
+op share that SVD), and a profile keeps its operator and reads it when a part
+is first read.
+
 Norms.  A matrix has the singular values of its block on the nonzero rows and
 columns, which is small here (supports lie in the safe core).  When that block
 has at most DENSE_CUTOFF rows and columns, a norm is the LAPACK SVD of the
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,9 +62,13 @@ PROBE_SEED = 0x5EED
 
 
 class BandedOperator:
-    """Finite-propagation or decaying operator over a window."""
+    """Finite-propagation or decaying operator over a window.
 
-    __slots__ = ("window", "fiber", "mat", "_prop")
+    Operators are treated as immutable: the entries' distances, the
+    propagation and the SVD of the nonzero block are computed once and kept
+    on the operator, so its matrix must not change after they are read."""
+
+    __slots__ = ("window", "fiber", "mat", "_prop", "_dist", "_sigma")
 
     def __init__(self, window: Window, mat, fiber: int = 1):
         self.window = window
@@ -67,7 +81,7 @@ class BandedOperator:
             mat = sp.csr_matrix(mat, shape=(n, n), dtype=np.complex128)
         mat.eliminate_zeros()
         self.mat = mat
-        self._prop = None
+        self._prop = self._dist = self._sigma = None
 
     # -- structure ---------------------------------------------------------
 
@@ -76,20 +90,30 @@ class BandedOperator:
             raise WindowError("opalg: operators live on different windows "
                               "or have different fiber dimensions")
 
+    def _entry_points(self):
+        return _csr_rows(self.mat) // self.fiber, self.mat.indices // self.fiber
+
     def entry_point_pairs(self):
         """(rows, cols, dists) at point level for the stored entries, in CSR
-        order; stores the propagation if it is not yet known."""
-        r = _csr_rows(self.mat) // self.fiber
-        c = self.mat.indices // self.fiber
-        d = self.window.dist_many(r, c)
-        if self._prop is None:
-            self._prop = int(d.max(initial=0))
-        return r, c, d
+        order.  The distances are computed on the first call and kept,
+        read-only, with the propagation if it is not yet known."""
+        r, c = self._entry_points()
+        if self._dist is None:
+            d = self.window.dist_many(r, c)
+            d.flags.writeable = False
+            self._dist = d
+            if self._prop is None:
+                self._prop = int(d.max(initial=0))
+        return r, c, self._dist
 
     @property
     def propagation(self) -> int:
         if self._prop is None:
-            self.entry_point_pairs()
+            # the distances are not kept for this alone: most operators whose
+            # propagation is read (the character's products, for its margin
+            # check) never have them read, and they cost 8 bytes an entry
+            self._prop = int(self.window.dist_many(*self._entry_points())
+                             .max(initial=0))
         return self._prop
 
     def block(self, p: int, q: int) -> np.ndarray:
@@ -177,6 +201,14 @@ def _schur_cap(rows, cols, absval) -> float:
     return float(cap) * (1 + (len(absval) + 2) * EPS)
 
 
+def _block_sigma(A: BandedOperator, block) -> float:
+    """_dense_sigma of A's dense nonzero block, computed once per operator and
+    kept on it: op_norm and MuProfile.op share the one SVD."""
+    if A._sigma is None:
+        A._sigma = _dense_sigma(block)
+    return A._sigma
+
+
 def op_norm(A: BandedOperator) -> float:
     """Operator norm, a certified upper bound: the SVD of the nonzero block
     times its rounding margin when that block has at most DENSE_CUTOFF rows
@@ -185,37 +217,10 @@ def op_norm(A: BandedOperator) -> float:
     if sp.issparse(block):
         coo = block.tocoo()
         return _schur_cap(coo.row, coo.col, np.abs(coo.data))
-    return _dense_norm2(block)
+    return _block_sigma(A, block) * (1 + block.size * EPS)
 
 
 # -- dominating-function profiles ----------------------------------------------
-
-@dataclass
-class MuProfile:
-    """Certified sandwich mu_lower <= mu_true <= mu_upper on integer radii,
-    and the op norm from above (op) and from below (op_lower: the plain SVD
-    up to DENSE_CUTOFF, the largest column 2-norm above it)."""
-    Rmax: int
-    upper: np.ndarray
-    lower: np.ndarray
-    op: float
-    op_lower: float
-    probe_svds: int       # probe matrices (one per support and radius) SVD'd
-    probe_skips: int      # probe matrices whose SVD the Frobenius bound ruled out
-
-    def upper_at(self, x: float) -> float:
-        """Evaluate the upper profile at a real radius (floor: still certified)."""
-        if x < 0:
-            return self.op
-        r = int(np.floor(x))
-        if r > self.Rmax:
-            r = self.Rmax
-        return float(self.upper[r])
-
-    def table(self):
-        return [{"R": r, "mu_lower": float(self.lower[r]),
-                 "mu_upper": float(self.upper[r])} for r in range(self.Rmax + 1)]
-
 
 def offband(A: BandedOperator, R: int) -> BandedOperator:
     """Keep only entries at point distance > R."""
@@ -244,114 +249,187 @@ def _probe_subsets(window: Window):
     return window.derived("probe_subsets", draw)
 
 
-def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
-    """Compute the certified dominating-function sandwich out to radius Rmax."""
-    w = A.window
-    w.require_margin(Rmax, "opalg.mu_profile")
-    f = A.fiber
-    block, rows, cols = _compress(A.mat)
-    rpts, cpts = rows // f, cols // f
-    sparse = sp.issparse(block)
-    if f == 1 or sparse:
-        # point columns and distances of the stored entries, in CSR order;
-        # this also stores A.propagation
-        _, pcol, dist = A.entry_point_pairs()
-    radii = range(min(Rmax + 1, A.propagation))   # radii with entries beyond them
-    raw = np.zeros(Rmax + 1)
-    if not sparse:
-        d = w.dist_cross(rpts, cpts)
-        opA_lower = _dense_sigma(block)
-        opA = opA_lower * (1 + block.size * EPS)
-        for R in radii:     # one at a time: a stack of all radii would be large
-            raw[R] = _dense_norm2(np.where(d > R, block, 0))
-    else:
-        r, c = _csr_rows(A.mat), A.mat.indices
-        a = np.abs(A.mat.data)
-        opA_lower = float(np.sqrt(np.bincount(c, weights=a * a).max()))
-        opA = _schur_cap(r, c, a)
-        for R in radii:
-            keep = dist > R
-            raw[R] = _schur_cap(r[keep], c[keep], a[keep])
-    upper = np.minimum(opA, np.maximum.accumulate(raw[::-1])[::-1])
+class MuProfile:
+    """Certified sandwich mu_lower <= mu_true <= mu_upper on integer radii
+    0..Rmax, and the op norm from above (op) and from below (op_lower: the
+    plain SVD up to DENSE_CUTOFF, the largest column 2-norm above it).
 
-    # Probes: the plain SVD of the columns over a support L on the rows beyond
-    # R, a lower bound within rounding (k*eps relative) of the true value.
-    # Masses are taken of the entries scaled by 2^s, which puts the largest
-    # real or imaginary part in [1/2, 1): no square over- or underflows at the
-    # ends of the float range (see _probe_skips), and the scaling is exact.
-    vals = block.data if sparse else block
-    s = -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
-                          np.abs(vals.imag).max(initial=0.0)))[1])
-    lower = np.zeros(Rmax + 1)
-    if f == 1:
-        # singletons: column mass beyond each radius
-        absdata2 = np.ldexp(np.abs(A.mat.data), s) ** 2
-        for R in radii:
-            m = dist > R
-            mass = np.bincount(pcol[m], weights=absdata2[m],
-                               minlength=w.n_points)
-            lower[R] = np.ldexp(np.sqrt(mass.max()), -s)
-    # Every probe's (probe, row) pairs -- its rows are those with a nonzero in
-    # its columns -- with the row's mass there and distance to the support,
-    # probe by probe, rows ascending.
-    sq = np.ldexp(vals.real, s) ** 2 + np.ldexp(vals.imag, s) ** 2
-    dist_to, member = _probe_table(w)
-    colmask = member[:, cpts]               # subset x block column
-    cm = colmask.T.astype(np.float64)
-    if sparse:
-        er, ec, sq_e = _csr_rows(block), block.indices, sq
-        sq = sp.csr_matrix((sq, block.indices, block.indptr), shape=block.shape)
-        block = block.tocsc()
-    hit = ((block != 0) @ cm).T > 0
-    pj, pr = np.nonzero(hit)
-    pmass = (sq @ cm)[pr, pj]
-    pdist = dist_to[rpts[pr], pj]
-    width = colmask.sum(axis=1)             # each probe matrix's k
-    n_single = 0
-    if f > 1:
-        # singleton block columns are probes too, ahead of the subsets; their
-        # pairs come from the entries, each entry in one of them
-        ucpts, inv = np.unique(cpts, return_inverse=True)
-        if not sparse:
-            er, ec = np.nonzero(block)
-            sq_e = sq[er, ec]
-        keys, pair = np.unique(inv[ec] * len(rows) + er, return_inverse=True)
-        sj, sr = np.divmod(keys, len(rows))
-        pj = np.concatenate([sj, pj + len(ucpts)])
-        pr = np.concatenate([sr, pr])
-        pmass = np.concatenate([np.bincount(pair, weights=sq_e), pmass])
-        pdist = np.concatenate([w.dist_many(rpts[sr], ucpts[sj]), pdist])
-        width = np.concatenate([np.bincount(inv), width])
-        n_single = len(ucpts)
-    n_probes = len(width)
-    frob2 = np.array([np.bincount(pj[pdist > R], weights=pmass[pdist > R],
-                                  minlength=n_probes) for R in radii])
-    frob2 = frob2.reshape(len(radii), n_probes)
-    reach = np.zeros(n_probes, dtype=np.int64)
-    np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
-    height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
-    start = np.concatenate([[0], np.cumsum(height)])
-    # a skip against the singleton floor stays one: lower only grows
-    live = (np.arange(len(radii))[:, None] < reach) & ~_probe_skips(
-        frob2, height, width, np.ldexp(lower[radii], s)[:, None])
-    svds = 0
-    for j in np.flatnonzero(live.any(axis=0)):
-        Rs = np.flatnonzero(live[:, j] & ~_probe_skips(
-            frob2[:, j], height[j], width[j], np.ldexp(lower[radii], s)))
-        if len(Rs) == 0:
-            continue
-        svds += len(Rs)
-        nz, dL = pr[start[j]:start[j + 1]], pdist[start[j]:start[j + 1]]
-        cols_L = block[:, colmask[j - n_single] if j >= n_single
-                       else cpts == ucpts[j]]
-        if sp.issparse(cols_L):
-            cols_L = cols_L.toarray()
-        beyond = (dL > Rs[:, None])[:, :, None]
-        sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
-        lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
-    return MuProfile(Rmax=Rmax, upper=upper, lower=lower, op=opA,
-                     op_lower=opA_lower, probe_svds=svds,
-                     probe_skips=int(reach.sum()) - svds)
+    Each part is computed on its first read and kept: op and op_lower from
+    one norm of the nonzero block (the SVD is shared with op_norm through the
+    operator), upper from the off-band norms, and lower with probe_svds (probe
+    matrices, one per support and radius, SVD'd) and probe_skips (those whose
+    SVD the Frobenius bound ruled out) from the probe pass.  A part nobody
+    reads is never computed, and every part is the same bit for bit whatever
+    was read before it.  The block and the dense/closed-form choice are fixed when
+    the profile is made; the operator must not change after that."""
+
+    def __init__(self, A: BandedOperator, Rmax: int):
+        A.window.require_margin(Rmax, "opalg.mu_profile")
+        self.Rmax = Rmax
+        self._A = A
+        self._block, rows, cols = _compress(A.mat)
+        self._rpts, self._cpts = rows // A.fiber, cols // A.fiber
+        self._sparse = sp.issparse(self._block)
+        if A.fiber == 1 or self._sparse:
+            # the entries' distances, kept on A; this also stores A.propagation
+            A.entry_point_pairs()
+        self._radii = range(min(Rmax + 1, A.propagation))   # entries beyond them
+
+    @cached_property
+    def _op(self) -> tuple[float, float]:
+        A, block = self._A, self._block
+        if self._sparse:
+            c, a = A.mat.indices, np.abs(A.mat.data)
+            return (_schur_cap(_csr_rows(A.mat), c, a),
+                    float(np.sqrt(np.bincount(c, weights=a * a).max())))
+        sigma = _block_sigma(A, block)
+        return sigma * (1 + block.size * EPS), sigma
+
+    @property
+    def op(self) -> float:
+        return self._op[0]
+
+    @property
+    def op_lower(self) -> float:
+        return self._op[1]
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        A, block = self._A, self._block
+        raw = np.zeros(self.Rmax + 1)
+        if not self._sparse:
+            d = A.window.dist_cross(self._rpts, self._cpts)
+            # one radius at a time: a stack of all radii would be large
+            for R in self._radii:
+                raw[R] = _dense_norm2(np.where(d > R, block, 0))
+        else:
+            r, c = _csr_rows(A.mat), A.mat.indices
+            a = np.abs(A.mat.data)
+            _, _, dist = A.entry_point_pairs()
+            for R in self._radii:
+                keep = dist > R
+                raw[R] = _schur_cap(r[keep], c[keep], a[keep])
+        upper = np.minimum(self.op, np.maximum.accumulate(raw[::-1])[::-1])
+        upper.flags.writeable = False
+        return upper
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self._probes[0]
+
+    @property
+    def probe_svds(self) -> int:
+        return self._probes[1]
+
+    @property
+    def probe_skips(self) -> int:
+        return self._probes[2]
+
+    @cached_property
+    def _probes(self) -> tuple[np.ndarray, int, int]:
+        # Probes: the plain SVD of the columns over a support L on the rows
+        # beyond R, a lower bound within rounding (k*eps relative) of the true
+        # value.  Masses are taken of the entries scaled by 2^s, which puts the
+        # largest real or imaginary part in [1/2, 1): no square over- or
+        # underflows at the ends of the float range (see _probe_skips), and the
+        # scaling is exact.
+        A, block, radii, Rmax = self._A, self._block, self._radii, self.Rmax
+        w, f, sparse = A.window, A.fiber, self._sparse
+        rpts, cpts = self._rpts, self._cpts
+        vals = block.data if sparse else block
+        s = -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
+                              np.abs(vals.imag).max(initial=0.0)))[1])
+        lower = np.zeros(Rmax + 1)
+        if f == 1:
+            # singletons: column mass beyond each radius
+            _, pcol, dist = A.entry_point_pairs()
+            absdata2 = np.ldexp(np.abs(A.mat.data), s) ** 2
+            for R in radii:
+                m = dist > R
+                mass = np.bincount(pcol[m], weights=absdata2[m],
+                                   minlength=w.n_points)
+                lower[R] = np.ldexp(np.sqrt(mass.max()), -s)
+        # Every probe's (probe, row) pairs -- its rows are those with a nonzero
+        # in its columns -- with the row's mass there and distance to the
+        # support, probe by probe, rows ascending.
+        sq = np.ldexp(vals.real, s) ** 2 + np.ldexp(vals.imag, s) ** 2
+        dist_to, member = _probe_table(w)
+        colmask = member[:, cpts]               # subset x block column
+        cm = colmask.T.astype(np.float64)
+        if sparse:
+            er, ec, sq_e = _csr_rows(block), block.indices, sq
+            sq = sp.csr_matrix((sq, block.indices, block.indptr), shape=block.shape)
+            block = block.tocsc()
+        hit = ((block != 0) @ cm).T > 0
+        pj, pr = np.nonzero(hit)
+        pmass = (sq @ cm)[pr, pj]
+        pdist = dist_to[rpts[pr], pj]
+        width = colmask.sum(axis=1)             # each probe matrix's k
+        n_single = 0
+        if f > 1:
+            # singleton block columns are probes too, ahead of the subsets;
+            # their pairs come from the entries, each entry in one of them
+            ucpts, inv = np.unique(cpts, return_inverse=True)
+            if not sparse:
+                er, ec = np.nonzero(block)
+                sq_e = sq[er, ec]
+            nrows = block.shape[0]
+            keys, pair = np.unique(inv[ec] * nrows + er, return_inverse=True)
+            sj, sr = np.divmod(keys, nrows)
+            pj = np.concatenate([sj, pj + len(ucpts)])
+            pr = np.concatenate([sr, pr])
+            pmass = np.concatenate([np.bincount(pair, weights=sq_e), pmass])
+            pdist = np.concatenate([w.dist_many(rpts[sr], ucpts[sj]), pdist])
+            width = np.concatenate([np.bincount(inv), width])
+            n_single = len(ucpts)
+        n_probes = len(width)
+        frob2 = np.array([np.bincount(pj[pdist > R], weights=pmass[pdist > R],
+                                      minlength=n_probes) for R in radii])
+        frob2 = frob2.reshape(len(radii), n_probes)
+        reach = np.zeros(n_probes, dtype=np.int64)
+        np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
+        height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
+        start = np.concatenate([[0], np.cumsum(height)])
+        # a skip against the singleton floor stays one: lower only grows
+        live = (np.arange(len(radii))[:, None] < reach) & ~_probe_skips(
+            frob2, height, width, np.ldexp(lower[radii], s)[:, None])
+        svds = 0
+        for j in np.flatnonzero(live.any(axis=0)):
+            Rs = np.flatnonzero(live[:, j] & ~_probe_skips(
+                frob2[:, j], height[j], width[j], np.ldexp(lower[radii], s)))
+            if len(Rs) == 0:
+                continue
+            svds += len(Rs)
+            nz, dL = pr[start[j]:start[j + 1]], pdist[start[j]:start[j + 1]]
+            cols_L = block[:, colmask[j - n_single] if j >= n_single
+                           else cpts == ucpts[j]]
+            if sp.issparse(cols_L):
+                cols_L = cols_L.toarray()
+            beyond = (dL > Rs[:, None])[:, :, None]
+            sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
+            lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
+        lower.flags.writeable = False
+        return lower, svds, int(reach.sum()) - svds
+
+    def upper_at(self, x: float) -> float:
+        """Evaluate the upper profile at a real radius (floor: still certified)."""
+        if x < 0:
+            return self.op
+        r = int(np.floor(x))
+        if r > self.Rmax:
+            r = self.Rmax
+        return float(self.upper[r])
+
+    def table(self):
+        return [{"R": r, "mu_lower": float(self.lower[r]),
+                 "mu_upper": float(self.upper[r])} for r in range(self.Rmax + 1)]
+
+
+def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
+    """The certified dominating-function sandwich out to radius Rmax: checks
+    the margin and reads the entries' distances now; each part of the profile
+    is computed when it is first read (see MuProfile)."""
+    return MuProfile(A, Rmax)
 
 
 def _probe_skips(frob2, m, k, lower):

@@ -294,3 +294,25 @@ def test_op_verify_power_reports_each_power(tmp_path, capsys):
     assert blob["rows"] == 12 and blob["passed"] is True
     assert [b["n"] for b in blob["by_n"]] == [1, 2]
     assert all(b["passed"] and b["min_slack"] >= 0 for b in blob["by_n"])
+
+
+def test_rmax_defaults_to_the_window_margin(tmp_path, capsys):
+    # without --rmax the profile and both estimates run out to the margin
+    w = tmp_path / "w.json"
+    op = tmp_path / "op.json"
+    run(["space", "gen", "--kind", "zd", "--dim", "1", "--radius", "16",
+         "--margin", "8", "--out", str(w)])
+    run(["op", "gen", "--window", str(w), "--seed", "3", "--prop", "3",
+         "--out", str(op)])
+    capsys.readouterr()
+    blob = json.loads(_out(["op", "mu-profile", "--op", str(op)], capsys))
+    assert [r["R"] for r in blob["profile"]] == list(range(9))
+    blob = json.loads(_out(["op", "verify-product", "--window", str(w),
+                            "--pairs", "2"], capsys))
+    assert blob == {"pairs": 2, "passed": True}
+    assert run(["op", "verify-product", "--op", str(op), "--op2", str(op)]) == 0
+    capsys.readouterr()
+    blob = json.loads(_out(["op", "verify-power", "--window", str(w),
+                            "--nmax", "2"], capsys))
+    assert blob["rows"] == 2 * 8 and blob["passed"] is True
+    assert run(["op", "verify-power", "--op", str(op), "--nmax", "2"]) == 0

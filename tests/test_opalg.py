@@ -402,6 +402,107 @@ def test_mu_profile_singleton_floor_at_float_range_ends(case, w):
     assert prof.lower[0] > 0
 
 
+def _fresh(A):
+    """A copy of A with nothing computed on it yet."""
+    return opalg.BandedOperator(A.window, A.mat.copy(), A.fiber)
+
+
+_PARTS = ("op", "op_lower", "upper", "lower", "probe_svds", "probe_skips")
+
+
+def _same_part(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("case", ["zd1", "fiber2", "closed_form"])
+def test_mu_profile_lazy_reads_match_eager(case, w, wsmall, monkeypatch):
+    # a profile computes each part on its first read; read alone or in either
+    # order, every part equals the one read with all others, bit for bit
+    if case == "zd1":
+        ops = _decay_items(w, 5)
+        Rmax = 8
+    elif case == "fiber2":
+        ops = [opalg.random_banded(wsmall, (s, 6), prop=3, decay=0.6, fiber=2)
+               for s in range(2)]
+        ops.append(ops[0] @ ops[1])
+        Rmax = 5
+    else:
+        monkeypatch.setattr(opalg, "DENSE_CUTOFF", 4)
+        ops = [opalg.random_banded(w, (s, 7), prop=3, decay=0.6, fiber=f)
+               for f in (1, 2) for s in range(2)]
+        Rmax = 8
+    for A in ops:
+        ref = opalg.mu_profile(_fresh(A), Rmax)
+        eager = {part: getattr(ref, part) for part in _PARTS}
+        for part in _PARTS:
+            prof = opalg.mu_profile(_fresh(A), Rmax)
+            assert _same_part(getattr(prof, part), eager[part])
+            # nothing else was computed on the way
+            computed = {"_op", "upper", "_probes"} & set(vars(prof))
+            assert computed == {"op": {"_op"}, "op_lower": {"_op"},
+                                "upper": {"_op", "upper"}}.get(part, {"_probes"})
+        for order in (("lower", "upper"), ("upper", "lower")):
+            prof = opalg.mu_profile(_fresh(A), Rmax)
+            for part in order + _PARTS:
+                assert _same_part(getattr(prof, part), eager[part])
+        for part in ("upper", "lower"):
+            with pytest.raises(ValueError):
+                getattr(ref, part)[0] = 0.0     # the kept arrays are read-only
+        if case != "closed_form":
+            # on the SVD path the profile's op is op_norm's, bit for bit
+            B = _fresh(A)
+            assert opalg.mu_profile(B, Rmax).op == opalg.op_norm(B) == eager["op"]
+
+
+def test_op_norm_and_profile_share_one_svd(w, monkeypatch):
+    A = opalg.random_banded(w, 48, prop=3, decay=0.6)
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    op = opalg.op_norm(A)
+    prof = opalg.mu_profile(A, 6)
+    assert prof.op == op and opalg.op_norm(A) == op
+    assert calls == [opalg._compress(A.mat)[0].shape]
+
+
+# np.linalg.svd calls (and the matrices they factor: a probe stacks its
+# radii into one call) in check_product_estimate on the decay workload's
+# product item (65 points, prop 3, Rmax 16).  Profiles that compute every
+# part when made take PRODUCT_SVDS_EAGER (measured on such an implementation);
+# lazy ones skip the product's op norm and off-band norms and the factors'
+# probes.
+PRODUCT_SVDS_EAGER = {"calls": 96, "matrices": 133}
+PRODUCT_SVDS_LAZY = {"calls": 34, "matrices": 42}
+
+
+def test_product_estimate_svd_count(monkeypatch):
+    w = spaces.make_window("zd", 32, 16, dim=1)
+    A = opalg.random_banded(w, (1, 0), prop=3, decay=0.6)
+    B = opalg.random_banded(w, (1, 1), prop=3, decay=0.6)
+    svd = np.linalg.svd
+    counts = {"calls": 0, "matrices": 0}
+
+    def counted(a, *args, **kwargs):
+        counts["calls"] += 1
+        counts["matrices"] += int(np.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert opalg.check_product_estimate(A, B, 16).passed
+    n = dict(counts)
+    # what the check reads: op and upper of A and B (one SVD plus one per
+    # radius below the propagation each), lower of AB (its probe SVDs)
+    assert n["matrices"] == (2 + min(17, A.propagation) + min(17, B.propagation)
+                             + opalg.mu_profile(A @ B, 16).probe_svds)
+    assert n == PRODUCT_SVDS_LAZY
+    assert all(n[k] < PRODUCT_SVDS_EAGER[k] for k in n)
+
+
 def test_mu_profile_shift(w):
     S = opalg.shift(w, 0, 1)
     prof = opalg.mu_profile(S, 6)
@@ -669,6 +770,23 @@ def test_entry_decay_bound_matches_coo_masses(w, fiber):
                                     if m.any() else 0.0)
             assert row.row_tail == (np.bincount(coo.row[m], weights=a2[m]).max()
                                     if m.any() else 0.0)
+
+
+def test_entry_decay_bound_distance_passes(w, monkeypatch):
+    # the entries' distances are kept on the operator: one pass for A (its
+    # profile and its masses) and one for its adjoint
+    A = opalg.random_banded(w, 49, prop=3, decay=0.6)
+    dist_many = spaces.Window.dist_many
+    calls = []
+
+    def counted(self, ii, jj):
+        calls.append(len(ii))
+        return dist_many(self, ii, jj)
+    monkeypatch.setattr(spaces.Window, "dist_many", counted)
+    assert all(r.ok for r in opalg.entry_decay_bound(A, 6))
+    assert calls == [A.mat.nnz] * 2
+    r, c, d = A.entry_point_pairs()
+    assert len(calls) == 2 and not d.flags.writeable
 
 
 def test_adjoint_profile_symmetry(w):
