@@ -1,6 +1,6 @@
-"""Coarse cochains, the Alexander-Spanier coboundary, rough maps, pairing.
+"""Coarse cochains, the Alexander-Spanier coboundary, pairing.
 
-Cochains are intensional expression trees (jumps, finite tables, pullbacks,
+Cochains are intensional expression trees (jumps, finite tables, indicators,
 sums/scalings, coboundaries) so the near-diagonal support condition stays
 checkable as windows grow.  Two coboundary conventions exist: "full" sums the
 alternating faces from index 0 (this one is adjoint to the chain boundary and
@@ -14,16 +14,15 @@ evaluate() is the one-row case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeError, MarginError, PointNotInWindowError, PreconditionError
+from .errors import DegreeError, PreconditionError
 from .spaces import Window
 from .ufchain import UfChain, exact_column, norm_inf_n
 
 CONVENTIONS = ("full", "from1")
-FIT_RESIDUAL_MAX = 0.5     # rough_check: largest accepted log-log fit residual
 
 
 class CoarseCochain:
@@ -92,6 +91,9 @@ class Indicator(CoarseCochain):
     """Degree-0 indicator of a point set (by ids or by a coordinate predicate)."""
 
     def __init__(self, points=None, predicate=None):
+        if (points is None) == (predicate is None):
+            raise PreconditionError(
+                "cochain.Indicator: give exactly one of points and predicate")
         self.degree = 0
         self.points = frozenset(int(p) for p in points) if points is not None else None
         self.predicate = predicate
@@ -144,21 +146,6 @@ class Coboundary(CoarseCochain):
             v = exact_column(self.child.values(window, np.delete(tuples, i, axis=1)), m)
             total = total + (-v if i % 2 else v)
         return total
-
-
-class Pullback(CoarseCochain):
-    """(f* phi)(y0..yq) = phi(f(y0), .., f(yq)) along a rough map."""
-
-    def __init__(self, rough_map: "RoughMap", child: CoarseCochain):
-        self.degree = child.degree
-        self.f = rough_map
-        self.child = child
-
-    def values(self, window, tuples):
-        image = self.f.mapping[tuples]
-        if (image < 0).any():
-            self.f.apply(int(tuples[image < 0][0]))      # raises MarginError
-        return self.child.values(self.f.target, image)
 
 
 def evaluate(phi: CoarseCochain, window: Window, tup) -> complex:
@@ -248,120 +235,6 @@ def pair(phi: CoarseCochain, c: UfChain):
     """<phi, c> = sum over the chain support of phi(tuple) * coefficient,
     enforcing margin-safety for contributing tuples (see pair_arrays)."""
     return pair_arrays(phi, c.window, c.tuples, c.values)
-
-
-# -- rough maps -------------------------------------------------------------------
-
-class RoughMap:
-    """Sampled map between windows with fitted forward/backward controls."""
-
-    def __init__(self, source: Window, target: Window, mapping: np.ndarray):
-        self.source = source
-        self.target = target
-        self.mapping = np.asarray(mapping, dtype=np.int64)
-
-    @classmethod
-    def from_callable(cls, source: Window, target: Window, fn) -> "RoughMap":
-        """Tabulate fn over margin-safe source points; label -> label."""
-        mapping = np.full(source.n_points, -1, dtype=np.int64)
-        for p in source.safe_points:
-            image = fn(source.label(int(p)))
-            try:
-                mapping[p] = target.index_of(image)
-            except PointNotInWindowError:
-                raise PointNotInWindowError(
-                    f"cochain.RoughMap: image {image!r} of point "
-                    f"{source.label(int(p))} lies outside the target window") from None
-        return cls(source, target, mapping)
-
-    @classmethod
-    def identity(cls, w: Window) -> "RoughMap":
-        return cls(w, w, np.arange(w.n_points, dtype=np.int64))
-
-    def apply(self, p: int) -> int:
-        j = int(self.mapping[p])
-        if j < 0:
-            raise MarginError(
-                f"cochain.RoughMap: map undefined at point {self.source.label(int(p))} "
-                "(outside the margin-safe sampling region)")
-        return j
-
-    def compose(self, other: "RoughMap") -> "RoughMap":
-        """self after other (other: X->Y, self: Y->Z)."""
-        mapping = np.where(other.mapping >= 0, self.mapping[other.mapping], -1)
-        return RoughMap(other.source, self.target, mapping)
-
-
-def pullback(f: RoughMap, phi: CoarseCochain) -> CoarseCochain:
-    return Pullback(f, phi)
-
-
-@dataclass
-class ControlFit:
-    C: float
-    N: float
-    residual: float
-    profile: dict = field(repr=False, default=None)
-
-
-@dataclass
-class RoughCheckReport:
-    s_plus: ControlFit
-    s_minus: ControlFit
-    passed: bool
-    warnings: list
-
-
-def _fit_power(Rs, Ss):
-    Rs = np.asarray(Rs, float)
-    Ss = np.asarray(Ss, float)
-    sel = (Rs >= 1) & (Ss > 0)
-    if sel.sum() < 2:
-        return ControlFit(C=max(1.0, float(Ss.max(initial=1.0))), N=0.0, residual=0.0)
-    logR, logS = np.log(Rs[sel]), np.log(Ss[sel])
-    A = np.vstack([np.ones_like(logR), logR]).T
-    (logC, N), *_ = np.linalg.lstsq(A, logS, rcond=None)
-    res = float(np.sqrt(np.mean((logS - A @ [logC, N]) ** 2)))
-    C = max(float(np.exp(logC)), float(np.max(Ss[sel] / Rs[sel] ** N)))
-    return ControlFit(C=C, N=float(N), residual=res)
-
-
-def rough_check(f: RoughMap, rmax: int | None = None) -> RoughCheckReport:
-    """Forward/backward distance controls of a sampled map, over all pairs.
-
-    Over every pair of points where the map is defined, S+(R) is the max
-    image distance at source distance <= R and S-(R) the max source distance
-    at image distance <= R, for R = 1..rmax; both are fitted to C * R^N.
-    The check fails when a fit residual exceeds FIT_RESIDUAL_MAX or when the
-    backward control saturates at the window scale (far points collapsing to
-    nearby images).
-    """
-    src = f.source
-    defined = np.flatnonzero(f.mapping >= 0)
-    if len(defined) < 2:
-        raise PreconditionError("cochain.rough_check: map defined on < 2 points")
-    if rmax is None:
-        rmax = max(1, 2 * (src.W - src.margin))
-    d_src = src.dist_cross(defined, defined)
-    image = f.mapping[defined]
-    d_img = f.target.dist_cross(image, image)
-    Rs = np.arange(1, rmax + 1)
-    s_plus = np.array([d_img[d_src <= R].max(initial=0) for R in Rs])
-    s_minus = np.array([d_src[d_img <= R].max(initial=0) for R in Rs])
-    fit_p = _fit_power(Rs, s_plus)
-    fit_p.profile = {int(R): int(s) for R, s in zip(Rs, s_plus)}
-    fit_m = _fit_power(Rs, s_minus)
-    fit_m.profile = {int(R): int(s) for R, s in zip(Rs, s_minus)}
-    warnings = []
-    diam = int(d_src.max(initial=0))
-    if diam > 2 and s_minus[0] >= 0.5 * diam:
-        warnings.append(
-            "backward control saturates at the window scale: far points map close")
-    if fit_p.residual > FIT_RESIDUAL_MAX:
-        warnings.append(f"forward fit residual {fit_p.residual:.3f} above threshold")
-    if fit_m.residual > FIT_RESIDUAL_MAX and not warnings:
-        warnings.append(f"backward fit residual {fit_m.residual:.3f} above threshold")
-    return RoughCheckReport(fit_p, fit_m, passed=not warnings, warnings=warnings)
 
 
 # -- continuity sweep --------------------------------------------------------------

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DegreeError, FillError, MarginError
 from .spaces import GrowthFit, Window, fit_growth
 from .ufchain import UfChain, boundary, norm_inf_n, shell_norm, sort_sign
-from .cochain import ControlFit
 
 
 class SimplicialChain(UfChain):
@@ -249,8 +248,17 @@ def fill_radius(window: Window, tup) -> int:
 
 # -- certified contractibility and the main estimate -----------------------------
 
+@dataclass
+class ContractibilityProfile:
+    """Certified S'(R) <= C * R^N; `profile` lists S'(R) for R = 1..rmax."""
+    C: float
+    N: float
+    profile: dict
+
+
 def contractibility_profile(window: Window, degree: int, samples: int = 50,
-                            rmax: int | None = None, seed: int = 0) -> ControlFit:
+                            rmax: int | None = None,
+                            seed: int = 0) -> ContractibilityProfile:
     """Certified S'(R) = max filling radius over tuples of length <= R.
 
     The filler is translation-equivariant and keeps every vertex in the
@@ -278,7 +286,7 @@ def contractibility_profile(window: Window, degree: int, samples: int = 50,
         k = 2
     C, N = (k / 2, 1.0) if k else (1.0, 0.0)
     profile = {R: k * R // 2 for R in range(1, rmax + 1)}
-    return ControlFit(C=C, N=N, residual=0.0, profile=profile)
+    return ContractibilityProfile(C=C, N=N, profile=profile)
 
 
 @dataclass
@@ -298,7 +306,7 @@ class FillingReport:
 
 
 def verify_crucial_estimate(c: UfChain, growth: GrowthFit | None = None,
-                            profile: ControlFit | None = None) -> FillingReport:
+                            profile: ContractibilityProfile | None = None) -> FillingReport:
     """Check the filling sup-norm bound.
 
     Uses the measured growth envelope (D, M), the certified contractibility
@@ -317,14 +325,15 @@ def verify_crucial_estimate(c: UfChain, growth: GrowthFit | None = None,
     lhs = fill_chain(c).sup_norm()
     rhs = (growth.D ** (q + 1)) * (profile.C ** growth.M) \
         * (2.0 ** n * math.pi ** 2 / 6.0 + 1.0) * chain_norm
-    return FillingReport(s_profile=dict(profile.profile or {}), C=profile.C,
+    return FillingReport(s_profile=dict(profile.profile), C=profile.C,
                          N=profile.N, D=growth.D, M=growth.M, q=q, n=n,
                          lhs=lhs, rhs=rhs,
                          passed=bool(lhs <= rhs * (1 + 1e-12) + 1e-12),
                          chain_norm=chain_norm)
 
 
-def coefficient_sum_bound(c: UfChain, profile: ControlFit) -> tuple[float, float]:
+def coefficient_sum_bound(c: UfChain,
+                          profile: ContractibilityProfile) -> tuple[float, float]:
     """Shell-summed counting bound on the filled chain's sup norm.
 
     rhs = sum_R shell(c,R) * vol B_{S'(R)} * (vol B_R - vol B_{R-1}) *
@@ -340,7 +349,7 @@ def coefficient_sum_bound(c: UfChain, profile: ControlFit) -> tuple[float, float
             vols[r] = int(np.count_nonzero(w.dist_to_base <= r))
         return vols[r]
 
-    prof = profile.profile or {}
+    prof = profile.profile
     rmax = c.propagation
     rhs = 0.0
     for R in range(1, rmax + 1):

@@ -403,11 +403,6 @@ def window_from_descriptor(d: dict, max_points: int = MAX_POINTS_DEFAULT) -> Win
 
 # -- measurements -------------------------------------------------------------
 
-def distance(w: Window, p: int, q: int) -> int:
-    """Window metric; raises PointNotInWindowError on bad ids."""
-    return w.dist(p, q)
-
-
 def ball_volume(w: Window, center: int, R: int) -> int:
     """Exact cardinality of the radius-R ball, which must fit in the window."""
     w.check_point(center)

@@ -25,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from ._accel import coalesce
-from .errors import DegreeError, PointNotInWindowError
+from .errors import DegreeError, PointNotInWindowError, PreconditionError
 from .spaces import Window
 
 _INT64_LIMIT = 2 ** 63
@@ -249,6 +249,9 @@ def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
     coeff: 'complex' (unit-disk complex floats), 'int' (nonzero in [-5, 5]),
     used by the exact combinatorial tests.
     """
+    if coeff not in ("complex", "int"):
+        raise PreconditionError(
+            f"ufchain.random_chain: coeff must be 'complex' or 'int', got {coeff!r}")
     rng = np.random.default_rng(seed)
     if safe_radius is None:
         safe_radius = window.margin

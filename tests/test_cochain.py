@@ -1,4 +1,4 @@
-"""Coarse cochains: coboundary conventions, support, pairing, rough maps."""
+"""Coarse cochains: coboundary conventions, support, pairing."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coarselab import cochain, spaces, ufchain
-from coarselab.errors import DegreeError, MarginError, PointNotInWindowError
+from coarselab.errors import DegreeError, MarginError, PreconditionError
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,15 @@ def test_support_check_constant_flagged(w):
     assert report[1].unbounded_within_window
 
 
+def test_indicator_needs_exactly_one_description(w):
+    with pytest.raises(PreconditionError):
+        cochain.Indicator()
+    with pytest.raises(PreconditionError):
+        cochain.Indicator(points=[1], predicate=lambda lb: True)
+    # an empty point set is a description, not a missing one
+    assert not cochain.Indicator(points=[]).values(w, w.safe_points[:, None]).any()
+
+
 def test_support_check_zero(w):
     zero = cochain.Table(1, {})
     report = cochain.support_check(zero, w, 3)
@@ -152,71 +161,6 @@ def test_adjointness_full_convention(w):
             cochain.pair(phi, ufchain.boundary(c))
 
 
-def test_pullback_identity_and_shifts(w):
-    J = cochain.Jump(0, 0)
-    f_id = cochain.RoughMap.identity(w)
-    for tup in [idx(w, -1, 1), idx(w, -3, 0), idx(w, 4, 5)]:
-        assert cochain.evaluate(cochain.pullback(f_id, J), w, tup) == \
-            cochain.evaluate(J, w, tup)
-    big = spaces.make_window("zd", 45, 4, dim=1)
-    doubling = cochain.RoughMap.from_callable(w, big, lambda lb: (2 * lb[0],))
-    assert cochain.evaluate(cochain.pullback(doubling, J), w, idx(w, -1, 1)) == 1
-    shift5 = cochain.RoughMap.from_callable(w, big, lambda lb: (lb[0] + 5,))
-    pulled = cochain.pullback(shift5, J)
-    ref = cochain.Jump(0, -5)
-    for a in range(-10, 10):
-        for b in range(-10, 10):
-            assert cochain.evaluate(pulled, w, idx(w, a, b)) == \
-                cochain.evaluate(ref, w, idx(w, a, b))
-
-
-def test_pullback_respects_composition(w):
-    big = spaces.make_window("zd", 50, 4, dim=1)
-    f = cochain.RoughMap.from_callable(w, big, lambda lb: (2 * lb[0],))
-    g = cochain.RoughMap.from_callable(big, big, lambda lb: (lb[0] + 1,))
-    gf = g.compose(f)
-    J = cochain.Jump(0, 0)
-    lhs = cochain.pullback(gf, J)
-    rhs = cochain.pullback(f, cochain.pullback(g, J))
-    for a in range(-6, 6):
-        for b in range(-6, 6):
-            assert cochain.evaluate(lhs, w, idx(w, a, b)) == \
-                cochain.evaluate(rhs, w, idx(w, a, b))
-
-
-def test_pullback_image_outside_target(w):
-    small = spaces.make_window("zd", 3, 0, dim=1)
-    with pytest.raises(PointNotInWindowError):
-        cochain.RoughMap.from_callable(w, small, lambda lb: (2 * lb[0],))
-
-
-def test_rough_check_identity(w):
-    rep = cochain.rough_check(cochain.RoughMap.identity(w))
-    assert rep.passed
-    assert rep.s_plus.N == pytest.approx(1.0, abs=0.05)
-    assert rep.s_plus.C == pytest.approx(1.0, abs=0.05)
-
-
-def test_rough_check_doubling(w):
-    big = spaces.make_window("zd", 45, 4, dim=1)
-    f = cochain.RoughMap.from_callable(w, big, lambda lb: (2 * lb[0],))
-    rep = cochain.rough_check(f)
-    assert rep.passed
-    assert rep.s_plus.N == pytest.approx(1.0, abs=0.05)
-    assert rep.s_plus.C == pytest.approx(2.0, abs=0.1)
-
-
-def test_rough_check_square_not_rough(w):
-    # x -> x^2 collapses far mirror points: the backward control saturates at
-    # the window scale and the check reports not-rough with a warning
-    big = spaces.make_window("zd", 400, 4, dim=1)
-    f = cochain.RoughMap.from_callable(w, big, lambda lb: (lb[0] ** 2,))
-    rep = cochain.rough_check(f)
-    assert not rep.passed
-    assert any("saturates" in msg for msg in rep.warnings)
-    assert rep.s_plus.N > 0
-
-
 def test_continuity_sweep_homogeneity(w):
     J = cochain.Jump(0, 0)
 
@@ -270,8 +214,6 @@ def _scalar(phi, window, tup):
             v = _scalar(phi.child, window, tup[:i] + tup[i + 1:])
             total += -v if i % 2 else v
         return total
-    if isinstance(phi, cochain.Pullback):
-        return _scalar(phi.child, phi.f.target, tuple(phi.f.apply(p) for p in tup))
     raise TypeError(phi)
 
 
@@ -288,16 +230,12 @@ def _node_zoo(w):
     table0 = cochain.Table(0, {(int(p),): int(rng.integers(1, 4)) for p in pts[::3]})
     by_points = cochain.Indicator(points=pts[::2])
     by_label = cochain.Indicator(predicate=lambda lb: lb[0] % 3 == 1)
-    big = spaces.make_window("zd", 45, 4, dim=1)
-    doubling = cochain.RoughMap.from_callable(w, big, lambda lb: (2 * lb[0],))
     return [cochain.Jump(0, 0), cochain.Jump(0, -3), table, table0, by_points,
             by_label, cochain.Sum(table, cochain.Jump(0, 2)),
             cochain.Scale(2.5 - 1j, table), cochain.Scale(3, by_label),
             cochain.coboundary(table0), cochain.coboundary(table0, "from1"),
             cochain.coboundary(table, "full"), cochain.coboundary(table, "from1"),
-            cochain.coboundary(cochain.coboundary(by_points, "from1"), "full"),
-            cochain.pullback(doubling, cochain.Jump(0, 1)),
-            cochain.pullback(doubling, cochain.coboundary(by_label))]
+            cochain.coboundary(cochain.coboundary(by_points, "from1"), "full")]
 
 
 def test_values_match_scalar_definitions(w):
@@ -312,18 +250,6 @@ def test_values_match_scalar_definitions(w):
         assert got.tolist() == expected, phi
         assert cochain.evaluate(phi, w, rows[0]) == expected[0]
         assert len(phi.values(w, rows[:0])) == 0
-
-
-def test_pullback_values_raise_where_map_undefined(w):
-    big = spaces.make_window("zd", 45, 4, dim=1)
-    f = cochain.RoughMap.from_callable(w, big, lambda lb: (2 * lb[0],))
-    outside = int(np.flatnonzero(f.mapping < 0)[0])
-    inside = int(w.safe_points[0])
-    rows = np.array([[inside, inside], [inside, outside]], dtype=np.int64)
-    with pytest.raises(MarginError):
-        cochain.pullback(f, cochain.Jump(0, 0)).values(w, rows)
-    with pytest.raises(MarginError):
-        _scalar(cochain.pullback(f, cochain.Jump(0, 0)), w, tuple(rows[1].tolist()))
 
 
 def test_node_values_never_wrap(w):

@@ -61,14 +61,14 @@ def test_heisenberg_count_matches_word_oracle():
 def test_heisenberg_commutator_length():
     w = spaces.make_window("heisenberg3", 4, 1)
     z = w.index_of((0, 0, 1))
-    assert spaces.distance(w, w.base, z) == 4
+    assert w.dist(w.base, z) == 4
 
 
 def test_distance_examples(zplane):
     p = zplane.index_of((0, 0))
     q = zplane.index_of((2, 3))
-    assert spaces.distance(zplane, p, q) == 5
-    assert spaces.distance(zplane, q, q) == 0
+    assert zplane.dist(p, q) == 5
+    assert zplane.dist(q, q) == 0
 
 
 @pytest.mark.parametrize("fixture", ["zline", "zplane", "heis", "tree"])

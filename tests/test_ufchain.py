@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab import spaces, ufchain
-from coarselab.errors import DegreeError, PointNotInWindowError
+from coarselab.errors import DegreeError, PointNotInWindowError, PreconditionError
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,13 @@ def test_random_chain_same_with_warm_ball_cache():
                                  n_terms=20, max_len=3, seed=9, coeff="int")
     assert len(cold.derived(("ball", 3), dict)) > 0
     assert dict(first.terms()) == dict(warm.terms()) == dict(fresh.terms())
+
+
+@pytest.mark.parametrize("coeff", ["int ", "real", "Complex", None])
+def test_random_chain_refuses_unknown_coeff(coeff):
+    w = spaces.make_window("zd", 8, 2, dim=1)
+    with pytest.raises(PreconditionError):
+        ufchain.random_chain(w, 1, n_terms=3, max_len=2, seed=0, coeff=coeff)
 
 
 def test_json_roundtrip(w):
