@@ -8,7 +8,8 @@ floats.  Ints are int64 until a sum or product could reach 2^63, Python ints
 from then on (``exact_column`` decides), so exact coefficients cancel exactly.
 Python terms (a dict or (tuple, value) pairs) are summed in Python in input
 order; arrays go through ``coalesce`` (``from_arrays``), and so does every
-operation.  ``sort_sign`` serves the character map and the filler alike.
+operation.  ``sort_sign`` serves the character map and the filler alike, and
+``faces`` the boundary and the character's chain-map check.
 
 Tuple length is the max pairwise distance of the tuple's points; it is the
 shell coordinate used by shell_norm (the product-metric distance to the
@@ -19,7 +20,6 @@ artifact standardizes on tuple length).
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from types import MappingProxyType
 
 import numpy as np
@@ -185,14 +185,34 @@ def _coalesced(window: Window, degree: int, tuples, values) -> UfChain:
 # -- operations ----------------------------------------------------------------
 
 def sort_sign(tuples: np.ndarray):
-    """Each row sorted, the sign of its sorting permutation (the parity of the
-    row's inversions) and whether the row's points are distinct."""
-    inversions = np.zeros(len(tuples), dtype=np.int64)
-    for i, j in combinations(range(tuples.shape[1]), 2):
-        inversions += tuples[:, i] > tuples[:, j]
-    ordered = np.sort(tuples, axis=1)
-    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    return ordered, 1 - 2 * (inversions % 2), distinct
+    """Each row sorted, the sign of its sorting permutation and whether the
+    row's points are distinct.
+
+    A bubble network over the columns sorts every row at once: each step puts
+    one adjacent column pair in order with ``np.minimum``/``np.maximum``, and a
+    pair that was strictly out of order is one transposition, so the parity of
+    the swaps is the parity of the row's strict inversions.  Equal points are
+    never swapped; adjacent sorted columns that are equal mark a repeat."""
+    S, m = tuples.shape
+    cols = [tuples[:, j] for j in range(m)]
+    odd = np.zeros(S, dtype=bool)
+    for end in range(m - 1, 0, -1):
+        for i in range(end):
+            a, b = cols[i], cols[i + 1]
+            odd ^= a > b
+            cols[i], cols[i + 1] = np.minimum(a, b), np.maximum(a, b)
+    distinct = np.ones(S, dtype=bool)
+    for a, b in zip(cols, cols[1:]):
+        distinct &= a != b
+    return np.column_stack(cols), 1 - 2 * odd.astype(np.int64), distinct
+
+
+def faces(tuples: np.ndarray, values: np.ndarray):
+    """The alternating face rows of sum_r values[r] * tuples[r], not
+    coalesced: face j of every row (column j dropped), times (-1)^j."""
+    cols = np.arange(tuples.shape[1])
+    return (np.concatenate([tuples[:, cols != j] for j in cols]),
+            np.concatenate([values if j % 2 == 0 else -values for j in cols]))
 
 
 def boundary_arrays(window: Window, degree: int, tuples: np.ndarray,
@@ -201,11 +221,7 @@ def boundary_arrays(window: Window, degree: int, tuples: np.ndarray,
     if degree == 0:
         raise DegreeError("ufchain.boundary: degree 0 chains have no boundary")
     S, m = tuples.shape
-    values = exact_column(values, m * S)
-    cols = np.arange(m)
-    return coalesce(np.concatenate([tuples[:, cols != j] for j in range(m)]),
-                    np.concatenate([values if j % 2 == 0 else -values
-                                    for j in range(m)]))
+    return coalesce(*faces(tuples, exact_column(values, m * S)))
 
 
 def boundary(c: UfChain) -> UfChain:

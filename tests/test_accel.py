@@ -46,9 +46,11 @@ def _lexsort_coalesce(tuples, values):
 
 
 def _coalesce_cases():
-    # (rows, whether the packed key fits); packs is None for empty rows
+    # (rows, whether the tagged key fits: span^m * 2^tag < 2^63 with
+    # tag = bit width of S - 1); packs is None for empty rows
     rng = np.random.default_rng(9)
     big = np.iinfo(np.int64)
+    small = np.iinfo(np.int32)
     for m in (1, 2, 3, 4):
         yield f"empty-{m}", np.empty((0, m), dtype=np.int64), None
         yield f"single-{m}", rng.integers(0, 9, size=(1, m)), True
@@ -58,8 +60,18 @@ def _coalesce_cases():
         yield f"duplicates-{m}", np.tile(rng.integers(0, 9, size=(1, m)), (500, 1)), True
         yield f"full-range-{m}", rng.integers(big.min, big.max, size=(400, m),
                                                endpoint=True), False
-    # (max - min + 1)^4 on either side of 2^63: 55108^4 < 2^63 <= 55109^4
-    for hi, packs in ((55107, True), (55108, False)):
+        # path rows arrive as int32; the key is built in int64 (the entries'
+        # differences overflow int32 on the full range)
+        yield f"int32-{m}", rng.integers(-50, 50, size=(3000, m)).astype(np.int32), True
+        t = rng.integers(small.min, small.max, size=(3000, m), endpoint=True)
+        t[0], t[1] = small.min, small.max
+        yield f"int32-full-range-{m}", t.astype(np.int32), m == 1
+    # around PACK_MIN_ROWS = 256 and across a power of two (tag 10 -> 11)
+    for n in (255, 256, 257, 1025):
+        yield f"rows-{n}", rng.integers(0, 30, size=(n, 2)), True
+    # 1000 rows, tag 10: span^4 * 2^10 on either side of 2^63, i.e. span^4
+    # on either side of 2^53: 9741^4 < 2^53 <= 9742^4
+    for hi, packs in ((9740, True), (9741, False)):
         t = rng.integers(0, hi + 1, size=(1000, 4))
         t[0], t[1] = 0, hi
         yield f"span-{hi + 1}", t, packs
@@ -68,14 +80,14 @@ def _coalesce_cases():
 @pytest.mark.parametrize("tuples, packs", [pytest.param(t, p, id=name)
                                            for name, t, p in _coalesce_cases()])
 def test_coalesce_matches_lexsort_reference(tuples, packs):
-    # the packed-key sort and np.lexsort are both stable: same rows, and each
-    # row's values summed in the same order, so equal bit for bit
+    # the tagged-key sort (distinct keys, ties broken by row index) and
+    # np.lexsort give the same stable order: same rows, and each row's values
+    # summed in the same order, so equal bit for bit
     rng = np.random.default_rng(len(tuples))
     values = rng.normal(size=len(tuples)) + 1j * rng.normal(size=len(tuples))
     if packs is not None:
-        assert (_accel._packed_key(tuples) is not None) == packs
+        assert (_accel._tagged_order(tuples) is not None) == packs
     t, v = _accel.coalesce(tuples, values)
     t_ref, v_ref = _lexsort_coalesce(tuples, values)
     assert t.dtype == t_ref.dtype and np.array_equal(t, t_ref)
     assert v.tobytes() == v_ref.tobytes()
-

@@ -238,6 +238,34 @@ def test_sort_sign():
             assert d == (len(set(row)) == len(row))
 
 
+def _sort_sign_reference(tuples):
+    # np.sort of each row, the parity of its strict inversions, adjacent
+    # sorted entries compared
+    inversions = np.zeros(len(tuples), dtype=np.int64)
+    for i, j in itertools.combinations(range(tuples.shape[1]), 2):
+        inversions += tuples[:, i] > tuples[:, j]
+    ordered = np.sort(tuples, axis=1)
+    distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    return ordered, 1 - 2 * (inversions % 2), distinct
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_sort_sign_matches_reference(m, dtype):
+    # random rows with many ties, int32 as the join's rows may be, and no
+    # rows at all: all three outputs equal the reference, dtypes included
+    rng = np.random.default_rng((m, np.dtype(dtype).itemsize))
+    cases = [rng.integers(0, 4, size=(500, m)).astype(dtype),
+             rng.integers(-2 ** 31, 2 ** 31, size=(300, m)).astype(dtype),
+             np.empty((0, m), dtype=dtype)]
+    for tuples in cases:
+        got = ufchain.sort_sign(tuples)
+        for g, r in zip(got, _sort_sign_reference(tuples)):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+        assert got[0].dtype == dtype
+
+
 def reversed_rows(A):
     """A with each CSR row stored in descending column order, as sparse
     products may leave it unsorted."""
@@ -366,6 +394,89 @@ def test_chain_map_residual():
             t = cyclic.CyclicTensor(degree, [(1.0, ops)])
             worst = max(worst, cyclic.chain_map_check(t))
     assert worst < 1e-9
+
+
+def _chain_map_reference(t):
+    # the residual from the public pieces: the boundary of chi(t)'s canonical
+    # rows (n+1 times their face sum) against chi(hochschild_b(t)), coalesced
+    w, n = t.window, t.degree
+    t1, v1 = cyclic.chi_arrays(t)
+    bt1, bv1 = ufchain.boundary_arrays(w, n, t1, (n + 1) * v1)
+    t2, v2 = cyclic.chi_arrays(cyclic.hochschild_b(t))
+    dt, dv = cyclic.coalesce(np.concatenate([bt1, t2]), np.concatenate([bv1, -v2]))
+    safe = w.safe_mask[dt].all(axis=1)
+    return float(np.abs(dv[safe]).max(initial=0.0))
+
+
+# (window, degree, prop, fiber, number of terms): 1-D and 2-D windows,
+# degrees 1-3, fiber 2, a two-term weighted tensor.  Each window's margin is
+# 2 prop(t) of its largest tensor, the least the check accepts; prop 1 on the
+# l1 grid closes no triangle, so degree 2 takes prop 2
+_CHAIN_MAP_CASES = {
+    "zd1-d1": ("zd1", 1, 2, 1, 1), "zd1-d2": ("zd1", 2, 2, 1, 1),
+    "zd1-d3": ("zd1", 3, 2, 1, 1), "zd2-d1": ("zd2", 1, 2, 1, 1),
+    "zd2-d2": ("zd2", 2, 2, 1, 1), "zd2-d3": ("zd2", 3, 1, 1, 1),
+    "zd1-d2-fiber2": ("zd1", 2, 2, 2, 1), "zd2-d2-fiber2": ("zd2", 2, 2, 2, 1),
+    "zd2-d2-two-terms": ("zd2", 2, 2, 1, 2),
+}
+
+
+def _chain_map_tensor(name):
+    win, degree, prop, fiber, n_terms = _CHAIN_MAP_CASES[name]
+    w = (spaces.make_window("zd", 24, 16, dim=1) if win == "zd1"
+         else spaces.make_window("zd", 18, 12, dim=2))
+    seed = list(_CHAIN_MAP_CASES).index(name)
+    terms = [(weight, tuple(opalg.random_banded(w, (70, seed, k, j), prop=prop,
+                                                decay=0.8, density=0.7, fiber=fiber)
+                            for j in range(degree + 1)))
+             for k, weight in enumerate((1.5, -0.5j)[:n_terms])]
+    return cyclic.CyclicTensor(degree, terms)
+
+
+def _flip_first_term(monkeypatch):
+    # hochschild_b with the sign of its first term flipped: no longer the
+    # boundary the character intertwines
+    real = cyclic.hochschild_b
+
+    def wrong_b(t):
+        bt = real(t)
+        (w0, ops0), *rest = bt.terms
+        return cyclic.CyclicTensor(bt.degree, [(-w0, ops0), *rest], bt.tau_power)
+    monkeypatch.setattr(cyclic, "hochschild_b", wrong_b)
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_MAP_CASES))
+def test_chain_map_check_matches_reference(name):
+    t = _chain_map_tensor(name)
+    assert len(cyclic.chi_arrays(t)[1]) > 0
+    got = cyclic.chain_map_check(t)
+    assert got < 1e-12
+    assert abs(got - _chain_map_reference(t)) < 1e-13
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_MAP_CASES))
+def test_chain_map_check_sees_a_wrong_boundary(name, monkeypatch):
+    # the b side comes from hochschild_b, not from t's own rows: with one
+    # term's sign flipped the residual is large, and equals the reference's
+    t = _chain_map_tensor(name)
+    _flip_first_term(monkeypatch)
+    got, ref = cyclic.chain_map_check(t), _chain_map_reference(t)
+    assert got > 1e-3
+    assert abs(got - ref) < 1e-13 * max(1.0, ref)
+
+
+def test_chain_map_check_margin_precondition():
+    # prop(t) <= margin < 2 prop(t): chi is defined, the check refuses
+    w = spaces.make_window("zd", 24, 7, dim=1)
+    ops = tuple(opalg.random_banded(w, 72 + j, prop=2, decay=0.8, density=0.9)
+                for j in range(2))
+    t = cyclic.CyclicTensor(1, [(1.0, ops)])
+    assert t.total_propagation() <= w.margin < 2 * t.total_propagation()
+    assert len(cyclic.chi_arrays(t)[1]) > 0
+    with pytest.raises(MarginError):
+        cyclic.chain_map_check(t)
+    with pytest.raises(DegreeError):
+        cyclic.chain_map_check(cyclic.CyclicTensor(1, []))
 
 
 def test_chain_map_zero_factor(w):
