@@ -34,9 +34,6 @@ class CoarseCochain:
         """The cochain on each row of an (S, degree+1) array of point ids."""
         raise NotImplementedError
 
-    def coboundary(self, convention: str = "full") -> "CoarseCochain":
-        return Coboundary(self, convention)
-
     def __add__(self, other):
         return Sum(self, other)
 

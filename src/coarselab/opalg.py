@@ -21,13 +21,13 @@ computable, so it is sandwiched:
                off-band part at distance > R'): a certified dominating function.
 
 A profile (MuProfile) computes each of its parts on the first read and keeps
-it: the op norm, the off-band norms (upper) and the probes (lower), so a check
-pays only for the parts it reads; the product estimate, for one, reads the
-factors' upper profiles and the product's lower one.  Operators are treated as
-immutable: the entries' distances, the propagation and the SVD of the nonzero
-block are kept on the operator when first computed (op_norm and a profile's
-op share that SVD), and a profile keeps its operator and reads it when a part
-is first read.
+it: the off-band norms (upper) and the probes (lower), so a check pays only
+for the parts it reads; the product estimate, for one, reads the factors'
+upper profiles and the product's lower one.  Operators are treated as
+immutable: the entries' distances, the propagation and the norm bracket
+(upper, lower) are kept on the operator when first computed -- op_norm and a
+profile's op and op_lower all read that one bracket -- and a profile keeps its
+operator and reads it when a part is first read.
 
 Norms.  A matrix has the singular values of its block on the nonzero rows and
 columns, which is small here (supports lie in the safe core).  When that block
@@ -65,10 +65,10 @@ class BandedOperator:
     """Finite-propagation or decaying operator over a window.
 
     Operators are treated as immutable: the entries' distances, the
-    propagation and the SVD of the nonzero block are computed once and kept
-    on the operator, so its matrix must not change after they are read."""
+    propagation and the norm bracket are computed once and kept on the
+    operator, so its matrix must not change after they are read."""
 
-    __slots__ = ("window", "fiber", "mat", "_prop", "_dist", "_sigma")
+    __slots__ = ("window", "fiber", "mat", "_prop", "_dist", "_norm")
 
     def __init__(self, window: Window, mat, fiber: int = 1):
         self.window = window
@@ -81,7 +81,7 @@ class BandedOperator:
             mat = sp.csr_matrix(mat, shape=(n, n), dtype=np.complex128)
         mat.eliminate_zeros()
         self.mat = mat
-        self._prop = self._dist = self._sigma = None
+        self._prop = self._dist = self._norm = None
 
     # -- structure ---------------------------------------------------------
 
@@ -201,23 +201,27 @@ def _schur_cap(rows, cols, absval) -> float:
     return float(cap) * (1 + (len(absval) + 2) * EPS)
 
 
-def _block_sigma(A: BandedOperator, block) -> float:
-    """_dense_sigma of A's dense nonzero block, computed once per operator and
-    kept on it: op_norm and MuProfile.op share the one SVD."""
-    if A._sigma is None:
-        A._sigma = _dense_sigma(block)
-    return A._sigma
+def _bracket(A: BandedOperator, block=None) -> tuple[float, float]:
+    """Certified (upper, lower) bounds of ||A|| (see Norms above), computed
+    once per operator and kept on it; block, if given, is A's _compress."""
+    if A._norm is None:
+        if block is None:
+            block, _, _ = _compress(A.mat)
+        if sp.issparse(block):
+            c, a = A.mat.indices, np.abs(A.mat.data)
+            A._norm = (_schur_cap(_csr_rows(A.mat), c, a),
+                       float(np.sqrt(np.bincount(c, weights=a * a).max())))
+        else:
+            sigma = _dense_sigma(block)
+            A._norm = (sigma * (1 + block.size * EPS), sigma)
+    return A._norm
 
 
 def op_norm(A: BandedOperator) -> float:
     """Operator norm, a certified upper bound: the SVD of the nonzero block
     times its rounding margin when that block has at most DENSE_CUTOFF rows
     and columns, else the Schur test on its entries (looser)."""
-    block, _, _ = _compress(A.mat)
-    if sp.issparse(block):
-        coo = block.tocoo()
-        return _schur_cap(coo.row, coo.col, np.abs(coo.data))
-    return _block_sigma(A, block) * (1 + block.size * EPS)
+    return _bracket(A)[0]
 
 
 # -- dominating-function profiles ----------------------------------------------
@@ -254,14 +258,14 @@ class MuProfile:
     0..Rmax, and the op norm from above (op) and from below (op_lower: the
     plain SVD up to DENSE_CUTOFF, the largest column 2-norm above it).
 
-    Each part is computed on its first read and kept: op and op_lower from
-    one norm of the nonzero block (the SVD is shared with op_norm through the
-    operator), upper from the off-band norms, and lower with probe_svds (probe
-    matrices, one per support and radius, SVD'd) and probe_skips (those whose
-    SVD the Frobenius bound ruled out) from the probe pass.  A part nobody
-    reads is never computed, and every part is the same bit for bit whatever
-    was read before it.  The block and the dense/closed-form choice are fixed when
-    the profile is made; the operator must not change after that."""
+    op and op_lower read the operator's norm bracket, as op_norm does.  upper
+    (the off-band norms) and lower with probe_svds (probe matrices, one per
+    support and radius, SVD'd) and probe_skips (those whose SVD the Frobenius
+    bound ruled out) from the probe pass are computed on their first read and
+    kept.  A part nobody reads is never computed, and every part is the same
+    bit for bit whatever was read before it.  The block is fixed when the
+    profile is made; the operator must not change after that.  mu_norm and
+    mu_norm_lower read the decay norms off the profile."""
 
     def __init__(self, A: BandedOperator, Rmax: int):
         A.window.require_margin(Rmax, "opalg.mu_profile")
@@ -275,23 +279,13 @@ class MuProfile:
             A.entry_point_pairs()
         self._radii = range(min(Rmax + 1, A.propagation))   # entries beyond them
 
-    @cached_property
-    def _op(self) -> tuple[float, float]:
-        A, block = self._A, self._block
-        if self._sparse:
-            c, a = A.mat.indices, np.abs(A.mat.data)
-            return (_schur_cap(_csr_rows(A.mat), c, a),
-                    float(np.sqrt(np.bincount(c, weights=a * a).max())))
-        sigma = _block_sigma(A, block)
-        return sigma * (1 + block.size * EPS), sigma
-
     @property
     def op(self) -> float:
-        return self._op[0]
+        return _bracket(self._A, self._block)[0]
 
     @property
     def op_lower(self) -> float:
-        return self._op[1]
+        return _bracket(self._A, self._block)[1]
 
     @cached_property
     def upper(self) -> np.ndarray:
@@ -411,6 +405,15 @@ class MuProfile:
         lower.flags.writeable = False
         return lower, svds, int(reach.sum()) - svds
 
+    def mu_norm(self, n: float) -> float:
+        """Certified upper bound for the best D with mu_A(R) <= D / R^n."""
+        return _decay_norm(self.op, self.upper, n)
+
+    def mu_norm_lower(self, n: float) -> float:
+        """Lower bound of the same norm, up to the rounding of one SVD:
+        op_lower against the probe shells."""
+        return _decay_norm(self.op_lower, self.lower, n)
+
     def upper_at(self, x: float) -> float:
         """Evaluate the upper profile at a real radius (floor: still certified)."""
         if x < 0:
@@ -430,6 +433,12 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
     the margin and reads the entries' distances now; each part of the profile
     is computed when it is first read (see MuProfile)."""
     return MuProfile(A, Rmax)
+
+
+def _decay_norm(op: float, mu: np.ndarray, n: float) -> float:
+    """max(op, max over R >= 1 of mu(R) * R^n)."""
+    shells = mu[1:] * np.arange(1, len(mu), dtype=float) ** n
+    return float(max(op, shells.max(initial=0.0)))
 
 
 def _probe_skips(frob2, m, k, lower):
@@ -466,28 +475,6 @@ def _probe_table(window: Window):
         member.flags.writeable = False
         return dist_to, member
     return window.derived("probe_table", build)
-
-
-def mu_norm(A: BandedOperator, n: float, profile: MuProfile | None = None,
-            Rmax: int | None = None) -> float:
-    """Certified upper bound for the best D with mu_A(R) <= D / R^n."""
-    if profile is None:
-        profile = mu_profile(A, A.window.margin if Rmax is None else Rmax)
-    Rs = np.arange(1, profile.Rmax + 1, dtype=float)
-    shells = profile.upper[1:] * Rs ** n
-    return float(max(profile.op, shells.max(initial=0.0)))
-
-
-def mu_norm_lower(A: BandedOperator, n: float,
-                  profile: MuProfile | None = None,
-                  Rmax: int | None = None) -> float:
-    """Lower bound of the same norm, up to the rounding of one SVD: op_lower
-    against the probe shells."""
-    if profile is None:
-        profile = mu_profile(A, A.window.margin if Rmax is None else Rmax)
-    Rs = np.arange(1, profile.Rmax + 1, dtype=float)
-    shells = profile.lower[1:] * Rs ** n
-    return float(max(profile.op_lower, shells.max(initial=0.0)))
 
 
 # -- quantitative checks ------------------------------------------------------------
@@ -551,9 +538,17 @@ def check_power_estimate(A: BandedOperator, nmax: int, Rmax: int) -> CheckTable:
     return CheckTable("power_estimate", rows)
 
 
+def _diagonal(window: Window, points, fiber: int) -> BandedOperator:
+    """The projection onto the fibers of the given points (ascending)."""
+    idx = (np.asarray(points, dtype=np.int64)[:, None] * fiber
+           + np.arange(fiber)).ravel()
+    mat = sp.csr_matrix((np.ones(len(idx), dtype=np.complex128), (idx, idx)),
+                        shape=(window.n_points * fiber,) * 2)
+    return BandedOperator(window, mat, fiber)
+
+
 def identity(window: Window, fiber: int = 1) -> BandedOperator:
-    return BandedOperator(window, sp.eye(window.n_points * fiber, format="csr",
-                                         dtype=np.complex128), fiber)
+    return _diagonal(window, np.arange(window.n_points), fiber)
 
 
 @dataclass
@@ -592,8 +587,8 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
     tail = (q ** (terms + 1)) / (1 - q) if q > 0 else 0.0
     prof_S = mu_profile(S, Rmax)
     prof_B = mu_profile(B, Rmax)
-    measured = mu_norm_lower(S, n, prof_S)
-    nB = mu_norm(B, n, prof_B)
+    measured = prof_S.mu_norm_lower(n)
+    nB = prof_B.mu_norm(n)
     bound = max(prof_S.op, 1 + nB + nB / (1 - q))
     slack = tail * (max(Rmax, 1) ** n) + 1e-9 * (1 + bound)
     report = NeumannReport(measured=measured, bound=bound, op_inverse=prof_S.op,
@@ -642,7 +637,7 @@ def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12):
         used = i + 1
     rmax = min(A.window.margin, max(1, used * max(A.propagation, 1)))
     report = {"terms_used": used, "tail_bound": max(remaining, 0.0),
-              "mu_norm": mu_norm(out, 2, Rmax=rmax) if rmax >= 1 else None}
+              "mu_norm": mu_profile(out, rmax).mu_norm(2) if rmax >= 1 else None}
     return out, report
 
 
@@ -705,34 +700,22 @@ def winding_unitary(window: Window, k: int) -> BandedOperator:
     """k-fold shift on a 1-D lattice window; unitary on the margin-safe core."""
     if window.dim != 1:
         raise WindowError("opalg.winding_unitary: needs a 1-D lattice window")
-    if k == 0:
-        return identity(window)
     return shift(window, 0, k)
 
 
-def site_projection(window: Window, p: int, fiber: int = 1) -> BandedOperator:
+def site_projection(window: Window, p: int) -> BandedOperator:
     window.check_point(p)
-    idx = np.arange(p * fiber, (p + 1) * fiber)
-    mat = sp.csr_matrix((np.ones(fiber, dtype=np.complex128), (idx, idx)),
-                        shape=(window.n_points * fiber,) * 2)
-    return BandedOperator(window, mat, fiber)
+    return _diagonal(window, [p], 1)
 
 
-def diag_indicator(window: Window, predicate, fiber: int = 1) -> BandedOperator:
-    keep = [p for p in range(window.n_points) if predicate(window.label(p))]
-    idx = np.concatenate([np.arange(p * fiber, (p + 1) * fiber) for p in keep]) \
-        if keep else np.array([], dtype=int)
-    mat = sp.csr_matrix((np.ones(len(idx), dtype=np.complex128), (idx, idx)),
-                        shape=(window.n_points * fiber,) * 2)
-    return BandedOperator(window, mat, fiber)
+def diag_indicator(window: Window, predicate) -> BandedOperator:
+    return _diagonal(window, [p for p in range(window.n_points)
+                              if predicate(window.label(p))], 1)
 
 
-def safe_projector(window: Window, extra_radius: int = 0) -> BandedOperator:
-    keep = np.flatnonzero(window.dist_to_base
-                          <= window.W - window.margin - extra_radius)
-    mat = sp.csr_matrix((np.ones(len(keep), dtype=np.complex128), (keep, keep)),
-                        shape=(window.n_points,) * 2)
-    return BandedOperator(window, mat)
+def safe_projector(window: Window) -> BandedOperator:
+    return _diagonal(window, np.flatnonzero(
+        window.dist_to_base <= window.W - window.margin), 1)
 
 
 def _banded_pairs(window: Window, prop: int, safe_only: bool):

@@ -396,9 +396,9 @@ def make_window(kind: str, W: int, margin: int = 0, metric: str | None = None,
     return Window(kind, W, margin, metric, dim=dim, max_points=max_points)
 
 
-def window_from_descriptor(d: dict, max_points: int = MAX_POINTS_DEFAULT) -> Window:
+def window_from_descriptor(d: dict) -> Window:
     return make_window(d["kind"], d["W"], d.get("margin", 0),
-                       d.get("metric"), dim=d.get("dim"), max_points=max_points)
+                       d.get("metric"), dim=d.get("dim"))
 
 
 # -- measurements -------------------------------------------------------------

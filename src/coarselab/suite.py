@@ -79,7 +79,10 @@ def _timed(fn):
 # -- exact linear algebra for the index oracle -----------------------------------
 
 def _exact_kernel_basis(M):
-    """Kernel basis of an integer matrix, exact over the rationals."""
+    """Kernel basis of an integer matrix, exact over the rationals.
+
+    Gauss-Jordan elimination without normalizing the pivot rows; each basis
+    vector divides by its pivots as it is written."""
     m, n = M.shape
     A = [[Fraction(int(M[i, j])) for j in range(n)] for i in range(m)]
     pivots = {}
@@ -89,11 +92,9 @@ def _exact_kernel_basis(M):
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
         for i in range(m):
             if i != r and A[i][c] != 0:
-                f = A[i][c]
+                f = A[i][c] / A[r][c]
                 A[i] = [x - f * y for x, y in zip(A[i], A[r])]
         pivots[c] = r
         r += 1
@@ -104,32 +105,9 @@ def _exact_kernel_basis(M):
         v = [Fraction(0)] * n
         v[c] = Fraction(1)
         for pc, pr in pivots.items():
-            v[pc] = -A[pr][c]
+            v[pc] = -A[pr][c] / A[pr][pc]
         basis.append(v)
     return basis
-
-
-def _exact_cokernel_rows(M):
-    """Row indices whose standard vectors complete the column space.
-
-    Column-eliminates the matrix over the rationals, tracking which rows end
-    up holding a pivot; the pivot-free rows represent the cokernel.
-    """
-    m = M.shape[0]
-    A = [[Fraction(int(M[i, j])) for j in range(M.shape[1])] for i in range(m)]
-    used_rows = set()
-    for c in range(M.shape[1]):
-        piv = next((i for i in range(m)
-                    if i not in used_rows and A[i][c] != 0), None)
-        if piv is None:
-            continue
-        used_rows.add(piv)
-        for c2 in range(M.shape[1]):
-            if c2 != c and A[piv][c2] != 0:
-                f = A[piv][c2] / A[piv][c]
-                for i in range(m):
-                    A[i][c2] -= f * A[i][c]
-    return sorted(set(range(m)) - used_rows)
 
 
 def toeplitz_index_oracle(compressed: np.ndarray, near_size: int) -> int:
@@ -137,18 +115,14 @@ def toeplitz_index_oracle(compressed: np.ndarray, near_size: int) -> int:
 
     The square compression of a half-space operator always has equal kernel
     and cokernel dimensions (edge modes at the two ends of the interval); the
-    index of the half-infinite operator is the count of kernel modes localized
-    in the first `near_size` sites minus the count of cokernel modes there.
+    index of the half-infinite operator is the count of kernel vectors of M
+    supported in the first `near_size` sites minus that count for M^T (the
+    cokernel), both from the exact kernel basis.
     """
-    ker = _exact_kernel_basis(compressed)
-    coker_rows = _exact_cokernel_rows(compressed)
-    ker_near = 0
-    for v in ker:
-        support = [i for i, x in enumerate(v) if x != 0]
-        if support and max(support) < near_size:
-            ker_near += 1
-    coker_near = sum(1 for r in coker_rows if r < near_size)
-    return ker_near - coker_near
+    def near(M):     # every basis vector has a nonzero entry
+        return sum(max(i for i, x in enumerate(v) if x) < near_size
+                   for v in _exact_kernel_basis(M))
+    return near(compressed) - near(compressed.T)
 
 
 # -- demos -------------------------------------------------------------------------

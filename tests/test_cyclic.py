@@ -571,7 +571,7 @@ def test_chi_norm_ratio_window_independent():
             num = ufchain.norm_inf_n(cyclic.chi(t), n)
             den = 1.0
             for A in ops:
-                den *= max(opalg.op_norm(A), opalg.mu_norm(A, n + 1, Rmax=6))
+                den *= max(opalg.op_norm(A), opalg.mu_profile(A, 6).mu_norm(n + 1))
             if den > 0:
                 worst = max(worst, num / den)
         caps[W] = worst

@@ -1,7 +1,8 @@
-"""Source hygiene: no unused imports in the package, and every third-party
-import declared in pyproject.toml.
+"""Source hygiene: no unused imports in the package, every third-party
+import declared in pyproject.toml, and no defaulted parameter of the
+package's public API that no call passes.
 
-Both checks read the source with ast; nothing is imported or run.
+The checks read the source with ast; nothing is imported or run.
 """
 
 import ast
@@ -78,3 +79,52 @@ def test_third_party_imports_are_declared():
     test = runtime | _requirement_names(project["optional-dependencies"]["test"])
     assert sorted(_third_party(ROOT / "src") - runtime) == []
     assert sorted(_third_party(ROOT / "tests") - test) == []
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None) for every defaulted
+    parameter of the module-level public functions and of the public methods
+    and __init__ of the module-level classes; an __init__ is called by its
+    class's name.  A method's index does not count self."""
+    defs = [(f, f.name, False) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+        defs += [(f, cls.name if f.name == "__init__" else f.name,
+                  not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in f.decorator_list))
+                 for f in cls.body if isinstance(f, ast.FunctionDef)]
+    for f, name, bound in defs:
+        if name.startswith("_"):
+            continue
+        a = f.args
+        positional = (a.posonlyargs + a.args)[int(bound):]
+        for i, p in enumerate(positional[len(positional) - len(a.defaults):],
+                              len(positional) - len(a.defaults)):
+            yield name, p.arg, i
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield name, p.arg, None
+
+
+def _passes(call, param, index):
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return True          # *args or **kwargs may carry it
+    return any(k.arg == param for k in call.keywords) \
+        or (index is not None and len(call.args) > index)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default no call overrides is a knob nobody turns: inline it
+    calls = {}
+    for root in ("src", "tests", "perfbench"):
+        for path in _modules(ROOT / root):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    calls.setdefault(name, []).append(node)
+    unpassed = [f"{path.name}: {name}({param})"
+                for path in _modules(PACKAGE)
+                for name, param, index in _defaulted_parameters(ast.parse(path.read_text()))
+                if not any(_passes(c, param, index) for c in calls.get(name, ()))]
+    assert unpassed == []

@@ -439,10 +439,13 @@ def test_mu_profile_lazy_reads_match_eager(case, w, wsmall, monkeypatch):
         for part in _PARTS:
             prof = opalg.mu_profile(_fresh(A), Rmax)
             assert _same_part(getattr(prof, part), eager[part])
-            # nothing else was computed on the way
-            computed = {"_op", "upper", "_probes"} & set(vars(prof))
-            assert computed == {"op": {"_op"}, "op_lower": {"_op"},
-                                "upper": {"_op", "upper"}}.get(part, {"_probes"})
+            # nothing else was computed on the way ("norm": the operator's
+            # bracket, which op, op_lower and upper read)
+            computed = {"upper", "_probes"} & set(vars(prof))
+            if prof._A._norm is not None:
+                computed.add("norm")
+            assert computed == {"op": {"norm"}, "op_lower": {"norm"},
+                                "upper": {"norm", "upper"}}.get(part, {"_probes"})
         for order in (("lower", "upper"), ("upper", "lower")):
             prof = opalg.mu_profile(_fresh(A), Rmax)
             for part in order + _PARTS:
@@ -450,10 +453,10 @@ def test_mu_profile_lazy_reads_match_eager(case, w, wsmall, monkeypatch):
         for part in ("upper", "lower"):
             with pytest.raises(ValueError):
                 getattr(ref, part)[0] = 0.0     # the kept arrays are read-only
-        if case != "closed_form":
-            # on the SVD path the profile's op is op_norm's, bit for bit
-            B = _fresh(A)
-            assert opalg.mu_profile(B, Rmax).op == opalg.op_norm(B) == eager["op"]
+        # the profile's op is op_norm's, bit for bit, on either path
+        B = _fresh(A)
+        assert opalg.mu_profile(B, Rmax).op == opalg.op_norm(B) == eager["op"]
+        assert opalg.op_norm(_fresh(A)) == eager["op"]
 
 
 def test_op_norm_and_profile_share_one_svd(w, monkeypatch):
@@ -469,6 +472,36 @@ def test_op_norm_and_profile_share_one_svd(w, monkeypatch):
     prof = opalg.mu_profile(A, 6)
     assert prof.op == op and opalg.op_norm(A) == op
     assert calls == [opalg._compress(A.mat)[0].shape]
+
+
+@pytest.mark.parametrize("cutoff", [600, 4])
+def test_op_norm_is_the_profile_op_on_products(cutoff, monkeypatch):
+    # op_norm and a profile's op read one bracket, so they agree bit for bit,
+    # also above the cutoff on products, whose CSR rows are not sorted (a
+    # Schur test summing the entries in another order rounds differently)
+    monkeypatch.setattr(opalg, "DENSE_CUTOFF", cutoff)
+    w = spaces.make_window("zd", 32, 16, dim=1)
+    for s in range(6):
+        A = opalg.random_banded(w, (0, 7, s), prop=3, decay=0.6)
+        for X in (A @ A, A.adjoint() @ A):
+            assert opalg.op_norm(_fresh(X)) == opalg.mu_profile(_fresh(X), 16).op
+
+
+@pytest.mark.parametrize("cutoff", [600, 4])
+def test_op_norm_compresses_once(cutoff, w, monkeypatch):
+    monkeypatch.setattr(opalg, "DENSE_CUTOFF", cutoff)
+    compress = opalg._compress
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return compress(mat)
+    monkeypatch.setattr(opalg, "_compress", counted)
+    A = opalg.random_banded(w, 49, prop=3, decay=0.6)
+    op = opalg.op_norm(A)
+    assert opalg.op_norm(A) == op and len(calls) == 1
+    # a profile compresses for its own parts; its op is the kept bracket
+    assert opalg.mu_profile(A, 6).op == op and len(calls) == 2
 
 
 # np.linalg.svd calls (and the matrices they factor: a probe stacks its
@@ -582,10 +615,11 @@ def test_mu_profile_fiber2_sandwich(wsmall):
 
 def test_mu_norm_examples(w):
     S = opalg.shift(w, 0, 1)
-    assert opalg.mu_norm(S, 3, Rmax=6) == pytest.approx(1.0, abs=1e-9)
-    assert opalg.mu_norm(opalg.identity(w), 5, Rmax=6) == pytest.approx(1.0)
+    assert opalg.mu_profile(S, 6).mu_norm(3) == pytest.approx(1.0, abs=1e-9)
+    assert opalg.mu_profile(opalg.identity(w), 6).mu_norm(5) == pytest.approx(1.0)
     A = opalg.random_banded(w, 3, prop=6, decay=0.5, density=1.0)
-    norms = [opalg.mu_norm(A, n, Rmax=8) for n in range(9)]
+    prof = opalg.mu_profile(A, 8)
+    norms = [prof.mu_norm(n) for n in range(9)]
     assert all(np.isfinite(x) for x in norms)
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
     assert norms[8] > norms[1]
@@ -622,9 +656,9 @@ def test_mu_norm_submultiplicative_bound(w):
             pa = opalg.mu_profile(A, 8)
             pb = opalg.mu_profile(B, 8)
             pab = opalg.mu_profile(A @ B, 8)
-            lhs = opalg.mu_norm_lower(A @ B, n, pab)
-            na = opalg.mu_norm(A, n, pa)
-            nb = opalg.mu_norm(B, n, pb)
+            lhs = pab.mu_norm_lower(n)
+            na = pa.mu_norm(n)
+            nb = pb.mu_norm(n)
             rhs = pa.op * 2 * 2 ** n * nb + 2 ** n * na * (pb.op + 2 * 2 ** n * nb)
             assert lhs <= rhs * (1 + 1e-9)
 
@@ -696,7 +730,7 @@ def test_mu_norm_lower_below_svd_on_neumann_inverse():
     B = B.scale(0.8 / (2 ** 2 * 5) / opalg.op_norm(B))
     S, rep = opalg.neumann_inverse(B, 1)
     prof = opalg.mu_profile(S, 16)
-    lower = opalg.mu_norm_lower(S, 1, prof)
+    lower = prof.mu_norm_lower(1)
     assert lower == rep.measured == prof.op_lower
     dense = S.mat.toarray()
     k = np.count_nonzero(np.any(dense != 0, axis=0))

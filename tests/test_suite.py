@@ -27,7 +27,7 @@ def test_exact_kernel_cokernel():
     assert len(ker) == 1
     v = np.array([float(x) for x in ker[0]])
     assert np.allclose(M @ v, 0)
-    assert len(suite._exact_cokernel_rows(M)) == 1
+    assert len(suite._exact_kernel_basis(M.T)) == 1
 
 
 def test_demo_winding_reports():
