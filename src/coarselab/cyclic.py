@@ -189,7 +189,9 @@ def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
         k = [col[src] for col in k] + [A.mat.indices[pos]]
         vals = vals[src] * A.mat.data[pos]
     closing = _closing_entries(ops[0].mat, k[-1], k[0])
-    hit = np.flatnonzero(closing)   # indices select twice as fast as a mask here
+    # indices select twice as fast as a mask here; != 0 is cheaper than the
+    # complex array's own truth test
+    hit = np.flatnonzero(closing != 0)
     return (np.column_stack([col[hit] for col in k]) // f,
             closing[hit] * vals[hit])
 
@@ -235,7 +237,7 @@ def _ordered_arrays(t: CyclicTensor):
     tuples, values = chi_arrays(t)
     perms = np.array(list(permutations(range(t.degree + 1))))
     _, signs, _ = sort_sign(perms)
-    tuples = tuples[:, perms].reshape(-1, perms.shape[1])
+    tuples = np.take(tuples, perms, axis=1).reshape(-1, perms.shape[1])
     values = (values[:, None] * signs).ravel() * t.numeric_prefactor()
     return tuples, values
 

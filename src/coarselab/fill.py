@@ -222,10 +222,11 @@ def fill_chain(c: UfChain) -> UfChain:
         owner += [r] * (len(pieces) - len(owner))
     simplices = np.array([s for s, _ in pieces], dtype=np.int64).reshape(-1, q + 1, w.dim)
     rows, sign, distinct = sort_sign(w.index_many(simplices))
-    if not kuhn_rows(w, rows[distinct]).all():
+    rows = rows[distinct]
+    if not kuhn_rows(w, rows).all():
         raise FillError("fill.fill_chain: a piece is not a simplex of the triangulation")
     values = c.values[owner] * (sign * np.array([z for _, z in pieces], dtype=np.int64))
-    return UfChain.from_arrays(w, q, rows[distinct], values[distinct])
+    return UfChain.from_arrays(w, q, rows, values[distinct])
 
 
 def fill_tuple(window: Window, tup) -> UfChain:

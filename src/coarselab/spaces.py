@@ -12,7 +12,10 @@ kernel whose temporaries scale with the size of the answer:
 
   lattices     a dense (2W+1)^d grid of point ids (-1 outside the window)
                serves index_of and index_many; 4 bytes per grid cell;
-  heisenberg3  word lengths of the radius-2W ball as a dense uint8 array over
+  heisenberg3  a dense int32 box of point ids over |a|, |b| <= W,
+               |c| <= floor(W^2/4) (-1 beyond distance W) serves index_of;
+               4 (2W+1)^2 (2 floor(W^2/4) + 1) bytes, 0.56 MB at W=16;
+               word lengths of the radius-2W ball as a dense uint8 array over
                the box |a|, |b| <= 2W, |c| <= W^2, built on first use and
                indexed by p^-1 q; (4W+1)^2 (2W^2+1) bytes, 0.34 MB at W=10;
   tree3        an ancestor table up[i, k] (the ancestor of i at depth k, or i
@@ -107,7 +110,8 @@ class Window:
         self.dim = dim
         self._max_points = max_points
         self._grid = None         # lattices: dense point-id grid, -1 outside
-        self._index = None        # heisenberg3 / tree3: label -> point id
+        self._index = None        # tree3 only: node path -> point id
+        self._heis_ids = None     # heisenberg3: dense point-id box, -1 outside
         self._heis_rel = None     # heisenberg3: radius-2W lookup, built on first use
         self._memo = {}           # see derived
 
@@ -186,8 +190,10 @@ class Window:
         cells = cells[np.argsort(lengths[cells], kind="stable")]
         coords = np.stack(np.unravel_index(cells, shape), axis=1) - np.array(shape) // 2
         self.coords = np.ascontiguousarray(coords, dtype=np.int64)
-        self._index = {p: i for i, p in enumerate(map(tuple, self.coords.tolist()))}
-        self.base = self._index[(0, 0, 0)]
+        ids = np.full(shape, -1, dtype=np.int32)
+        ids.reshape(-1)[cells] = np.arange(len(cells))
+        self._heis_ids = ids
+        self.base = ids.item((W, W, shape[2] // 2))
         self.dist_to_base = lengths[cells].astype(np.int64)
 
     def _heis_lookup(self):
@@ -253,8 +259,15 @@ class Window:
     def index_of(self, label) -> int:
         key = tuple(label)
         W = self.W
-        if self._grid is None:
+        if self._index is not None:
             i = self._index.get(key, -1)
+        elif self._heis_ids is not None:
+            C = self._heis_ids.shape[2] // 2
+            if (len(key) == 3 and -W <= key[0] <= W and -W <= key[1] <= W
+                    and -C <= key[2] <= C):
+                i = self._heis_ids.item((key[0] + W, key[1] + W, key[2] + C))
+            else:
+                i = -1
         elif len(key) == self.dim and -W <= min(key) and max(key) <= W:
             i = self._grid.item(tuple([x + W for x in key]))
         else:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -186,6 +187,40 @@ def test_heisenberg_memory_budget():
         spaces.make_window("heisenberg3", 4, 0, max_points=134)
     with pytest.raises(WindowError):
         spaces.make_window("heisenberg3", 40, 0, max_points=1000)
+
+
+@pytest.mark.parametrize("W", [1, 4, 16])
+def test_heisenberg_index_of_roundtrip(W):
+    w = spaces.make_window("heisenberg3", W, 0)
+    assert all(w.index_of(w.label(i)) == i for i in range(w.n_points))
+    assert w.base == w.index_of((0, 0, 0))
+
+
+def test_heisenberg_index_of_outside():
+    W = 4
+    C = W * W // 4
+    w = spaces.make_window("heisenberg3", W, 0)
+    # inside the coordinate box |a|, |b| <= W, |c| <= C but at distance W + 1
+    beyond = [p for p, ell in _heis_words_upto(W + 1).items()
+              if ell == W + 1 and max(abs(p[0]), abs(p[1])) <= W and abs(p[2]) <= C]
+    assert beyond
+    outside = [(0, 0), (0, 0, 0, 0), (W + 1, 0, 0), (0, -W - 1, 0),
+               (0, 0, C + 1), (0, 0, -C - 1)]
+    for label in outside + beyond:
+        with pytest.raises(PointNotInWindowError):
+            w.index_of(label)
+
+
+def test_heisenberg_build_memory():
+    # no per-point Python objects: the peak is the BFS arrays plus the 0.56 MB
+    # id box (about 1.9 MB); a label tuple per point (27,905) exceeds the bound
+    tracemalloc.start()
+    try:
+        spaces.make_window("heisenberg3", 16, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_point_identity_and_lookup(zplane):
