@@ -132,12 +132,12 @@ def chern1(u: BandedOperator, n: int,
     if u_inv is None:
         u_inv = u.adjoint()
     P = safe_projector(u.window)
-    defect = op_norm(P @ ((u @ u_inv) - identity(u.window, u.fiber)) @ P)
+    one = identity(u.window, u.fiber)
+    defect = op_norm(P @ ((u @ u_inv) - one) @ P)
     if defect >= 1e-8:
         raise PreconditionError(
             f"cyclic.chern1: ||u u^-1 - id||_op = {defect:.2e} on the "
             "margin-safe core; not an invertible/inverse pair")
-    one = identity(u.window, u.fiber)
     a = u_inv - one
     b = u - one
     weight = math.factorial(2 * n + 1) / math.factorial(n + 1)

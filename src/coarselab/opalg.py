@@ -540,10 +540,16 @@ def check_power_estimate(A: BandedOperator, nmax: int, Rmax: int) -> CheckTable:
 
 def _diagonal(window: Window, points, fiber: int) -> BandedOperator:
     """The projection onto the fibers of the given points (ascending)."""
-    idx = (np.asarray(points, dtype=np.int64)[:, None] * fiber
-           + np.arange(fiber)).ravel()
-    mat = sp.csr_matrix((np.ones(len(idx), dtype=np.complex128), (idx, idx)),
-                        shape=(window.n_points * fiber,) * 2)
+    n = window.n_points * fiber
+    dt = np.int32 if n < 2 ** 31 else np.int64    # scipy's choice from COO
+    idx = (np.asarray(points, dtype=dt)[:, None] * fiber
+           + np.arange(fiber, dtype=dt)).ravel()
+    # one entry per listed row, in ascending order: already canonical CSR
+    indptr = np.zeros(n + 1, dtype=dt)
+    indptr[idx + 1] = 1
+    np.cumsum(indptr, out=indptr)
+    mat = sp.csr_matrix((np.ones(len(idx), dtype=np.complex128), idx, indptr),
+                        shape=(n, n))
     return BandedOperator(window, mat, fiber)
 
 

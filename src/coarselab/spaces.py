@@ -157,9 +157,9 @@ class Window:
                 f"memory budget of {self._max_points} points")
         axes = [np.arange(-W, W + 1)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        coords = grid[self._zd_norm(grid) <= W]
-        order = np.lexsort(coords.T[::-1])
-        self.coords = np.ascontiguousarray(coords[order], dtype=np.int64)
+        # meshgrid's "ij" rows are already in lexicographic order
+        self.coords = np.ascontiguousarray(grid[self._zd_norm(grid) <= W],
+                                           dtype=np.int64)
         if len(self.coords) > self._max_points:
             raise WindowError(
                 f"spaces.make_window: window has {len(self.coords)} points, "

@@ -10,6 +10,7 @@ and their random streams all derive from SEED.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
@@ -81,31 +82,40 @@ def _timed(fn):
 def _exact_kernel_basis(M):
     """Kernel basis of an integer matrix, exact over the rationals.
 
-    Gauss-Jordan elimination without normalizing the pivot rows; each basis
-    vector divides by its pivots as it is written."""
+    Fraction-free Gauss-Jordan elimination on rows of Python ints: a row with
+    a nonzero f in the pivot column becomes p * row - f * pivot_row (p the
+    pivot), divided by the gcd of its entries.  Each row stays a nonzero
+    multiple of the row that Gauss-Jordan over the rationals would hold, so
+    the pivots and every ratio A[pr][c] / A[pr][pc] are the same, and the
+    basis vectors come out as the same Fractions."""
     m, n = M.shape
-    A = [[Fraction(int(M[i, j])) for j in range(n)] for i in range(m)]
+    A = M.tolist()
     pivots = {}
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
+        pivot_row, p = A[r], A[r][c]
         for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c] / A[r][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+            f = A[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(A[i], pivot_row)]
+                g = math.gcd(*row)
+                A[i] = [x // g for x in row] if g > 1 else row
         pivots[c] = r
         r += 1
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for c in range(n):
         if c in pivots:
             continue
-        v = [Fraction(0)] * n
-        v[c] = Fraction(1)
+        v = [zero] * n
+        v[c] = one
         for pc, pr in pivots.items():
-            v[pc] = -A[pr][c] / A[pr][pc]
+            if A[pr][c]:
+                v[pc] = Fraction(-A[pr][c], A[pr][pc])
         basis.append(v)
     return basis
 
@@ -172,41 +182,56 @@ class TreeDemoReport:
     z_witness_coeff: float
 
 
+def _tree_flow(w: spaces.Window):
+    """(den * t, den) for the outward flow t on a tree window.
+
+    Every vertex sends its inflow plus one unit, split equally, to its
+    children: t(c, p) = (t(p, parent p) + 1) / kids(p), with no inflow at the
+    root.  The denominator of t(c, p) divides the product of the child counts
+    strictly above c, so with den the lcm of those products the integers
+    num[c] = (num[p] + den) // kids[p] are exact.  They are computed level by
+    level over the breadth-first depths; the chain carries num[c] on the edge
+    (c, parent c)."""
+    parent, depth = w.parent, w.dist_to_base
+    kids = np.bincount(parent[1:], minlength=w.n_points)
+    levels = [np.flatnonzero(depth == k) for k in range(1, w.W + 1)]
+    above = np.ones(w.n_points, dtype=np.int64)
+    for level in levels:
+        above[level] = above[parent[level]] * kids[parent[level]]
+    den = int(np.lcm.reduce(above))
+    num = np.zeros(w.n_points, dtype=np.int64)
+    for level in levels:
+        num[level] = (num[parent[level]] + den) // kids[parent[level]]
+    edges = np.column_stack((np.arange(1, w.n_points), parent[1:]))
+    return ufchain.UfChain.from_arrays(w, 1, edges, num[1:]), den
+
+
 def demo_tree_fundamental_class(W: int) -> TreeDemoReport:
     """Bound the 0-cycle of all vertices on the 3-regular tree window.
 
     Routes one unit of flow from every vertex toward infinity (away from the
-    root), splitting equally over children; the resulting 1-chain has exact
-    rational coefficients bounded by 1 and boundary equal to the sum of all
-    margin-safe vertices.  The analogous rightward routing on an integer
-    interval is the expected-fail witness: its boundary is checked exactly to
-    be the safe vertices minus their count at the sink, and its largest
-    coefficient, measured on the chain, is the number of safe vertices, so it
-    grows linearly with the window radius; z_expected_fail records that the
-    boundary is exact and the coefficient is at least W.
+    root), splitting equally over children (``_tree_flow``).  The resulting
+    1-chain has exact rational coefficients, largest 1 - 1/(3 * 2^(W-2)) at
+    the leaves.  Its boundary is +1 at every vertex that has children and
+    -(inflow) at each of the 3 * 2^(W-1) leaves at depth W; the window's
+    margin is 1, so the margin-safe vertices are exactly the ones with
+    children, and tree_exact records that the boundary is +1 at each of them
+    (the leaves are not checked).  The analogous rightward routing on an
+    integer interval is the expected-fail witness: its boundary is checked
+    exactly to be the safe vertices minus their count at the sink, and its
+    largest coefficient, measured on the chain, is the number of safe
+    vertices, so it grows linearly with the window radius; z_expected_fail
+    records that the boundary is exact and the coefficient is at least W.
     """
     if W < 4:
         raise PreconditionError("suite.demo_tree_fundamental_class: needs W >= 4")
     w = spaces.make_window("tree3", W, 1)
-    flow_in = {0: Fraction(0)}
-    terms = {}
-    order = np.argsort(w.dist_to_base, kind="stable")
-    children = {}
-    for p in range(1, w.n_points):
-        children.setdefault(int(w.parent[p]), []).append(p)
-    for p in order:
-        p = int(p)
-        kids = children.get(p, [])
-        if not kids:
-            continue
-        out_flow = (flow_in[p] + 1) / len(kids)
-        for c in kids:
-            flow_in[c] = out_flow
-            terms[(c, p)] = out_flow
-    t = ufchain.UfChain(w, 1, terms)
+    t, den = _tree_flow(w)
     bt = ufchain.boundary(t)
-    ok = all(bt.coefficient((p,)) == 1 for p in w.safe_points.tolist())
-    max_coeff = max((float(v) for v in terms.values()), default=0.0)
+    at = np.zeros(w.n_points, dtype=bt.values.dtype)
+    at[bt.tuples[:, 0]] = bt.values
+    ok = bool((at[w.safe_points] == den).all())
+    max_coeff = float(Fraction(int(t.values.max()), den))
 
     # the expected-fail witness: every safe vertex of the interval routes one
     # unit rightward to the sink W; the edge (x + 1, x) carries the flow of

@@ -37,6 +37,23 @@ def test_shift_isometry_on_safe_sites(w):
     assert opalg.op_norm(core) < 1e-12
 
 
+@pytest.mark.parametrize("fiber", [1, 3])
+def test_diagonal_csr_matches_coo_build(w, fiber):
+    # the direct CSR build of the diagonal projections gives the arrays that
+    # scipy's COO -> CSR conversion gives, dtypes included
+    n = w.n_points * fiber
+    for points in (np.arange(w.n_points), np.flatnonzero(w.safe_mask), [5], []):
+        idx = (np.asarray(points, dtype=np.int64)[:, None] * fiber
+               + np.arange(fiber)).ravel()
+        ref = sp.csr_matrix((np.ones(len(idx), dtype=np.complex128), (idx, idx)),
+                            shape=(n, n))
+        got = opalg._diagonal(w, points, fiber).mat
+        for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                     (got.data, ref.data)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.has_canonical_format
+
+
 def test_diag_product(w):
     A = opalg.diag_indicator(w, lambda lb: lb[0] % 2 == 0)
     B = opalg.diag_indicator(w, lambda lb: lb[0] > 0)

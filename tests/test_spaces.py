@@ -19,6 +19,16 @@ def test_interval_point_count():
     assert sorted(w.label(i)[0] for i in range(21)) == list(range(-10, 11))
 
 
+@pytest.mark.parametrize("dim, W, metric", [
+    (1, 5, "l1"), (2, 4, "l1"), (2, 14, "linf"), (3, 3, "l1"), (3, 4, "linf")])
+def test_zd_coords_lexicographic(dim, W, metric):
+    # fill sorts simplices by point id and relies on ids following label order
+    w = spaces.make_window("zd", W, 0, dim=dim, metric=metric)
+    labels = [tuple(r) for r in w.coords.tolist()]
+    assert labels == sorted(labels)
+    assert len(set(labels)) == w.n_points
+
+
 def test_z2_l1_unit_ball():
     w = spaces.make_window("zd", 1, 0, dim=2)
     assert w.n_points == 5

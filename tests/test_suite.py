@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,96 @@ def test_exact_kernel_cokernel():
     v = np.array([float(x) for x in ker[0]])
     assert np.allclose(M @ v, 0)
     assert len(suite._exact_kernel_basis(M.T)) == 1
+
+
+def _fraction_kernel_basis(M):
+    # Gauss-Jordan over the rationals, one Fraction per entry: the reference
+    # that the fraction-free elimination must reproduce entry for entry
+    m, n = M.shape
+    A = [[Fraction(int(M[i, j])) for j in range(n)] for i in range(m)]
+    pivots = {}
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c] / A[r][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots[c] = r
+        r += 1
+    basis = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
+        for pc, pr in pivots.items():
+            v[pc] = -A[pr][c] / A[pr][pc]
+        basis.append(v)
+    return basis
+
+
+def _kernel_test_matrices():
+    """240 seeded integer matrices with entries in [-9, 9]: rectangular,
+    rank-deficient (rows and columns repeated up to sign), with zero rows
+    and columns; then a dense 12 x 12, a dense 12 x 13 and a rank-6 12 x 12,
+    whose elimination grows the coefficients most."""
+    out = []
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        m, n = (int(x) for x in rng.integers(1, 10, size=2))
+        M = rng.integers(-9, 10, size=(m, n))
+        M[rng.random(m) < 0.3] = 0                       # sparse entries
+        for _ in range(int(rng.integers(0, 3))):         # repeated rows
+            M[rng.integers(m)] = rng.choice([-1, 1]) * M[rng.integers(m)]
+        for _ in range(int(rng.integers(0, 3))):         # repeated columns
+            M[:, rng.integers(n)] = rng.choice([-1, 1]) * M[:, rng.integers(n)]
+        if seed % 4 == 0:
+            M[rng.integers(m)] = 0
+        if seed % 4 == 1:
+            M[:, rng.integers(n)] = 0
+        if seed % 3 == 0:
+            M = M * (rng.random((m, n)) < 0.5)
+        out.append(M.astype(np.int64))
+    rng = np.random.default_rng(12)
+    out.append(rng.integers(-9, 10, size=(12, 12)).astype(np.int64))
+    out.append(rng.integers(-9, 10, size=(12, 13)).astype(np.int64))
+    out.append((rng.integers(-1, 2, size=(12, 6))
+                @ rng.integers(-1, 2, size=(6, 12))).astype(np.int64))
+    return out
+
+
+def test_exact_kernel_basis_matches_fraction_elimination():
+    mats = _kernel_test_matrices()
+    assert all(np.abs(M).max(initial=0) <= 9 for M in mats)
+    assert np.linalg.matrix_rank(mats[-3]) == 12
+    assert np.linalg.matrix_rank(mats[-1]) == 6
+    assert any(np.linalg.matrix_rank(M) < min(M.shape) for M in mats[:-3])
+    for M in mats:
+        for A in (M, M.T):
+            ker = suite._exact_kernel_basis(A)
+            assert ker == _fraction_kernel_basis(A)
+            assert all(type(x) is Fraction for v in ker for x in v)
+            assert len(ker) == A.shape[1] - np.linalg.matrix_rank(A)
+            for v in ker:     # A v = 0 exactly
+                assert all(sum(int(a) * x for a, x in zip(row, v)) == 0
+                           for row in A)
+    assert len(suite._exact_kernel_basis(mats[-1])) == 6
+
+
+@pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2, 3])
+def test_toeplitz_oracle_on_winding_compressions(k):
+    # criterion 10's compression: the k-fold shift on W = 28 (margin 20),
+    # restricted to the sites x >= 0 in increasing order
+    w = spaces.make_window("zd", 28, 20, dim=1)
+    u = opalg.winding_unitary(w, k)
+    nonneg = sorted((p for p in range(w.n_points) if w.coords[p][0] >= 0),
+                    key=lambda p: w.coords[p][0])
+    sub = np.real(u.mat.toarray()[np.ix_(nonneg, nonneg)]).astype(np.int64)
+    assert suite.toeplitz_index_oracle(sub, near_size=len(nonneg) // 2) == -k
 
 
 def test_demo_winding_reports():
@@ -77,6 +168,40 @@ def test_demo_tree_z_witness_coefficient(W):
     rep = suite.demo_tree_fundamental_class(W)
     assert rep.z_witness_coeff == len(safe) == 2 * W - 1
     assert rep.z_expected_fail
+
+
+@pytest.mark.parametrize("W, max_coeff", [
+    (4, 0.9166666666666666), (5, 0.9583333333333334), (6, 0.9791666666666666),
+    (7, 0.9895833333333334), (8, 0.9947916666666666)])
+def test_demo_tree_pinned(W, max_coeff):
+    # a leaf's inflow f_W solves 1 - f_d = (1 - f_(d-1)) / 2 from f_1 = 1/3
+    rep = suite.demo_tree_fundamental_class(W)
+    assert rep.tree_max_coeff == max_coeff == float(1 - Fraction(1, 3 * 2 ** (W - 2)))
+    assert rep.z_witness_coeff == 2 * W - 1
+    assert rep.tree_exact is True and rep.z_expected_fail is True
+
+
+@pytest.mark.parametrize("W", [4, 6])
+def test_tree_flow_boundary_at_leaves(W):
+    # the flow chain, in units of 1/den, against a Fraction recursion; its
+    # boundary is den at every vertex with children, -(inflow) at each of the
+    # 3 * 2^(W-1) leaves, and sums to 0
+    w = spaces.make_window("tree3", W, 1)
+    t, den = suite._tree_flow(w)
+    inflow = {0: Fraction(0)}
+    for c in range(1, w.n_points):    # breadth-first: parents come first
+        p = int(w.parent[c])
+        inflow[c] = (inflow[p] + 1) / (3 if p == 0 else 2)
+    assert t.support == {(c, int(w.parent[c])): inflow[c] * den
+                         for c in range(1, w.n_points)}
+    bt = ufchain.boundary(t)
+    leaves = np.flatnonzero(w.dist_to_base == W)
+    assert len(leaves) == 3 * 2 ** (W - 1)
+    for c in leaves.tolist():
+        assert bt.coefficient((c,)) == -inflow[c] * den
+    assert all(bt.coefficient((p,)) == den for p in w.safe_points.tolist())
+    assert len(bt) == w.n_points
+    assert sum(bt.values.tolist()) == 0
 
 
 def _unit_chain_supports():
