@@ -137,11 +137,16 @@ class Coboundary(CoarseCochain):
         self.convention = convention
 
     def values(self, window, tuples):
+        # one child call on every face stacked (face lo of all rows, then
+        # face lo + 1, ...), the signed faces summed in index order
         lo = 0 if self.convention == "full" else 1
-        total, m = np.zeros(len(tuples), dtype=np.int64), tuples.shape[1]
-        for i in range(lo, m):
-            v = exact_column(self.child.values(window, np.delete(tuples, i, axis=1)), m)
-            total = total + (-v if i % 2 else v)
+        n, m = tuples.shape
+        keep = [[j for j in range(m) if j != i] for i in range(lo, m)]
+        faces = tuples[:, keep].transpose(1, 0, 2).reshape(-1, m - 1)
+        v = exact_column(self.child.values(window, faces), m).reshape(m - lo, n)
+        total = np.zeros(n, dtype=np.int64)
+        for i, vi in enumerate(v, lo):
+            total = total + (-vi if i % 2 else vi)
         return total
 
 

@@ -29,6 +29,15 @@ immutable: the entries' distances, the propagation and the norm bracket
 profile's op and op_lower all read that one bracket -- and a profile keeps its
 operator and reads it when a part is first read.
 
+The lower decay norm mu_norm_lower(n) = max(op_lower, max over R >= 1 of
+lower[R] * R^n) reads lower when it is kept.  Otherwise it runs a probe pass
+of its own, floored at op_lower / R^n less a rounding margin, and keeps
+nothing: a probe whose Frobenius bound lies below the floor could only give
+a shell below op_lower, so its SVD is skipped, and the norm is the same float
+as with the full pass (the proof is at MuProfile.mu_norm_lower).  On the
+suite's Neumann inverses the shells stay below 2% of op_lower, and that pass
+runs no SVD.
+
 Norms.  A matrix has the singular values of its block on the nonzero rows and
 columns, which is small here (supports lie in the safe core).  When that block
 has at most DENSE_CUTOFF rows and columns, a norm is the LAPACK SVD of the
@@ -265,7 +274,10 @@ class MuProfile:
     kept.  A part nobody reads is never computed, and every part is the same
     bit for bit whatever was read before it.  The block is fixed when the
     profile is made; the operator must not change after that.  mu_norm and
-    mu_norm_lower read the decay norms off the profile."""
+    mu_norm_lower read the decay norms off the profile; mu_norm_lower read
+    before lower runs a probe pass floored at op_lower / R^n instead, which
+    skips every SVD that cannot move the norm and is not kept (the proof that
+    the norm is the same float is in its docstring)."""
 
     def __init__(self, A: BandedOperator, Rmax: int):
         A.window.require_margin(Rmax, "opalg.mu_profile")
@@ -321,13 +333,24 @@ class MuProfile:
 
     @cached_property
     def _probes(self) -> tuple[np.ndarray, int, int]:
+        return self._probe_pass(np.zeros(self.Rmax + 1))
+
+    def _probe_pass(self, floor: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """(lower, SVDs run, SVDs skipped) of the probes against a floor
+        (Rmax + 1 values).  A probe's SVD at R is skipped when its Frobenius
+        bound is below max(running lower[R], floor[R]), both in the 2^s
+        scale, and radii with an infinite floor are not probed at all.  With
+        a zero floor this is the full pass and lower is mu_lower; above a
+        positive floor[R], lower[R] may stay below mu_lower, but only where
+        every SVD left out is below floor[R] (see mu_norm_lower)."""
         # Probes: the plain SVD of the columns over a support L on the rows
         # beyond R, a lower bound within rounding (k*eps relative) of the true
         # value.  Masses are taken of the entries scaled by 2^s, which puts the
         # largest real or imaginary part in [1/2, 1): no square over- or
         # underflows at the ends of the float range (see _probe_skips), and the
         # scaling is exact.
-        A, block, radii, Rmax = self._A, self._block, self._radii, self.Rmax
+        A, block, Rmax = self._A, self._block, self.Rmax
+        radii = np.flatnonzero(floor[:len(self._radii)] < np.inf)
         w, f, sparse = A.window, A.fiber, self._sparse
         rpts, cpts = self._rpts, self._cpts
         vals = block.data if sparse else block
@@ -384,13 +407,16 @@ class MuProfile:
         np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
         height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
         start = np.concatenate([[0], np.cumsum(height)])
+
+        def cut():
+            return np.ldexp(np.maximum(lower[radii], floor[radii]), s)
         # a skip against the singleton floor stays one: lower only grows
-        live = (np.arange(len(radii))[:, None] < reach) & ~_probe_skips(
-            frob2, height, width, np.ldexp(lower[radii], s)[:, None])
+        live = (radii[:, None] < reach) & ~_probe_skips(
+            frob2, height, width, cut()[:, None])
         svds = 0
         for j in np.flatnonzero(live.any(axis=0)):
-            Rs = np.flatnonzero(live[:, j] & ~_probe_skips(
-                frob2[:, j], height[j], width[j], np.ldexp(lower[radii], s)))
+            Rs = radii[live[:, j] & ~_probe_skips(
+                frob2[:, j], height[j], width[j], cut())]
             if len(Rs) == 0:
                 continue
             svds += len(Rs)
@@ -411,8 +437,39 @@ class MuProfile:
 
     def mu_norm_lower(self, n: float) -> float:
         """Lower bound of the same norm, up to the rounding of one SVD:
-        op_lower against the probe shells."""
-        return _decay_norm(self.op_lower, self.lower, n)
+        op_lower against the probe shells, max(op_lower, max over R >= 1 of
+        fl(lower[R] * p_R)) with p_R = fl(R^n) from _radius_powers.
+
+        If lower is not kept, the shells come from a probe pass floored at
+        floor[R] = fl(q_R * (1 - eps)), q_R = fl(op_lower / p_R), or 0 where
+        q_R is subnormal or NaN; R = 0, which the norm does not read, gets an
+        infinite floor and is not probed.  That pass is not kept, and the
+        norm is the same float as from lower:
+
+        1. An SVD skipped against the floor at R would have given x <
+           floor[R]: x * 2^s is at most the probe's bound (_probe_skips),
+           which the guard keeps at or above 2^-480, so a skip needs
+           floor[R] * 2^s above 2^-480, where ldexp is exact, or beyond the
+           float range, where it is inf.
+        2. floor[R] <= op_lower / p_R.  A normal q_R is within a factor
+           1 + eps/2 of op_lower / p_R, so floor[R] <= op_lower / p_R *
+           (1 - eps)(1 + eps/2)^2 < op_lower / p_R.  An infinite q_R means
+           p_R = 0 or op_lower / p_R beyond the float range, and x * p_R <=
+           op_lower either way.
+        3. So x * p_R <= op_lower and, rounding being monotone,
+           fl(x * p_R) <= op_lower.  An SVD skipped against the running
+           lower cannot raise lower[R] in either pass, so the floored
+           lower[R] falls short of the full pass's only where the latter is
+           such an x: there both shells are at or below op_lower, elsewhere
+           they are equal, and max(op_lower, shells) is the same float."""
+        op_lower = self.op_lower
+        if "_probes" in self.__dict__:
+            return _decay_norm(op_lower, self.lower, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = op_lower / _radius_powers(self.Rmax, n)
+        floor = np.concatenate(
+            [[np.inf], np.where(q >= np.finfo(float).tiny, q * (1 - EPS), 0.0)])
+        return _decay_norm(op_lower, self._probe_pass(floor)[0], n)
 
     def upper_at(self, x: float) -> float:
         """Evaluate the upper profile at a real radius (floor: still certified)."""
@@ -437,8 +494,13 @@ def mu_profile(A: BandedOperator, Rmax: int) -> MuProfile:
 
 def _decay_norm(op: float, mu: np.ndarray, n: float) -> float:
     """max(op, max over R >= 1 of mu(R) * R^n)."""
-    shells = mu[1:] * np.arange(1, len(mu), dtype=float) ** n
+    shells = mu[1:] * _radius_powers(len(mu) - 1, n)
     return float(max(op, shells.max(initial=0.0)))
+
+
+def _radius_powers(Rmax: int, n: float) -> np.ndarray:
+    """R^n for R = 1..Rmax, as the decay norms weigh their shells."""
+    return np.arange(1, Rmax + 1, dtype=float) ** n
 
 
 def _probe_skips(frob2, m, k, lower):

@@ -235,7 +235,9 @@ def _node_zoo(w):
             cochain.Scale(2.5 - 1j, table), cochain.Scale(3, by_label),
             cochain.coboundary(table0), cochain.coboundary(table0, "from1"),
             cochain.coboundary(table, "full"), cochain.coboundary(table, "from1"),
-            cochain.coboundary(cochain.coboundary(by_points, "from1"), "full")]
+            cochain.coboundary(cochain.coboundary(by_points, "from1"), "full"),
+            cochain.coboundary(cochain.Scale(0.1 + 2.5j, table)),
+            cochain.coboundary(cochain.Sum(table, cochain.Scale(1 / 3, table)), "from1")]
 
 
 def test_values_match_scalar_definitions(w):
@@ -250,6 +252,23 @@ def test_values_match_scalar_definitions(w):
         assert got.tolist() == expected, phi
         assert cochain.evaluate(phi, w, rows[0]) == expected[0]
         assert len(phi.values(w, rows[:0])) == 0
+
+
+def test_coboundary_calls_its_child_once(w):
+    # a coboundary evaluates its child once, on the faces of all rows stacked
+    calls = []
+
+    class Counted(cochain.Table):
+        def values(self, window, tuples):
+            calls.append(tuples.shape)
+            return super().values(window, tuples)
+    table = Counted(0, {(int(p),): 1 for p in w.safe_points[:4]})
+    rows = _rows(np.random.default_rng(33), w.safe_points, 2, 7)
+    for conv, shape in (("full", (7 * 3 * 2, 1)), ("from1", (7 * 2 * 1, 1))):
+        calls.clear()
+        dd = cochain.coboundary(cochain.coboundary(table, conv), conv)
+        assert dd.values(w, rows).tolist() == [0] * 7
+        assert calls == [shape]
 
 
 def test_node_values_never_wrap(w):

@@ -476,6 +476,41 @@ def test_mu_profile_lazy_reads_match_eager(case, w, wsmall, monkeypatch):
         assert opalg.op_norm(_fresh(A)) == eager["op"]
 
 
+def _floor_items(win, seed, fiber):
+    """A slowly decaying draw and its square, whose decay shells beat
+    op_lower, and the identity plus a small draw, where op_lower wins."""
+    A = opalg.random_banded(win, (seed, fiber), prop=3, decay=0.9, fiber=fiber)
+    B = opalg.random_banded(win, (seed, fiber, 1), prop=2, decay=0.5, fiber=fiber)
+    return [A, A @ A, opalg.identity(win, fiber) + B.scale(0.02)]
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("cutoff", [opalg.DENSE_CUTOFF, 4])
+def test_mu_norm_lower_floored_pass_matches_full(fiber, cutoff, wsmall,
+                                                 monkeypatch):
+    # mu_norm_lower read alone runs the probe pass floored at op_lower / R^n:
+    # it gives the float that op_lower against the full pass's lower gives,
+    # keeps nothing, and leaves lower, read after it, the full pass's
+    monkeypatch.setattr(opalg, "DENSE_CUTOFF", cutoff)
+    Rmax = 5
+    wins = {"shells": 0, "op_lower": 0}
+    for seed in range(3):
+        for A in _floor_items(wsmall, seed, fiber):
+            full = opalg.mu_profile(_fresh(A), Rmax)
+            eager = {part: getattr(full, part) for part in _PARTS}
+            for n in (1, 2, 3):
+                ref = opalg._decay_norm(full.op_lower, full.lower, n)
+                prof = opalg.mu_profile(_fresh(A), Rmax)
+                assert prof.mu_norm_lower(n).hex() == ref.hex()
+                assert "_probes" not in vars(prof)
+                for part in _PARTS:
+                    assert _same_part(getattr(prof, part), eager[part])
+                # read after lower, the norm is read off it
+                assert prof.mu_norm_lower(n).hex() == ref.hex()
+                wins["shells" if ref > full.op_lower else "op_lower"] += 1
+    assert min(wins.values()) > 0
+
+
 def test_op_norm_and_profile_share_one_svd(w, monkeypatch):
     A = opalg.random_banded(w, 48, prop=3, decay=0.6)
     svd = np.linalg.svd
@@ -551,6 +586,35 @@ def test_product_estimate_svd_count(monkeypatch):
                              + opalg.mu_profile(A @ B, 16).probe_svds)
     assert n == PRODUCT_SVDS_LAZY
     assert all(n[k] < PRODUCT_SVDS_EAGER[k] for k in n)
+
+
+# np.linalg.svd calls (and the matrices they factor) in one neumann_inverse
+# on the decay workload's window (65 points, B of propagation 2 drawn at
+# (13, n, 0), Rmax 16), for each n.  The inverse's decay shells stay far
+# below op_lower, so its floored probe pass runs no SVD; reading its full
+# probe pass instead makes 33, 35 and 34 calls (37, 46 and 48 matrices) for
+# n = 1, 2, 3.
+NEUMANN_SVDS = {"calls": 4, "matrices": 4}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_neumann_svd_count(n, monkeypatch):
+    w = spaces.make_window("zd", 32, 16, dim=1)
+    B = opalg.random_banded(w, (13, n, 0), prop=2, decay=0.5)
+    B = B.scale(0.8 / (2 ** (n + 1) * 5) / opalg.op_norm(B))
+    svd = np.linalg.svd
+    counts = {"calls": 0, "matrices": 0}
+
+    def counted(a, *args, **kwargs):
+        counts["calls"] += 1
+        counts["matrices"] += int(np.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert opalg.neumann_inverse(B, n)[1].passed
+    # what the report reads: op of B (one SVD), upper of B (one per radius
+    # below its propagation) and op of the inverse
+    assert counts["matrices"] == 2 + min(17, B.propagation)
+    assert counts == NEUMANN_SVDS
 
 
 def test_mu_profile_shift(w):
