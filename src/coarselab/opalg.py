@@ -34,9 +34,12 @@ lower[R] * R^n) reads lower when it is kept.  Otherwise it runs a probe pass
 of its own, floored at op_lower / R^n less a rounding margin, and keeps
 nothing: a probe whose Frobenius bound lies below the floor could only give
 a shell below op_lower, so its SVD is skipped, and the norm is the same float
-as with the full pass (the proof is at MuProfile.mu_norm_lower).  On the
-suite's Neumann inverses the shells stay below 2% of op_lower, and that pass
-runs no SVD.
+as with the full pass (the proof is at MuProfile.mu_norm_lower).  A radius
+whose whole tail -- the Frobenius norm of all entries beyond it, with a
+rounding margin, one bincount for all radii -- lies below the floor is not
+probed at all, since every probe there is a submatrix of that tail.  On the
+suite's Neumann inverses the tail bound times R^n stays below 4% of
+op_lower (the shells below 2%), and the pass probes no radius.
 
 Norms.  A matrix has the singular values of its block on the nonzero rows and
 columns, which is small here (supports lie in the safe core).  When that block
@@ -335,37 +338,73 @@ class MuProfile:
     def _probes(self) -> tuple[np.ndarray, int, int]:
         return self._probe_pass(np.zeros(self.Rmax + 1))
 
+    @cached_property
+    def _scale(self) -> int:
+        """The s that puts the largest real or imaginary part of the entries,
+        times 2^s, in [1/2, 1).  Masses are taken of the entries so scaled:
+        the scaling is exact, and no square over- or underflows at the ends
+        of the float range (see _probe_skips)."""
+        vals = self._block.data if self._sparse else self._block
+        return -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
+                                 np.abs(vals.imag).max(initial=0.0)))[1])
+
+    @cached_property
+    def _tail(self) -> np.ndarray:
+        """For each radius 0..Rmax, in the 2^s scale, a bound of the computed
+        norm of every probe matrix and singleton column beyond it (all are
+        submatrices of the entries beyond R): the Frobenius norm of those
+        entries, from one bincount of the squares over min(distance, Rmax +
+        1) and a reverse cumulative sum, times 1 + (M + nnz + 4) eps, M the
+        block's size.  An m x k probe's computed sigma is at most
+        sigma * (1 + m*k*eps), m*k <= M (the LAPACK model of _dense_norm2);
+        the sum of nnz squares is off by at most (nnz + 1) eps/2 relative,
+        the square root and the product by a few eps/2 more.  Below 2^-960,
+        where underflow breaks that analysis (see _probe_skips), 2^-960 is
+        itself a bound: the squares' underflow adds at most nnz * 2^-1073."""
+        A, Rmax, s = self._A, self.Rmax, self._scale
+        _, _, dist = A.entry_point_pairs()
+        z = A.mat.data
+        sq = np.ldexp(z.real, s) ** 2 + np.ldexp(z.imag, s) ** 2
+        beyond = np.cumsum(np.bincount(np.minimum(dist, Rmax + 1), weights=sq,
+                                       minlength=Rmax + 2)[::-1])[::-1]
+        size = self._block.shape[0] * self._block.shape[1]
+        tail = np.sqrt(np.maximum(beyond[1:], 2.0 ** -960)) \
+            * (1 + (size + len(z) + 4) * EPS)
+        tail.flags.writeable = False
+        return tail
+
     def _probe_pass(self, floor: np.ndarray) -> tuple[np.ndarray, int, int]:
         """(lower, SVDs run, SVDs skipped) of the probes against a floor
         (Rmax + 1 values).  A probe's SVD at R is skipped when its Frobenius
         bound is below max(running lower[R], floor[R]), both in the 2^s
-        scale, and radii with an infinite floor are not probed at all.  With
-        a zero floor this is the full pass and lower is mu_lower; above a
-        positive floor[R], lower[R] may stay below mu_lower, but only where
-        every SVD left out is below floor[R] (see mu_norm_lower)."""
+        scale (see _scale), and radii with an infinite floor are not probed
+        at all; with none left the pass returns at once.  With a zero floor
+        this is the full pass and lower is mu_lower; above a positive
+        floor[R], lower[R] may stay below mu_lower, but only where every SVD
+        left out is below floor[R] (see mu_norm_lower)."""
         # Probes: the plain SVD of the columns over a support L on the rows
         # beyond R, a lower bound within rounding (k*eps relative) of the true
-        # value.  Masses are taken of the entries scaled by 2^s, which puts the
-        # largest real or imaginary part in [1/2, 1): no square over- or
-        # underflows at the ends of the float range (see _probe_skips), and the
-        # scaling is exact.
+        # value.
         A, block, Rmax = self._A, self._block, self.Rmax
         radii = np.flatnonzero(floor[:len(self._radii)] < np.inf)
+        lower = np.zeros(Rmax + 1)
+        if len(radii) == 0:
+            lower.flags.writeable = False
+            return lower, 0, 0
         w, f, sparse = A.window, A.fiber, self._sparse
         rpts, cpts = self._rpts, self._cpts
         vals = block.data if sparse else block
-        s = -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
-                              np.abs(vals.imag).max(initial=0.0)))[1])
-        lower = np.zeros(Rmax + 1)
+        s = self._scale
         if f == 1:
-            # singletons: column mass beyond each radius
+            # singletons: column mass beyond each radius, all radii in one
+            # bincount over (radius, entry) pairs, R-major
             _, pcol, dist = A.entry_point_pairs()
             absdata2 = np.ldexp(np.abs(A.mat.data), s) ** 2
-            for R in radii:
-                m = dist > R
-                mass = np.bincount(pcol[m], weights=absdata2[m],
-                                   minlength=w.n_points)
-                lower[R] = np.ldexp(np.sqrt(mass.max()), -s)
+            ri, e = np.nonzero(dist > radii[:, None])
+            mass = np.bincount(ri * w.n_points + pcol[e], weights=absdata2[e],
+                               minlength=len(radii) * w.n_points)
+            lower[radii] = np.ldexp(
+                np.sqrt(mass.reshape(len(radii), w.n_points).max(axis=1)), -s)
         # Every probe's (probe, row) pairs -- its rows are those with a nonzero
         # in its columns -- with the row's mass there and distance to the
         # support, probe by probe, rows ascending.
@@ -400,9 +439,10 @@ class MuProfile:
             width = np.concatenate([np.bincount(inv), width])
             n_single = len(ucpts)
         n_probes = len(width)
-        frob2 = np.array([np.bincount(pj[pdist > R], weights=pmass[pdist > R],
-                                      minlength=n_probes) for R in radii])
-        frob2 = frob2.reshape(len(radii), n_probes)
+        ri, e = np.nonzero(pdist > radii[:, None])
+        frob2 = np.bincount(ri * n_probes + pj[e], weights=pmass[e],
+                            minlength=len(radii) * n_probes
+                            ).reshape(len(radii), n_probes)
         reach = np.zeros(n_probes, dtype=np.int64)
         np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
         height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
@@ -443,14 +483,20 @@ class MuProfile:
         If lower is not kept, the shells come from a probe pass floored at
         floor[R] = fl(q_R * (1 - eps)), q_R = fl(op_lower / p_R), or 0 where
         q_R is subnormal or NaN; R = 0, which the norm does not read, gets an
-        infinite floor and is not probed.  That pass is not kept, and the
+        infinite floor and is not probed.  So does every R whose tail bound
+        (_tail) lies below floor[R] * 2^s: no probe there can reach the
+        floor, and when no radius is left the pass returns at once, as on
+        all of the suite's Neumann inverses.  That pass is not kept, and the
         norm is the same float as from lower:
 
         1. An SVD skipped against the floor at R would have given x <
            floor[R]: x * 2^s is at most the probe's bound (_probe_skips),
            which the guard keeps at or above 2^-480, so a skip needs
            floor[R] * 2^s above 2^-480, where ldexp is exact, or beyond the
-           float range, where it is inf.
+           float range, where it is inf.  At a radius the tail bound rules
+           out, every probe matrix and singleton column is a submatrix of
+           the entries beyond R, so its computed norm x has x * 2^s at most
+           that bound, which is at or above 2^-480 too: again x < floor[R].
         2. floor[R] <= op_lower / p_R.  A normal q_R is within a factor
            1 + eps/2 of op_lower / p_R, so floor[R] <= op_lower / p_R *
            (1 - eps)(1 + eps/2)^2 < op_lower / p_R.  An infinite q_R means
@@ -460,8 +506,9 @@ class MuProfile:
            fl(x * p_R) <= op_lower.  An SVD skipped against the running
            lower cannot raise lower[R] in either pass, so the floored
            lower[R] falls short of the full pass's only where the latter is
-           such an x: there both shells are at or below op_lower, elsewhere
-           they are equal, and max(op_lower, shells) is the same float."""
+           such an x (at a ruled-out radius, the largest of them): there
+           both shells are at or below op_lower, elsewhere they are equal,
+           and max(op_lower, shells) is the same float."""
         op_lower = self.op_lower
         if "_probes" in self.__dict__:
             return _decay_norm(op_lower, self.lower, n)
@@ -469,7 +516,19 @@ class MuProfile:
             q = op_lower / _radius_powers(self.Rmax, n)
         floor = np.concatenate(
             [[np.inf], np.where(q >= np.finfo(float).tiny, q * (1 - EPS), 0.0)])
+        # radii whose whole tail lies below the floor: no probe there reaches it
+        floor[self._tail < np.ldexp(floor, self._scale)] = np.inf
         return _decay_norm(op_lower, self._probe_pass(floor)[0], n)
+
+    def shell_ratio_upper(self, n: float) -> float:
+        """max over R >= 1 of the tail bound at R (see _tail) times R^n, over
+        op_lower: at or above the exact shell ratio, the max over R >= 1 of
+        lower[R] * R^n / op_lower, and it needs no SVD but op_lower's."""
+        k = len(self._radii)        # radii with entries beyond them
+        if k <= 1:
+            return 0.0
+        shells = self._tail[1:k] * _radius_powers(k - 1, n)
+        return float(shells.max() / np.ldexp(self.op_lower, self._scale))
 
     def upper_at(self, x: float) -> float:
         """Evaluate the upper profile at a real radius (floor: still certified)."""
@@ -628,6 +687,7 @@ class NeumannReport:
     tail: float
     slack: float
     passed: bool
+    shell_ratio_upper: float    # decay shells over op_lower, bounded above
 
 
 def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
@@ -637,6 +697,17 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
     lower decay norm of the truncated inverse against
     max(||inv||_op, 1 + ||B||_{mu,n} + ||B||_{mu,n} / (1 - ||B||_op)), with a
     slack of tail * Rmax^n for the truncation, Rmax the window's margin.
+    shell_ratio_upper bounds the inverse's decay shells over its op_lower
+    from above (MuProfile.shell_ratio_upper), without an SVD.
+
+    The terms are the scipy products P_k = P_{k-1} @ B from P_0 = I, the
+    first one I @ B too: scipy leaves a product's column indices in the
+    order it found them, that order sets the summation order of the next
+    product, and starting from B would change the inverse's last bits.  S
+    is built once, on the union of the identity's and the terms' patterns,
+    rows sorted: 1 on the diagonal, then each term's entries added in place,
+    term by term.  Those are the additions of S = S + P_k in the same order,
+    so S has the entries of that sparse sum bit for bit.
     """
     q = op_norm(B)
     thresh = 1.0 / (2 ** (n + 1) * 5)
@@ -645,13 +716,26 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
             f"opalg.neumann_inverse: ||B||_op = {q:.6f} is not below "
             f"1/(2^{n + 1} * 5) = {thresh:.6f} required for n = {n}")
     Rmax = B.window.margin
-    S = identity(B.window, B.fiber)
-    P = identity(B.window, B.fiber)
+    P = identity(B.window, B.fiber).mat
+    N = P.shape[0]
+    keys, data = [np.arange(N, dtype=np.int64) * (N + 1)], []   # the diagonal
     terms = 0
     while q > 0 and (q ** (terms + 1)) / (1 - q) >= tol:
-        P = P @ B
-        S = S + P
+        P = P @ B.mat
+        keys.append(_csr_rows(P).astype(np.int64) * N + P.indices)
+        data.append(P.data)
         terms += 1
+    # S on the union of the terms' patterns, summed term by term in place
+    pattern, at = np.unique(np.concatenate(keys), return_inverse=True)
+    vals = np.zeros(len(pattern), dtype=np.complex128)
+    vals[at[:N]] = 1
+    start = N
+    for d in data:
+        vals[at[start:start + len(d)]] += d
+        start += len(d)
+    indptr = np.searchsorted(pattern, np.arange(0, N * N + 1, N))
+    S = BandedOperator(B.window, sp.csr_matrix((vals, pattern % N, indptr),
+                                               shape=(N, N)), B.fiber)
     tail = (q ** (terms + 1)) / (1 - q) if q > 0 else 0.0
     prof_S = mu_profile(S, Rmax)
     prof_B = mu_profile(B, Rmax)
@@ -661,7 +745,8 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
     slack = tail * (max(Rmax, 1) ** n) + 1e-9 * (1 + bound)
     report = NeumannReport(measured=measured, bound=bound, op_inverse=prof_S.op,
                            terms=terms, tail=tail, slack=slack,
-                           passed=measured <= bound + slack)
+                           passed=measured <= bound + slack,
+                           shell_ratio_upper=prof_S.shell_ratio_upper(n))
     return S, report
 
 

@@ -388,6 +388,7 @@ def check_product_estimate() -> tuple:
     w = spaces.make_window("zd", 32, 16, dim=1)
     all_ok = True
     worst_gap = np.inf
+    ratio = 0.0
     for i in range(pairs):
         A = opalg.random_banded(w, (seed, i, 0), prop=3, decay=0.6)
         B = opalg.random_banded(w, (seed, i, 1), prop=3, decay=0.6)
@@ -397,8 +398,9 @@ def check_product_estimate() -> tuple:
         for r in tab.rows:
             if r.rhs > 0:
                 worst_gap = min(worst_gap, r.rhs - r.lhs)
+                ratio = max(ratio, r.lhs / r.rhs)
     return ("product_estimate", all_ok,
-            {"pairs": pairs, "min_slack": worst_gap})
+            {"pairs": pairs, "min_slack": worst_gap, "max_lhs_over_rhs": ratio})
 
 
 @_timed
@@ -427,6 +429,7 @@ def check_neumann() -> tuple:
     all_ok = True
     worst = 0.0
     ratio = 0.0
+    shells = 0.0
     for n in (1, 2, 3):
         for i in range(n_ops):
             B = opalg.random_banded(w, (seed, n, i), prop=2, decay=0.5)
@@ -437,9 +440,10 @@ def check_neumann() -> tuple:
                 all_ok = False
             worst = max(worst, rep.measured - rep.bound)
             ratio = max(ratio, rep.measured / rep.bound)
+            shells = max(shells, rep.shell_ratio_upper)
     return ("neumann_inverse_bound", all_ok,
             {"operators_per_n": n_ops, "max_excess": worst,
-             "max_lhs_over_rhs": ratio})
+             "max_lhs_over_rhs": ratio, "max_shell_ratio_upper": shells})
 
 
 @_timed

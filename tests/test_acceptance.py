@@ -55,6 +55,11 @@ def test_criterion_05_product_estimate():
     # seeded pairs on W=32, < 60 s
     r = _report(suite.check_product_estimate(), 60)
     assert r.details["pairs"] == 100
+    assert r.details["max_lhs_over_rhs"] <= 1
+    # pinned: the probe pass's tables, one bincount each, sum every mass in
+    # the order that one bincount per radius did
+    assert r.details["min_slack"].hex() == "0x1.29fa7028d8070p+1"
+    assert r.details["max_lhs_over_rhs"].hex() == "0x1.5168527211cabp-3"
 
 
 def test_criterion_06_power_estimate():
@@ -62,6 +67,7 @@ def test_criterion_06_power_estimate():
     r = _report(suite.check_power_estimate(), 60)
     assert r.details["operators"] == 50 and r.details["nmax"] == 4
     assert r.details["max_lhs_over_rhs"] <= 1
+    assert r.details["max_lhs_over_rhs"].hex() == "0x1.ed7f786f93a0fp-4"
 
 
 def test_criterion_07_neumann_inverse_bound():
@@ -75,6 +81,9 @@ def test_criterion_07_neumann_inverse_bound():
     # op_lower / R^n, are the floats that the full pass gives
     assert r.details["max_lhs_over_rhs"].hex() == "0x1.faeadfdcc660dp-1"
     assert r.details["max_excess"] == 0.0
+    # the inverses' decay shells, bounded above without an SVD, stay far
+    # below op_lower
+    assert r.details["max_shell_ratio_upper"].hex() == "0x1.461b7d60b5579p-5"
 
 
 def test_criterion_08_fill_chain_map_and_roundtrip():

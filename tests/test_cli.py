@@ -258,7 +258,7 @@ def test_neumann_prints_its_report(tmp_path, capsys):
                               "window": w.descriptor()}))
     blob = json.loads(_out(["op", "neumann", "--op", str(op), "--n", "1"], capsys))
     assert set(blob) == {"measured", "bound", "op_inverse", "terms", "tail",
-                         "slack", "passed"}
+                         "slack", "passed", "shell_ratio_upper"}
     assert {k: blob[k] for k in ("measured", "bound", "terms", "passed")} == {
         "measured": 1.0305991516768098, "bound": 1.0607021657370026,
         "terms": 8, "passed": True}

@@ -1,13 +1,14 @@
 """Operators, norms, dominating-function profiles and the decay estimates."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from coarselab import opalg, spaces
+from coarselab import opalg, spaces, suite
 from coarselab.errors import PreconditionError, WindowError
 
 
@@ -478,22 +479,45 @@ def test_mu_profile_lazy_reads_match_eager(case, w, wsmall, monkeypatch):
 
 def _floor_items(win, seed, fiber):
     """A slowly decaying draw and its square, whose decay shells beat
-    op_lower, and the identity plus a small draw, where op_lower wins."""
+    op_lower; the draw plus a faint one of longer reach, whose far radii the
+    tail bound rules out while the near shells still bind; and the identity
+    plus a small draw, where op_lower wins."""
     A = opalg.random_banded(win, (seed, fiber), prop=3, decay=0.9, fiber=fiber)
     B = opalg.random_banded(win, (seed, fiber, 1), prop=2, decay=0.5, fiber=fiber)
-    return [A, A @ A, opalg.identity(win, fiber) + B.scale(0.02)]
+    C = opalg.random_banded(win, (seed, fiber, 2), prop=5, decay=0.9, fiber=fiber)
+    return [A, A @ A, A + C.scale(1e-4), opalg.identity(win, fiber) + B.scale(0.02)]
+
+
+def _exact_shell_ratio(prof, n):
+    """max over R >= 1 of lower[R] * R^n over op_lower, from the full pass."""
+    shells = prof.lower[1:] * opalg._radius_powers(prof.Rmax, n)
+    return shells.max(initial=0.0) / prof.op_lower
+
+
+def _record_floors(monkeypatch):
+    """The list that every probe pass from now on appends its floor to."""
+    floors = []
+    probe_pass = opalg.MuProfile._probe_pass
+
+    def recorded(self, floor):
+        floors.append(floor.copy())
+        return probe_pass(self, floor)
+    monkeypatch.setattr(opalg.MuProfile, "_probe_pass", recorded)
+    return floors
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
 @pytest.mark.parametrize("cutoff", [opalg.DENSE_CUTOFF, 4])
 def test_mu_norm_lower_floored_pass_matches_full(fiber, cutoff, wsmall,
                                                  monkeypatch):
-    # mu_norm_lower read alone runs the probe pass floored at op_lower / R^n:
-    # it gives the float that op_lower against the full pass's lower gives,
+    # mu_norm_lower read alone runs the probe pass floored at op_lower / R^n,
+    # with an infinite floor where the tail bound rules a radius out: it
+    # gives the float that op_lower against the full pass's lower gives,
     # keeps nothing, and leaves lower, read after it, the full pass's
     monkeypatch.setattr(opalg, "DENSE_CUTOFF", cutoff)
+    floors = _record_floors(monkeypatch)
     Rmax = 5
-    wins = {"shells": 0, "op_lower": 0}
+    wins = {"shells": 0, "op_lower": 0, "gated_shells": 0}
     for seed in range(3):
         for A in _floor_items(wsmall, seed, fiber):
             full = opalg.mu_profile(_fresh(A), Rmax)
@@ -503,11 +527,20 @@ def test_mu_norm_lower_floored_pass_matches_full(fiber, cutoff, wsmall,
                 prof = opalg.mu_profile(_fresh(A), Rmax)
                 assert prof.mu_norm_lower(n).hex() == ref.hex()
                 assert "_probes" not in vars(prof)
+                # the upper bound of the shell ratio needs no probe pass
+                assert prof.shell_ratio_upper(n) >= _exact_shell_ratio(full, n)
+                ruled_out = np.isinf(floors[-1][1:len(prof._radii)])
                 for part in _PARTS:
                     assert _same_part(getattr(prof, part), eager[part])
                 # read after lower, the norm is read off it
                 assert prof.mu_norm_lower(n).hex() == ref.hex()
-                wins["shells" if ref > full.op_lower else "op_lower"] += 1
+                shells = full.lower[1:] * opalg._radius_powers(Rmax, n)
+                binds = ref > full.op_lower
+                wins["shells" if binds else "op_lower"] += 1
+                if binds and ruled_out.any():
+                    # the binding radius is never ruled out
+                    assert not ruled_out[np.argmax(shells)]
+                    wins["gated_shells"] += 1
     assert min(wins.values()) > 0
 
 
@@ -590,10 +623,10 @@ def test_product_estimate_svd_count(monkeypatch):
 
 # np.linalg.svd calls (and the matrices they factor) in one neumann_inverse
 # on the decay workload's window (65 points, B of propagation 2 drawn at
-# (13, n, 0), Rmax 16), for each n.  The inverse's decay shells stay far
-# below op_lower, so its floored probe pass runs no SVD; reading its full
-# probe pass instead makes 33, 35 and 34 calls (37, 46 and 48 matrices) for
-# n = 1, 2, 3.
+# (13, n, 0), Rmax 16), for each n.  The inverse's tail bound lies below
+# op_lower / R^n at every radius, so its floored probe pass probes none;
+# reading its full probe pass instead makes 33, 35 and 34 calls (37, 46 and
+# 48 matrices) for n = 1, 2, 3.
 NEUMANN_SVDS = {"calls": 4, "matrices": 4}
 
 
@@ -610,11 +643,86 @@ def test_neumann_svd_count(n, monkeypatch):
         counts["matrices"] += int(np.prod(a.shape[:-2]))
         return svd(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    assert opalg.neumann_inverse(B, n)[1].passed
+    floors = _record_floors(monkeypatch)
+    S, rep = opalg.neumann_inverse(B, n)
+    assert rep.passed
     # what the report reads: op of B (one SVD), upper of B (one per radius
     # below its propagation) and op of the inverse
     assert counts["matrices"] == 2 + min(17, B.propagation)
     assert counts == NEUMANN_SVDS
+    # the floored pass probes no radius, and the norm is the full pass's
+    assert len(floors) == 1 and np.isinf(floors[0]).all()
+    full = opalg.mu_profile(_fresh(S), 16)
+    assert rep.measured.hex() == opalg._decay_norm(full.op_lower, full.lower,
+                                                   n).hex()
+
+
+def _neumann_reference(B, n, tol=1e-13):
+    """S from the sparse loop S = S + P, P = P @ B over BandedOperators, and
+    the report's fields with measured read off the full probe pass."""
+    q = opalg.op_norm(B)
+    S = P = opalg.identity(B.window, B.fiber)
+    terms = 0
+    while q > 0 and (q ** (terms + 1)) / (1 - q) >= tol:
+        P = P @ B
+        S = S + P
+        terms += 1
+    tail = (q ** (terms + 1)) / (1 - q) if q > 0 else 0.0
+    Rmax = B.window.margin
+    prof_S = opalg.mu_profile(S, Rmax)
+    nB = opalg.mu_profile(B, Rmax).mu_norm(n)
+    measured = opalg._decay_norm(prof_S.op_lower, prof_S.lower, n)
+    bound = max(prof_S.op, 1 + nB + nB / (1 - q))
+    slack = tail * (max(Rmax, 1) ** n) + 1e-9 * (1 + bound)
+    return S, {"measured": measured, "bound": bound, "op_inverse": prof_S.op,
+               "terms": terms, "tail": tail, "slack": slack,
+               "passed": measured <= bound + slack}, prof_S
+
+
+def _neumann_cases(w, wsmall):
+    """(B, n): criterion 07's fiber-1 draws, fiber-2 draws, a product (CSR
+    rows unsorted), zero and a small shift."""
+    def scaled(B, n):
+        return B.scale(0.8 / (2 ** (n + 1) * 5) / opalg.op_norm(B))
+    w07 = spaces.make_window("zd", 32, 16, dim=1)
+    cases = []
+    for n in (1, 2, 3):
+        cases += [(scaled(opalg.random_banded(w07, (suite.SEED + 6, n, i), prop=2,
+                                              decay=0.5), n), n)
+                  for i in range(0, 50, 10)]
+        cases.append((scaled(opalg.random_banded(
+            wsmall, (21, n, 2), prop=2, decay=0.5, fiber=2), n), n))
+        X = opalg.random_banded(w, (21, n, 3), prop=2, decay=0.6)
+        cases.append((scaled(X @ X, n), n))
+    cases.append((opalg.BandedOperator(w, sp.csr_matrix((w.n_points,) * 2)), 2))
+    cases.append((opalg.shift(w, 0, 1).scale(0.005), 2))
+    return cases
+
+
+def _bits(S):
+    return S.mat.toarray().view(np.uint64)
+
+
+def test_neumann_series_matches_sparse_loop(w, wsmall):
+    # S summed in place on one pattern has the sparse loop's entries bit for
+    # bit, every report field is the reference's, and the SVD-free shell
+    # ratio lies at or above the exact one (both below 1: op_lower binds)
+    saw_unsorted = False
+    for B, n in _neumann_cases(w, wsmall):
+        saw_unsorted |= not B.mat.has_sorted_indices
+        S_ref, ref, prof_ref = _neumann_reference(_fresh(B), n)
+        S, rep = opalg.neumann_inverse(_fresh(B), n)
+        assert np.array_equal(_bits(S), _bits(S_ref))
+        assert S.mat.has_canonical_format
+        fields = dataclasses.asdict(rep)
+        ratio = fields.pop("shell_ratio_upper")
+        assert {k: float(v).hex() for k, v in fields.items()} == \
+            {k: float(v).hex() for k, v in ref.items()}
+        assert _exact_shell_ratio(prof_ref, n) <= ratio < 1
+        if not B.mat.nnz:
+            assert rep.terms == 0
+            assert np.array_equal(S.mat.toarray(), np.eye(w.n_points))
+    assert saw_unsorted
 
 
 def test_mu_profile_shift(w):
