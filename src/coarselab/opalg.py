@@ -30,16 +30,13 @@ profile's op and op_lower all read that one bracket -- and a profile keeps its
 operator and reads it when a part is first read.
 
 The lower decay norm mu_norm_lower(n) = max(op_lower, max over R >= 1 of
-lower[R] * R^n) reads lower when it is kept.  Otherwise it runs a probe pass
-of its own, floored at op_lower / R^n less a rounding margin, and keeps
-nothing: a probe whose Frobenius bound lies below the floor could only give
-a shell below op_lower, so its SVD is skipped, and the norm is the same float
-as with the full pass (the proof is at MuProfile.mu_norm_lower).  A radius
-whose whole tail -- the Frobenius norm of all entries beyond it, with a
-rounding margin, one bincount for all radii -- lies below the floor is not
-probed at all, since every probe there is a submatrix of that tail.  On the
-suite's Neumann inverses the tail bound times R^n stays below 4% of
-op_lower (the shells below 2%), and the pass probes no radius.
+lower[R] * R^n) is op_lower, with no probe pass, when every radius's tail
+bound -- the Frobenius norm of all entries beyond it, with a rounding margin,
+one bincount for all radii -- times R^n lies below op_lower: every probe at
+R is a submatrix of that tail, so no shell can exceed op_lower (the proof is
+at MuProfile.mu_norm_lower).  Otherwise it reads lower.  On the suite's
+Neumann inverses the tail bound times R^n stays below 4% of op_lower (the
+shells below 2%), and no probe pass runs.
 
 Norms.  A matrix has the singular values of its block on the nonzero rows and
 columns, which is small here (supports lie in the safe core).  When that block
@@ -277,10 +274,10 @@ class MuProfile:
     kept.  A part nobody reads is never computed, and every part is the same
     bit for bit whatever was read before it.  The block is fixed when the
     profile is made; the operator must not change after that.  mu_norm and
-    mu_norm_lower read the decay norms off the profile; mu_norm_lower read
-    before lower runs a probe pass floored at op_lower / R^n instead, which
-    skips every SVD that cannot move the norm and is not kept (the proof that
-    the norm is the same float is in its docstring)."""
+    mu_norm_lower read the decay norms off the profile; mu_norm_lower reads
+    no probe pass where the tail bound shows that no shell can exceed
+    op_lower (the proof that the norm is the same float is in its
+    docstring)."""
 
     def __init__(self, A: BandedOperator, Rmax: int):
         A.window.require_margin(Rmax, "opalg.mu_profile")
@@ -335,10 +332,6 @@ class MuProfile:
         return self._probes[2]
 
     @cached_property
-    def _probes(self) -> tuple[np.ndarray, int, int]:
-        return self._probe_pass(np.zeros(self.Rmax + 1))
-
-    @cached_property
     def _scale(self) -> int:
         """The s that puts the largest real or imaginary part of the entries,
         times 2^s, in [1/2, 1).  Masses are taken of the entries so scaled:
@@ -373,24 +366,17 @@ class MuProfile:
         tail.flags.writeable = False
         return tail
 
-    def _probe_pass(self, floor: np.ndarray) -> tuple[np.ndarray, int, int]:
-        """(lower, SVDs run, SVDs skipped) of the probes against a floor
-        (Rmax + 1 values).  A probe's SVD at R is skipped when its Frobenius
-        bound is below max(running lower[R], floor[R]), both in the 2^s
-        scale (see _scale), and radii with an infinite floor are not probed
-        at all; with none left the pass returns at once.  With a zero floor
-        this is the full pass and lower is mu_lower; above a positive
-        floor[R], lower[R] may stay below mu_lower, but only where every SVD
-        left out is below floor[R] (see mu_norm_lower)."""
+    @cached_property
+    def _probes(self) -> tuple[np.ndarray, int, int]:
+        """(lower, SVDs run, SVDs skipped): the probe pass.  A probe's SVD at
+        R is skipped when its Frobenius bound is below the running lower[R],
+        both in the 2^s scale (see _scale and _probe_skips)."""
         # Probes: the plain SVD of the columns over a support L on the rows
         # beyond R, a lower bound within rounding (k*eps relative) of the true
         # value.
         A, block, Rmax = self._A, self._block, self.Rmax
-        radii = np.flatnonzero(floor[:len(self._radii)] < np.inf)
+        radii = np.arange(len(self._radii))
         lower = np.zeros(Rmax + 1)
-        if len(radii) == 0:
-            lower.flags.writeable = False
-            return lower, 0, 0
         w, f, sparse = A.window, A.fiber, self._sparse
         rpts, cpts = self._rpts, self._cpts
         vals = block.data if sparse else block
@@ -447,16 +433,13 @@ class MuProfile:
         np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
         height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
         start = np.concatenate([[0], np.cumsum(height)])
-
-        def cut():
-            return np.ldexp(np.maximum(lower[radii], floor[radii]), s)
         # a skip against the singleton floor stays one: lower only grows
         live = (radii[:, None] < reach) & ~_probe_skips(
-            frob2, height, width, cut()[:, None])
+            frob2, height, width, np.ldexp(lower[radii], s)[:, None])
         svds = 0
         for j in np.flatnonzero(live.any(axis=0)):
-            Rs = radii[live[:, j] & ~_probe_skips(
-                frob2[:, j], height[j], width[j], cut())]
+            Rs = np.flatnonzero(live[:, j] & ~_probe_skips(
+                frob2[:, j], height[j], width[j], np.ldexp(lower[radii], s)))
             if len(Rs) == 0:
                 continue
             svds += len(Rs)
@@ -480,45 +463,21 @@ class MuProfile:
         op_lower against the probe shells, max(op_lower, max over R >= 1 of
         fl(lower[R] * p_R)) with p_R = fl(R^n) from _radius_powers.
 
-        If lower is not kept, the shells come from a probe pass floored at
-        floor[R] = fl(q_R * (1 - eps)), q_R = fl(op_lower / p_R), or 0 where
-        q_R is subnormal or NaN; R = 0, which the norm does not read, gets an
-        infinite floor and is not probed.  So does every R whose tail bound
-        (_tail) lies below floor[R] * 2^s: no probe there can reach the
-        floor, and when no radius is left the pass returns at once, as on
-        all of the suite's Neumann inverses.  That pass is not kept, and the
-        norm is the same float as from lower:
-
-        1. An SVD skipped against the floor at R would have given x <
-           floor[R]: x * 2^s is at most the probe's bound (_probe_skips),
-           which the guard keeps at or above 2^-480, so a skip needs
-           floor[R] * 2^s above 2^-480, where ldexp is exact, or beyond the
-           float range, where it is inf.  At a radius the tail bound rules
-           out, every probe matrix and singleton column is a submatrix of
-           the entries beyond R, so its computed norm x has x * 2^s at most
-           that bound, which is at or above 2^-480 too: again x < floor[R].
-        2. floor[R] <= op_lower / p_R.  A normal q_R is within a factor
-           1 + eps/2 of op_lower / p_R, so floor[R] <= op_lower / p_R *
-           (1 - eps)(1 + eps/2)^2 < op_lower / p_R.  An infinite q_R means
-           p_R = 0 or op_lower / p_R beyond the float range, and x * p_R <=
-           op_lower either way.
-        3. So x * p_R <= op_lower and, rounding being monotone,
-           fl(x * p_R) <= op_lower.  An SVD skipped against the running
-           lower cannot raise lower[R] in either pass, so the floored
-           lower[R] falls short of the full pass's only where the latter is
-           such an x (at a ruled-out radius, the largest of them): there
-           both shells are at or below op_lower, elsewhere they are equal,
-           and max(op_lower, shells) is the same float."""
-        op_lower = self.op_lower
-        if "_probes" in self.__dict__:
-            return _decay_norm(op_lower, self.lower, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = op_lower / _radius_powers(self.Rmax, n)
-        floor = np.concatenate(
-            [[np.inf], np.where(q >= np.finfo(float).tiny, q * (1 - EPS), 0.0)])
-        # radii whose whole tail lies below the floor: no probe there reaches it
-        floor[self._tail < np.ldexp(floor, self._scale)] = np.inf
-        return _decay_norm(op_lower, self._probe_pass(floor)[0], n)
+        When shell_ratio_upper(n) < 1 this is op_lower, with no probe pass,
+        as on all of the suite's Neumann inverses; otherwise it reads lower,
+        which is then kept.  Both give the same float.  With t_R the tail
+        bound (_tail) and b = op_lower * 2^s, a ratio fl(fl(max_R fl(t_R *
+        p_R)) / b) below 1 means, rounding being monotone, fl(t_R * p_R) < b
+        and then t_R * p_R < b for every R in 1..k-1 (k as in
+        shell_ratio_upper; lower is 0 beyond).  b is exact: op_lower, an SVD
+        or a column norm of the block, is 0, inf or at least 2^-26 in the
+        2^s scale.  Every probe matrix and singleton column at R is a
+        submatrix of the entries beyond R, so its computed norm x has x * 2^s
+        <= t_R, hence x * p_R < op_lower and fl(x * p_R) <= op_lower: no
+        shell exceeds op_lower."""
+        if self.shell_ratio_upper(n) < 1:
+            return self.op_lower
+        return _decay_norm(self.op_lower, self.lower, n)
 
     def shell_ratio_upper(self, n: float) -> float:
         """max over R >= 1 of the tail bound at R (see _tail) times R^n, over
@@ -754,10 +713,10 @@ def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12):
     """Apply f(A) = sum_{i>=1} a_i A^i for a power series with f(0) = 0.
 
     coeffs[i] is the coefficient of A^(i+1).  The convergence radius is
-    certified by a root test on the trailing quarter of the supplied
-    coefficients (heuristic, documented); truncation stops once the remaining
-    certified tail is below tol in operator norm.  The report carries the
-    decay norm ||f(A)||_{mu,2}.
+    estimated, not certified, by a root test on the trailing quarter of the
+    supplied coefficients; truncation stops once the remaining tail bound,
+    summed over the supplied terms, is below tol in operator norm.  The
+    report carries the decay norm ||f(A)||_{mu,2}.
     """
     coeffs = list(coeffs)
     if not coeffs:

@@ -77,8 +77,8 @@ def test_criterion_07_neumann_inverse_bound():
     assert r.details["max_excess"] <= 0
     # the unclamped ratio shows how close the bound comes to binding
     assert r.details["max_lhs_over_rhs"] <= 1
-    # pinned: the lower decay norms, read by a probe pass floored at
-    # op_lower / R^n, are the floats that the full pass gives
+    # pinned: the lower decay norms, op_lower with no probe pass where the
+    # tail bound rules every shell out, are the floats the full pass gives
     assert r.details["max_lhs_over_rhs"].hex() == "0x1.faeadfdcc660dp-1"
     assert r.details["max_excess"] == 0.0
     # the inverses' decay shells, bounded above without an SVD, stay far

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports in the package, every third-party
-import declared in pyproject.toml, and no defaulted parameter of the
-package's public API that no call passes.
+import declared in pyproject.toml, no defaulted parameter of the
+package's public API that no call passes, and no private definition that
+only the tests use.
 
 The checks read the source with ast; nothing is imported or run.
 """
@@ -8,6 +9,7 @@ The checks read the source with ast; nothing is imported or run.
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -128,3 +130,34 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 for name, param, index in _defaulted_parameters(ast.parse(path.read_text()))
                 if not any(_passes(c, param, index) for c in calls.get(name, ()))]
     assert unpassed == []
+
+
+def _private_defs(tree):
+    """Every function, method and class whose name has one leading underscore
+    (dunders are the interpreter's), at any depth."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _references(node):
+    """The names a subtree reads: bare names and attributes."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def test_every_private_definition_is_used_by_the_program():
+    # a private helper that only tests call is a code path kept for them:
+    # references from the package and the benchmark count, the tests' do not,
+    # nor those inside the definition itself
+    trees = {path: ast.parse(path.read_text())
+             for root in (PACKAGE, ROOT / "perfbench") for path in _modules(root)}
+    refs = Counter(name for tree in trees.values() for name in _references(tree))
+    unused = [f"{path.name}: {node.name} (line {node.lineno})"
+              for path, tree in trees.items() if PACKAGE in path.parents
+              for node in _private_defs(tree)
+              if refs[node.name] == Counter(_references(node))[node.name]]
+    assert unused == []

@@ -478,10 +478,9 @@ def test_mu_profile_lazy_reads_match_eager(case, w, wsmall, monkeypatch):
 
 
 def _floor_items(win, seed, fiber):
-    """A slowly decaying draw and its square, whose decay shells beat
-    op_lower; the draw plus a faint one of longer reach, whose far radii the
-    tail bound rules out while the near shells still bind; and the identity
-    plus a small draw, where op_lower wins."""
+    """A slowly decaying draw, its square and the draw plus a faint one of
+    longer reach, whose decay shells beat op_lower; and the identity plus a
+    small draw, where op_lower wins."""
     A = opalg.random_banded(win, (seed, fiber), prop=3, decay=0.9, fiber=fiber)
     B = opalg.random_banded(win, (seed, fiber, 1), prop=2, decay=0.5, fiber=fiber)
     C = opalg.random_banded(win, (seed, fiber, 2), prop=5, decay=0.9, fiber=fiber)
@@ -494,54 +493,66 @@ def _exact_shell_ratio(prof, n):
     return shells.max(initial=0.0) / prof.op_lower
 
 
-def _record_floors(monkeypatch):
-    """The list that every probe pass from now on appends its floor to."""
-    floors = []
-    probe_pass = opalg.MuProfile._probe_pass
-
-    def recorded(self, floor):
-        floors.append(floor.copy())
-        return probe_pass(self, floor)
-    monkeypatch.setattr(opalg.MuProfile, "_probe_pass", recorded)
-    return floors
+def _check_mu_norm_lower(A, Rmax, branches):
+    """mu_norm_lower of a fresh profile of A, for n = 1, 2, 3, against op_lower
+    and the full pass's lower of another: the same float, with no probe pass
+    where the tail gate (shell_ratio_upper < 1) fires, and with lower kept
+    and the full pass's where it does not.  Counts each branch, and the
+    norms where a shell binds, in branches."""
+    full = opalg.mu_profile(_fresh(A), Rmax)
+    eager = {part: getattr(full, part) for part in _PARTS}
+    for n in (1, 2, 3):
+        ref = opalg._decay_norm(full.op_lower, full.lower, n)
+        prof = opalg.mu_profile(_fresh(A), Rmax)
+        assert prof.mu_norm_lower(n).hex() == ref.hex()
+        # the upper bound of the shell ratio needs no probe pass
+        assert prof.shell_ratio_upper(n) >= _exact_shell_ratio(full, n)
+        if prof.shell_ratio_upper(n) < 1:
+            branches["gate"] += 1
+            assert "_probes" not in vars(prof)
+            # the gate never fires where a shell binds
+            assert ref == full.op_lower
+        else:
+            branches["full"] += 1
+            assert _same_part(vars(prof)["_probes"][0], eager["lower"])
+        branches["binds"] += ref > full.op_lower
+        for part in _PARTS:
+            assert _same_part(getattr(prof, part), eager[part])
+        # read after lower, the norm is the same
+        assert prof.mu_norm_lower(n).hex() == ref.hex()
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
 @pytest.mark.parametrize("cutoff", [opalg.DENSE_CUTOFF, 4])
 def test_mu_norm_lower_floored_pass_matches_full(fiber, cutoff, wsmall,
                                                  monkeypatch):
-    # mu_norm_lower read alone runs the probe pass floored at op_lower / R^n,
-    # with an infinite floor where the tail bound rules a radius out: it
-    # gives the float that op_lower against the full pass's lower gives,
-    # keeps nothing, and leaves lower, read after it, the full pass's
+    # mu_norm_lower is op_lower, the floor of the norm, with no probe pass
+    # where the tail gate fires, and reads the full pass otherwise; both
+    # branches occur, and both give op_lower against the full pass's lower
     monkeypatch.setattr(opalg, "DENSE_CUTOFF", cutoff)
-    floors = _record_floors(monkeypatch)
-    Rmax = 5
-    wins = {"shells": 0, "op_lower": 0, "gated_shells": 0}
+    branches = {"gate": 0, "full": 0, "binds": 0}
     for seed in range(3):
         for A in _floor_items(wsmall, seed, fiber):
-            full = opalg.mu_profile(_fresh(A), Rmax)
-            eager = {part: getattr(full, part) for part in _PARTS}
-            for n in (1, 2, 3):
-                ref = opalg._decay_norm(full.op_lower, full.lower, n)
-                prof = opalg.mu_profile(_fresh(A), Rmax)
-                assert prof.mu_norm_lower(n).hex() == ref.hex()
-                assert "_probes" not in vars(prof)
-                # the upper bound of the shell ratio needs no probe pass
-                assert prof.shell_ratio_upper(n) >= _exact_shell_ratio(full, n)
-                ruled_out = np.isinf(floors[-1][1:len(prof._radii)])
-                for part in _PARTS:
-                    assert _same_part(getattr(prof, part), eager[part])
-                # read after lower, the norm is read off it
-                assert prof.mu_norm_lower(n).hex() == ref.hex()
-                shells = full.lower[1:] * opalg._radius_powers(Rmax, n)
-                binds = ref > full.op_lower
-                wins["shells" if binds else "op_lower"] += 1
-                if binds and ruled_out.any():
-                    # the binding radius is never ruled out
-                    assert not ruled_out[np.argmax(shells)]
-                    wins["gated_shells"] += 1
-    assert min(wins.values()) > 0
+            _check_mu_norm_lower(A, 5, branches)
+    assert min(branches.values()) > 0
+
+
+@pytest.mark.parametrize("top", [2.0 ** -1020, 2.0 ** 1000],
+                         ids=["tiny", "huge"])
+def test_mu_norm_lower_gate_at_float_range_ends(top, wsmall):
+    # operators scaled to a norm near 2^-1020, where op_lower / R^n is
+    # subnormal, or near 2^1000: the gate still gives the full pass's float
+    # and never fires where a shell binds, and both branches occur
+    branches = {"gate": 0, "full": 0, "binds": 0}
+    for fiber in (1, 2):
+        for seed in range(2):
+            for A in _floor_items(wsmall, seed, fiber):
+                A = A.scale(top / opalg.op_norm(_fresh(A)))
+                if top < 1:
+                    q = opalg.mu_profile(_fresh(A), 5).op_lower / 8.0
+                    assert 0 < q < np.finfo(float).tiny
+                _check_mu_norm_lower(A, 5, branches)
+    assert min(branches.values()) > 0
 
 
 def test_op_norm_and_profile_share_one_svd(w, monkeypatch):
@@ -623,10 +634,10 @@ def test_product_estimate_svd_count(monkeypatch):
 
 # np.linalg.svd calls (and the matrices they factor) in one neumann_inverse
 # on the decay workload's window (65 points, B of propagation 2 drawn at
-# (13, n, 0), Rmax 16), for each n.  The inverse's tail bound lies below
-# op_lower / R^n at every radius, so its floored probe pass probes none;
-# reading its full probe pass instead makes 33, 35 and 34 calls (37, 46 and
-# 48 matrices) for n = 1, 2, 3.
+# (13, n, 0), Rmax 16), for each n.  The inverse's tail bound times R^n lies
+# below op_lower at every radius (shell_ratio_upper < 1), so mu_norm_lower
+# runs no probe pass; reading the full probe pass instead makes 33, 35 and 34
+# calls (37, 46 and 48 matrices) for n = 1, 2, 3.
 NEUMANN_SVDS = {"calls": 4, "matrices": 4}
 
 
@@ -643,15 +654,21 @@ def test_neumann_svd_count(n, monkeypatch):
         counts["matrices"] += int(np.prod(a.shape[:-2]))
         return svd(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", counted)
-    floors = _record_floors(monkeypatch)
+    passes = []
+    probe_pass = opalg.MuProfile._probes.func
+
+    def recorded(self):
+        passes.append(self)
+        return probe_pass(self)
+    monkeypatch.setattr(opalg.MuProfile, "_probes", property(recorded))
     S, rep = opalg.neumann_inverse(B, n)
     assert rep.passed
     # what the report reads: op of B (one SVD), upper of B (one per radius
     # below its propagation) and op of the inverse
     assert counts["matrices"] == 2 + min(17, B.propagation)
     assert counts == NEUMANN_SVDS
-    # the floored pass probes no radius, and the norm is the full pass's
-    assert len(floors) == 1 and np.isinf(floors[0]).all()
+    # no probe pass ran, and the norm is the full pass's
+    assert passes == []
     full = opalg.mu_profile(_fresh(S), 16)
     assert rep.measured.hex() == opalg._decay_norm(full.op_lower, full.lower,
                                                    n).hex()
