@@ -43,8 +43,10 @@ def _tagged_order(tuples: np.ndarray):
 def coalesce(tuples: np.ndarray, values: np.ndarray):
     """Sum values of duplicate index rows; rows come back lex-sorted, zeros dropped.
 
-    Both orders are stable, so equal rows are summed in input order whichever
-    one runs."""
+    Both orders are stable, so each run of equal rows keeps its input order
+    whichever one runs.  np.add.reduceat adds the run's first value to
+    numpy's sum of the rest (left to right below 8 terms, pairwise beyond):
+    for floats that can differ from a left-to-right sum of the run."""
     if len(values) == 0:
         return tuples, values
     tagged = _tagged_order(tuples) if len(values) >= PACK_MIN_ROWS else None

@@ -289,12 +289,3 @@ def character_pairing(phi: CoarseCochain, t: CyclicTensor) -> PairingResult:
     raw = complex(pair_arrays(phi, t.window, *_ordered_arrays(t)))
     stripped = raw / (TWO_PI_I ** t.tau_power) if t.tau_power else raw
     return PairingResult(raw=raw, tau_power=t.tau_power, stripped=stripped)
-
-
-def local_trace_sum(e: BandedOperator) -> complex:
-    """Sum of local traces of a degree-0 character over margin-safe points."""
-    tuples, values = chi_arrays(CyclicTensor(0, [(1.0, (e,))]))
-    if len(values) == 0:
-        return 0j
-    safe = e.window.safe_mask[tuples[:, 0]]
-    return complex(values[safe].sum())

@@ -239,14 +239,6 @@ def roundtrip_identity(s: SimplicialChain) -> bool:
     return fill_chain(s) == s
 
 
-def fill_radius(window: Window, tup) -> int:
-    """Max distance from a filling vertex to the tuple's first point."""
-    verts = np.unique(fill_tuple(window, tup).tuples)
-    if len(verts) == 0:
-        verts = np.array([tup[0]])
-    return int(window.dist_cross([int(tup[0])], verts)[0].max(initial=0))
-
-
 # -- certified contractibility and the main estimate -----------------------------
 
 @dataclass

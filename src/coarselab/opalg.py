@@ -46,7 +46,8 @@ p(m, k)*eps*||A|| (LAPACK Users' Guide 4.9): a certified upper bound, with the
 plain SVD as the lower side.  Above the cutoff the bracket is closed-form in
 the entries: the Schur test sqrt(largest column sum * largest row sum) of
 |entries|, inflated by the rounding of those sums, above, and the largest
-column 2-norm below.  Both sides stay certified there, only looser.
+column 2-norm below, both taken of the entries times a power of two so that
+nothing over- or underflows.  Both sides stay certified there, only looser.
 
 Every quantitative inequality is then checked in the sound direction
 (lower-certified left side against upper-certified right side).
@@ -125,10 +126,6 @@ class BandedOperator:
                              .max(initial=0))
         return self._prop
 
-    def block(self, p: int, q: int) -> np.ndarray:
-        f = self.fiber
-        return self.mat[p * f:(p + 1) * f, q * f:(q + 1) * f].toarray()
-
     # -- *-algebra ----------------------------------------------------------
 
     def __add__(self, other):
@@ -192,34 +189,50 @@ def _dense_norm2(arr) -> float:
     return _dense_sigma(arr) * (1 + arr.size * EPS)
 
 
+def _pow2_scale(absval) -> int:
+    """The s that puts the largest of absval, times 2^s, in [1/2, 1)."""
+    return -int(np.frexp(absval.max())[1])
+
+
 def _schur_cap(rows, cols, absval) -> float:
     """Schur test on the entries absval = |A[rows, cols]|: ||A|| <=
     sqrt(largest column sum * largest row sum), a certified upper bound.
 
-    bincount adds each sum's terms in turn, so with the rounding of the
-    |entries|, the product and the square root the computed cap lies at most
-    (nnz + 3) * eps / 2 below the exact one (Higham, Accuracy and Stability
-    of Numerical Algorithms, 4.2); the factor (1 + (nnz + 2) * eps) covers it.
+    The sums are taken of the entries times 2^s (_pow2_scale), so their
+    product neither overflows nor underflows at the ends of the float range,
+    and the cap is scaled back.  A power of two scales exactly, so in range
+    the cap has the bits of the unscaled sums'.  bincount adds each sum's
+    terms in turn, so with the rounding of the |entries|, the product and the
+    square root the computed cap lies at most (nnz + 3) * eps / 2 below the
+    exact one (Higham, Accuracy and Stability of Numerical Algorithms, 4.2);
+    the factor (1 + (nnz + 2) * eps) covers it, and the underflow of scaled
+    entries too: at most 2^-1075 each, against sums of at least 1/2.
     """
     if len(absval) == 0:
         return 0.0
+    s = _pow2_scale(absval)
     n = int(max(rows.max(), cols.max())) + 1
+    scaled = np.ldexp(absval, s)
     sums = np.bincount(np.concatenate([rows, n + cols]),
-                       weights=np.concatenate([absval, absval]))
+                       weights=np.concatenate([scaled, scaled]))
     cap = np.sqrt(sums[:n].max() * sums[n:].max())
-    return float(cap) * (1 + (len(absval) + 2) * EPS)
+    return float(np.ldexp(cap * (1 + (len(absval) + 2) * EPS), -s))
 
 
 def _bracket(A: BandedOperator, block=None) -> tuple[float, float]:
     """Certified (upper, lower) bounds of ||A|| (see Norms above), computed
-    once per operator and kept on it; block, if given, is A's _compress."""
+    once per operator and kept on it; block, if given, is A's _compress.
+    Above DENSE_CUTOFF the largest column norm is taken, as the Schur cap
+    is, of the entries times 2^s, so no square over- or underflows."""
     if A._norm is None:
         if block is None:
             block, _, _ = _compress(A.mat)
         if sp.issparse(block):
             c, a = A.mat.indices, np.abs(A.mat.data)
+            s = _pow2_scale(a)
+            col2 = np.bincount(c, weights=np.ldexp(a, s) ** 2).max()
             A._norm = (_schur_cap(_csr_rows(A.mat), c, a),
-                       float(np.sqrt(np.bincount(c, weights=a * a).max())))
+                       float(np.ldexp(np.sqrt(col2), -s)))
         else:
             sigma = _dense_sigma(block)
             A._norm = (sigma * (1 + block.size * EPS), sigma)
@@ -234,16 +247,6 @@ def op_norm(A: BandedOperator) -> float:
 
 
 # -- dominating-function profiles ----------------------------------------------
-
-def offband(A: BandedOperator, R: int) -> BandedOperator:
-    """Keep only entries at point distance > R."""
-    _, _, d = A.entry_point_pairs()
-    keep = d > R
-    mat = sp.csr_matrix((A.mat.data[keep], (_csr_rows(A.mat)[keep],
-                                            A.mat.indices[keep])),
-                        shape=A.mat.shape)
-    return BandedOperator(A.window, mat, A.fiber)
-
 
 def _probe_subsets(window: Window):
     """The PROBE_SUBSETS seeded random supports of mu_profile's probes, drawn
@@ -751,42 +754,6 @@ def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12):
     report = {"terms_used": used, "tail_bound": max(remaining, 0.0),
               "mu_norm": mu_profile(out, rmax).mu_norm(2) if rmax >= 1 else None}
     return out, report
-
-
-@dataclass
-class DecayRow:
-    R: int
-    col_tail: float
-    row_tail: float
-    col_bound: float
-    row_bound: float
-    ok: bool
-
-
-def entry_decay_bound(A: BandedOperator, Rmax: int) -> list:
-    """Max squared l2 mass of scalar rows/columns outside B_R, against mu_upper^2.
-
-    One scalar column's (row's) mass beyond R is at most mu_upper(R)^2; the
-    summed f columns of one point can exceed it, so the masses are per scalar.
-    """
-    A.window.require_margin(Rmax, "opalg.entry_decay_bound")
-    prof = mu_profile(A, Rmax)
-    prof_adj = mu_profile(A.adjoint(), Rmax)
-    # scalar rows and columns of the stored entries, in CSR order
-    srow, scol = _csr_rows(A.mat), A.mat.indices
-    _, _, dist = A.entry_point_pairs()
-    a2 = np.abs(A.mat.data) ** 2
-    rows = []
-    for R in range(Rmax + 1):
-        m = dist > R
-        col_tail = float(np.bincount(scol[m], weights=a2[m]).max()) if m.any() else 0.0
-        row_tail = float(np.bincount(srow[m], weights=a2[m]).max()) if m.any() else 0.0
-        cb = float(prof.upper[R]) ** 2
-        rb = float(prof_adj.upper[R]) ** 2
-        rows.append(DecayRow(R, col_tail, row_tail, cb, rb,
-                             col_tail <= cb * (1 + 1e-9) + 1e-12
-                             and row_tail <= rb * (1 + 1e-9) + 1e-12))
-    return rows
 
 
 # -- generators --------------------------------------------------------------------

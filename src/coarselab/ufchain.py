@@ -7,7 +7,8 @@ points to coefficients.  A UfChain holds it as two read-only arrays: `tuples`,
 floats.  Ints are int64 until a sum or product could reach 2^63, Python ints
 from then on (``exact_column`` decides), so exact coefficients cancel exactly.
 Python terms (a dict or (tuple, value) pairs) are summed in Python in input
-order; arrays go through ``coalesce`` (``from_arrays``), and so does every
+order; arrays go through ``coalesce`` (``from_arrays``), which adds a run of
+equal rows as its first value plus numpy's sum of the rest, and so does every
 operation.  ``sort_sign`` serves the character map and the filler alike, and
 ``faces`` the boundary and the character's chain-map check.
 
@@ -106,8 +107,9 @@ class UfChain:
 
     @classmethod
     def from_arrays(cls, window: Window, degree: int, tuples, values) -> "UfChain":
-        """The chain sum_r values[r] * tuples[r]: repeated rows are summed in
-        input order, zeros dropped."""
+        """The chain sum_r values[r] * tuples[r]: repeated rows are summed by
+        coalesce (the first value plus numpy's sum of the rest), zeros
+        dropped."""
         tuples = _check_rows(window, degree, np.asarray(tuples, dtype=np.int64))
         values = exact_column(values, len(values))
         return _coalesced(window, degree, *coalesce(tuples, values))
@@ -127,9 +129,6 @@ class UfChain:
 
     def terms(self):
         return self.support.items()
-
-    def coefficient(self, tup):
-        return self.support.get(tuple(int(p) for p in tup), 0)
 
     def arrays(self):
         return self.tuples, self.values

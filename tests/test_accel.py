@@ -27,6 +27,20 @@ def test_coalesce_cancellation():
     assert t.shape == (1, 2) and tuple(t[0]) == (0, 5) and v[0] == 2.0
 
 
+@pytest.mark.parametrize("pad", [0, 300], ids=["lexsort", "packed"])
+def test_coalesce_run_sum_order(pad):
+    # a run of equal float rows is its first value plus the sum of the rest:
+    # 1 + (1e16 - 1e16) = 1, where left to right (1 + 1e16) - 1e16 = 0
+    run = np.array([1.0, 1e16, -1e16])
+    assert (run[0] + run[1]) + run[2] != run[0] + (run[1] + run[2])
+    tuples = np.concatenate([np.zeros((3, 2), dtype=np.int64),
+                             np.arange(1, 2 * pad + 1).reshape(pad, 2)])
+    values = np.concatenate([run, np.ones(pad)])
+    t, v = _accel.coalesce(tuples, values)
+    assert tuple(t[0]) == (0, 0) and v[0] == run[0] + (run[1] + run[2]) == 1.0
+    assert len(v) == pad + 1
+
+
 def test_coalesce_empty():
     t, v = _accel.coalesce(np.empty((0, 3), dtype=np.int64),
                            np.empty(0, dtype=np.complex128))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from coarselab import cochain, cyclic, opalg, spaces, ufchain
+from coarselab import cochain, cyclic, opalg, spaces, suite, ufchain
 from coarselab.errors import DegreeError, MarginError, PreconditionError
 
 
@@ -548,11 +548,13 @@ def test_character_pairing_identity_unitary(w):
 
 
 def test_degree0_local_trace_normalization(w):
+    # the degree-0 character paired with the indicator of the safe points is
+    # the sum of e's local traces there: the trace of e compressed to them
     e = opalg.diag_indicator(w, lambda lb: lb[0] % 2 == 0)
-    total = cyclic.local_trace_sum(e)
+    total = suite.demo_degree0(w, e, cochain.Indicator(points=w.safe_points.tolist()))
     P = opalg.safe_projector(w)
     compressed_trace = (P @ e @ P).mat.diagonal().sum()
-    assert abs(total - compressed_trace) < 1e-10
+    assert total == compressed_trace == 9
 
 
 def test_chi_norm_ratio_window_independent():

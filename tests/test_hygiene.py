@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports in the package, every third-party
 import declared in pyproject.toml, no defaulted parameter of the
-package's public API that no call passes, and no private definition that
-only the tests use.
+package's public API that no call passes, no private definition that
+only the tests use, and no public one beyond a pinned few.
 
 The checks read the source with ast; nothing is imported or run.
 """
@@ -132,12 +132,13 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert unpassed == []
 
 
-def _private_defs(tree):
-    """Every function, method and class whose name has one leading underscore
-    (dunders are the interpreter's), at any depth."""
+def _definitions(tree, private):
+    """Every function, method and class, at any depth, whose name has one
+    leading underscore (private) or none (public); dunders are the
+    interpreter's."""
     return [node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
+            and not node.name.startswith("__") and node.name.startswith("_") == private]
 
 
 def _references(node):
@@ -149,15 +150,53 @@ def _references(node):
             yield n.attr
 
 
+def _identifier_strings(node):
+    """The pieces of every string constant made of dot-separated identifiers,
+    such as "Window.dist": perfbench's tracer looks functions up by them."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+            pieces = n.value.split(".")
+            if all(p.isidentifier() for p in pieces):
+                yield from pieces
+
+
+def _unreferenced(private, strings):
+    """The package's private or public definitions that neither the package
+    nor the benchmark references outside the definition's own body; with
+    strings, the benchmark's identifier strings count as references too."""
+    trees = {path: ast.parse(path.read_text())
+             for root in (PACKAGE, ROOT / "perfbench") for path in _modules(root)}
+    refs = Counter(name for tree in trees.values() for name in _references(tree))
+    if strings:
+        refs += Counter(name for path, tree in trees.items() if PACKAGE not in path.parents
+                        for name in _identifier_strings(tree))
+    return [(path.name, node.name, node.lineno)
+            for path, tree in trees.items() if PACKAGE in path.parents
+            for node in _definitions(tree, private)
+            if refs[node.name] == Counter(_references(node))[node.name]]
+
+
 def test_every_private_definition_is_used_by_the_program():
     # a private helper that only tests call is a code path kept for them:
     # references from the package and the benchmark count, the tests' do not,
     # nor those inside the definition itself
-    trees = {path: ast.parse(path.read_text())
-             for root in (PACKAGE, ROOT / "perfbench") for path in _modules(root)}
-    refs = Counter(name for tree in trees.values() for name in _references(tree))
-    unused = [f"{path.name}: {node.name} (line {node.lineno})"
-              for path, tree in trees.items() if PACKAGE in path.parents
-              for node in _private_defs(tree)
-              if refs[node.name] == Counter(_references(node))[node.name]]
-    assert unused == []
+    assert _unreferenced(private=True, strings=False) == []
+
+
+# Public definitions that only tests reach, each kept for the check that is to
+# call it.  The scan must find exactly these: a new test-only name fails, and
+# so does a pinned name that gains a caller, which then leaves this list.
+TEST_ONLY = {
+    "chern0": "the Chern number of a decaying projection (ROADMAP direction 2)",
+    "power_series_apply": "builds that projection in the calculus (direction 2)",
+    "support_check": "the cup's support slices for the dual norm (direction 3)",
+    "coefficient_sum_bound": "the crucial estimate's counting step as a slack ratio "
+                             "(direction 4)",
+}
+
+
+def test_every_public_definition_is_used_by_the_program():
+    # as above, for the public names, with the benchmark's identifier strings
+    # counted as references
+    found = {name for _, name, _ in _unreferenced(private=False, strings=True)}
+    assert found == set(TEST_ONLY)

@@ -110,7 +110,14 @@ def test_op_norm_near_identity_clustered_spectrum(w):
     assert opalg.op_norm(A) == pytest.approx(sv, rel=1e-8)
 
 
-@pytest.mark.parametrize("case", ["zd1", "zd2", "heisenberg3", "fiber2"])
+def _offband_dense(A, R):
+    """A's dense matrix with the entries at point distance <= R zeroed: the
+    distances are dist_cross's on the scalar indices divided by the fiber."""
+    pts = np.arange(A.mat.shape[0]) // A.fiber
+    return np.where(A.window.dist_cross(pts, pts) > R, A.mat.toarray(), 0)
+
+
+@pytest.mark.parametrize("case", ["zd1", "zd2", "heisenberg3", "fiber2", "fiber3"])
 def test_mu_profile_upper_certified_against_svd_oracle(case):
     # upper and op are certified upper bounds: never below the LAPACK SVD of
     # the full matrix, with no slack; the sandwich holds with no slack
@@ -127,16 +134,22 @@ def test_mu_profile_upper_certified_against_svd_oracle(case):
         w = spaces.make_window("heisenberg3", 6, 4)
         ops = [opalg.random_banded(w, 7, prop=2, decay=0.6)]
         Rmax = 2
-    else:
+    elif case == "fiber2":
         w = spaces.make_window("zd", 10, 5, dim=1)
         ops = [opalg.random_banded(w, s, prop=3, decay=0.6, fiber=2)
                for s in range(3)]
         Rmax = 5
+    else:
+        # fiber 3 with every entry of each 3 x 3 block stored
+        w = spaces.make_window("zd", 16, 8, dim=1)
+        ops = [opalg.random_banded(w, (3, i), prop=3, decay=0.6, fiber=3,
+                                   density=1.0) for i in range(4)]
+        Rmax = 6
     for A in ops:
         prof = opalg.mu_profile(A, Rmax)
         assert prof.op >= np.linalg.svd(A.mat.toarray(), compute_uv=False)[0]
         for R in range(Rmax + 1):
-            off = opalg.offband(A, R).mat.toarray()
+            off = _offband_dense(A, R)
             sv = np.linalg.svd(off, compute_uv=False)[0] if off.any() else 0.0
             assert prof.upper[R] >= sv
         assert np.all(prof.lower <= prof.upper)
@@ -159,11 +172,42 @@ def test_sparse_norm_path(w, monkeypatch):
         assert prof.op_lower <= sv <= prof.op
         assert prof.op_lower == pytest.approx(col, rel=1e-12)
         for R in range(9):
-            off = opalg.offband(A, R).mat.toarray()
+            off = _offband_dense(A, R)
             assert prof.upper[R] >= np.linalg.svd(off, compute_uv=False)[0]
         assert np.all(prof.lower <= prof.upper)
         # the probes read the same columns on either path
         assert np.allclose(prof.lower, pd.lower, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [600, -560])
+def test_sparse_norm_bracket_at_float_range_ends(k, wsmall, monkeypatch):
+    # above DENSE_CUTOFF the column norm and the Schur cap squared or
+    # multiplied unscaled entries: times 2^600 op_lower overflowed to inf,
+    # times 2^-560 op and op_lower underflowed to 0.  Taken of the entries
+    # times 2^s they bracket the SVD, and they keep the bits of the unscaled
+    # formulas in range.
+    monkeypatch.setattr(opalg, "DENSE_CUTOFF", 4)
+    A = opalg.random_banded(wsmall, 3, prop=2, decay=0.6)
+    B = A.scale(2.0 ** k)
+    with np.errstate(all="raise"):
+        prof = opalg.mu_profile(B, 4)
+        sv = np.linalg.svd(B.mat.toarray(), compute_uv=False)[0]
+        assert 0 < prof.op_lower <= sv <= prof.op < np.inf
+        for R in range(5):
+            off = _offband_dense(B, R)
+            assert prof.upper[R] >= np.linalg.svd(off, compute_uv=False)[0]
+        assert np.all(np.isfinite(prof.upper)) and prof.upper[0] > 0
+        # in range the scaling is exact: the scaled profile's bracket and
+        # upper, scaled back, are the unscaled operator's bit for bit
+        ref = opalg.mu_profile(A, 4)
+        a, rows, cols = np.abs(A.mat.data), A.mat.tocoo().row, A.mat.indices
+        assert ref.op_lower == np.sqrt(np.bincount(cols, weights=a * a).max())
+        assert ref.op == np.sqrt(np.bincount(cols, weights=a).max()
+                                 * np.bincount(rows, weights=a).max()) \
+            * (1 + (len(a) + 2) * opalg.EPS)
+        assert np.ldexp(prof.op, -k) == ref.op
+        assert np.ldexp(prof.op_lower, -k) == ref.op_lower
+        assert np.array_equal(np.ldexp(prof.upper, -k), ref.upper)
 
 
 def test_random_banded_integer_fiber2(wsmall):
@@ -250,6 +294,8 @@ def test_mu_profile_one_distance_pass(w, monkeypatch, cutoff):
     assert calls == [AA.mat.nnz]
     assert AA.propagation == int(AA.entry_point_pairs()[2].max())
     assert prof.upper[AA.propagation:].max() == 0 < prof.upper[0]
+    # later reads get the kept distances, read-only, with no second pass
+    assert calls == [AA.mat.nnz] and not AA.entry_point_pairs()[2].flags.writeable
 
 
 def _unpruned_profile(A, Rmax):
@@ -749,15 +795,6 @@ def test_mu_profile_shift(w):
     assert all(prof.upper[R] == 0 for R in range(1, 7))
 
 
-def test_offband(w):
-    S = opalg.shift(w, 0, 1)
-    assert opalg.offband(S, 0).mat.nnz == S.mat.nnz
-    assert opalg.offband(S, 1).mat.nnz == 0
-    A = opalg.random_banded(w, 61, prop=4, decay=0.6)
-    _, _, d = opalg.offband(A, 2).entry_point_pairs()
-    assert d.min(initial=5) > 2
-
-
 def test_mu_profile_identity(w):
     prof = opalg.mu_profile(opalg.identity(w), 6)
     assert all(prof.upper[R] == 0 for R in range(7))
@@ -972,63 +1009,6 @@ def test_power_series_radius_certification(w):
         opalg.power_series_apply(A, [1.0] * 20)
 
 
-def test_entry_decay_shift_and_diag(w):
-    rows = opalg.entry_decay_bound(opalg.shift(w, 0, 1), 6)
-    assert all(r.col_tail == 0 for r in rows if r.R >= 1)
-    rows_d = opalg.entry_decay_bound(opalg.identity(w), 6)
-    assert all(r.col_tail == 0 and r.row_tail == 0 for r in rows_d)
-
-
-def test_entry_decay_decaying(w):
-    A = opalg.random_banded(w, 21, prop=8, decay=0.5, density=1.0)
-    rows = opalg.entry_decay_bound(A, 8)
-    assert all(r.ok for r in rows)
-    assert rows[6].col_tail <= rows[2].col_tail * 0.5 ** 4 * 16
-
-
-def test_entry_decay_fiber_blocks(w):
-    # each scalar row/column's mass beyond R stays below mu_upper(R)^2; the
-    # f columns of one point summed together exceed it on these operators
-    for f in (2, 3):
-        for i in range(4):
-            A = opalg.random_banded(w, (f, i), prop=3, decay=0.6, fiber=f,
-                                    density=1.0)
-            assert all(r.ok for r in opalg.entry_decay_bound(A, 6))
-
-
-@pytest.mark.parametrize("fiber", [1, 2])
-def test_entry_decay_bound_matches_coo_masses(w, fiber):
-    # the scalar masses read in CSR order equal those of the COO entries
-    A = opalg.random_banded(w, (fiber, 8), prop=3, decay=0.6, fiber=fiber)
-    for B in (A, A @ A):
-        coo = B.mat.tocoo()
-        dist = w.dist_many(coo.row // fiber, coo.col // fiber)
-        a2 = np.abs(coo.data) ** 2
-        for row in opalg.entry_decay_bound(B, 6):
-            m = dist > row.R
-            assert row.col_tail == (np.bincount(coo.col[m], weights=a2[m]).max()
-                                    if m.any() else 0.0)
-            assert row.row_tail == (np.bincount(coo.row[m], weights=a2[m]).max()
-                                    if m.any() else 0.0)
-
-
-def test_entry_decay_bound_distance_passes(w, monkeypatch):
-    # the entries' distances are kept on the operator: one pass for A (its
-    # profile and its masses) and one for its adjoint
-    A = opalg.random_banded(w, 49, prop=3, decay=0.6)
-    dist_many = spaces.Window.dist_many
-    calls = []
-
-    def counted(self, ii, jj):
-        calls.append(len(ii))
-        return dist_many(self, ii, jj)
-    monkeypatch.setattr(spaces.Window, "dist_many", counted)
-    assert all(r.ok for r in opalg.entry_decay_bound(A, 6))
-    assert calls == [A.mat.nnz] * 2
-    r, c, d = A.entry_point_pairs()
-    assert len(calls) == 2 and not d.flags.writeable
-
-
 def test_adjoint_profile_symmetry(w):
     A = opalg.random_banded(w, 17, prop=3, decay=0.6)
     H = A + A.adjoint()
@@ -1079,7 +1059,10 @@ def test_block_operator_algebra(wsmall):
     C = A @ B
     assert C.fiber == 2
     assert C.propagation <= A.propagation + B.propagation
-    p, q = 1, 3
-    manual = sum(A.block(p, r) @ B.block(r, q) for r in range(wsmall.n_points))
-    assert np.allclose(C.block(p, q), manual)
+    f, p, q = 2, 1, 3
+
+    def block(M, p, q):
+        return M.mat.toarray()[p * f:(p + 1) * f, q * f:(q + 1) * f]
+    manual = sum(block(A, p, r) @ block(B, r, q) for r in range(wsmall.n_points))
+    assert np.allclose(block(C, p, q), manual)
 

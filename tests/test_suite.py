@@ -198,8 +198,8 @@ def test_tree_flow_boundary_at_leaves(W):
     leaves = np.flatnonzero(w.dist_to_base == W)
     assert len(leaves) == 3 * 2 ** (W - 1)
     for c in leaves.tolist():
-        assert bt.coefficient((c,)) == -inflow[c] * den
-    assert all(bt.coefficient((p,)) == den for p in w.safe_points.tolist())
+        assert bt.support.get((c,), 0) == -inflow[c] * den
+    assert all(bt.support.get((p,), 0) == den for p in w.safe_points.tolist())
     assert len(bt) == w.n_points
     assert sum(bt.values.tolist()) == 0
 
