@@ -16,9 +16,18 @@ computable, so it is sandwiched:
                of F itself (entries scaled by a power of two, so no square
                underflows unnoticed) lies inside the rest of the factor.  So
                a skipped SVD could not have been the max, and mu_lower is the
-               same bit for bit as with every SVD run;
+               same bit for bit as with every SVD run.  The pass builds
+               those bounds for every (radius, probe) in one table first
+               (_probe_bounds) and keeps the running max in the same scale;
   mu_upper(R)  min(op norm, running max over R' >= R of the norm of the
                off-band part at distance > R'): a certified dominating function.
+
+Products.  A @ B calls scipy's two CSR product kernels (csr_matmat_maxnnz,
+csr_matmat: SMMP, Bank & Douglas 1993) directly, without the Python wrapper
+around them in A.mat @ B.mat, which costs several times the kernels on small
+windows: the same arrays bit for bit, scipy's index dtype, each row's columns
+in the order the kernel found them.  The kernel stores no exact zero, so the
+product skips the constructor's eliminate_zeros.
 
 A profile (MuProfile) computes each of its parts on the first read and keeps
 it: the off-band norms (upper) and the probes (lower), so a check pays only
@@ -61,6 +70,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 
 from .errors import DegreeError, PreconditionError, WindowError
 from .spaces import Window
@@ -138,7 +148,13 @@ class BandedOperator:
 
     def __matmul__(self, other):
         self._check_same(other)
-        return BandedOperator(self.window, self.mat @ other.mat, self.fiber)
+        # csr_matmat stores no exact zero, so the product skips the
+        # constructor's conversion and eliminate_zeros
+        out = object.__new__(BandedOperator)
+        out.window, out.fiber = self.window, self.fiber
+        out.mat = _csr_product(self.mat, other.mat)
+        out._prop = out._dist = out._norm = None
+        return out
 
     def scale(self, z):
         return BandedOperator(self.window, z * self.mat, self.fiber)
@@ -149,6 +165,27 @@ class BandedOperator:
     def __repr__(self):
         return (f"BandedOperator(points={self.window.n_points}, fiber={self.fiber}, "
                 f"nnz={self.mat.nnz}, propagation={self.propagation})")
+
+
+def _csr_product(a, b):
+    """a @ b for complex CSR matrices a and b, through the two kernels scipy's
+    product runs (SMMP: Bank & Douglas, Adv. Comput. Math. 1, 1993) without
+    its Python wrapper: the same entries, bit for bit, each row's columns in
+    the order the kernel found them, and scipy's index dtype, int32 unless an
+    index array or the product's size needs int64.  No exact zero is stored."""
+    m, n = a.shape[0], b.shape[1]
+    index = (a.indptr, a.indices, b.indptr, b.indices)
+    dt = np.int64 if any(x.dtype == np.int64 for x in index) else np.int32
+    ap, ai, bp, bi = (x.astype(dt, copy=False) for x in index)
+    nnz = csr_matmat_maxnnz(m, n, ap, ai, bp, bi)
+    if dt == np.int32 and nnz > np.iinfo(np.int32).max:
+        dt = np.int64
+        ap, ai, bp, bi = (x.astype(dt) for x in index)
+    indptr = np.empty(m + 1, dtype=dt)
+    indices = np.empty(nnz, dtype=dt)
+    data = np.empty(nnz, dtype=np.complex128)
+    csr_matmat(m, n, ap, ai, a.data, bp, bi, b.data, indptr, indices, data)
+    return sp.csr_matrix((data, indices, indptr), shape=(m, n))
 
 
 def _csr_rows(mat) -> np.ndarray:
@@ -339,7 +376,7 @@ class MuProfile:
         """The s that puts the largest real or imaginary part of the entries,
         times 2^s, in [1/2, 1).  Masses are taken of the entries so scaled:
         the scaling is exact, and no square over- or underflows at the ends
-        of the float range (see _probe_skips)."""
+        of the float range (see _probe_bounds)."""
         vals = self._block.data if self._sparse else self._block
         return -int(np.frexp(max(np.abs(vals.real).max(initial=0.0),
                                  np.abs(vals.imag).max(initial=0.0)))[1])
@@ -355,7 +392,7 @@ class MuProfile:
         sigma * (1 + m*k*eps), m*k <= M (the LAPACK model of _dense_norm2);
         the sum of nnz squares is off by at most (nnz + 1) eps/2 relative,
         the square root and the product by a few eps/2 more.  Below 2^-960,
-        where underflow breaks that analysis (see _probe_skips), 2^-960 is
+        where underflow breaks that analysis (see _probe_bounds), 2^-960 is
         itself a bound: the squares' underflow adds at most nnz * 2^-1073."""
         A, Rmax, s = self._A, self.Rmax, self._scale
         _, _, dist = A.entry_point_pairs()
@@ -373,7 +410,7 @@ class MuProfile:
     def _probes(self) -> tuple[np.ndarray, int, int]:
         """(lower, SVDs run, SVDs skipped): the probe pass.  A probe's SVD at
         R is skipped when its Frobenius bound is below the running lower[R],
-        both in the 2^s scale (see _scale and _probe_skips)."""
+        both in the 2^s scale (see _scale and _probe_bounds)."""
         # Probes: the plain SVD of the columns over a support L on the rows
         # beyond R, a lower bound within rounding (k*eps relative) of the true
         # value.
@@ -432,17 +469,20 @@ class MuProfile:
         frob2 = np.bincount(ri * n_probes + pj[e], weights=pmass[e],
                             minlength=len(radii) * n_probes
                             ).reshape(len(radii), n_probes)
-        reach = np.zeros(n_probes, dtype=np.int64)
-        np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
         height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
         start = np.concatenate([[0], np.cumsum(height)])
+        # the pairs run probe by probe, so each probe's are one slice
+        reach = np.zeros(n_probes, dtype=np.int64)
+        has = height > 0
+        reach[has] = np.maximum.reduceat(np.minimum(pdist, Rmax + 1),
+                                         start[:-1][has])
+        bound = _probe_bounds(frob2, height, width)
+        lower_s = np.ldexp(lower[radii], s)     # lower in the 2^s scale
         # a skip against the singleton floor stays one: lower only grows
-        live = (radii[:, None] < reach) & ~_probe_skips(
-            frob2, height, width, np.ldexp(lower[radii], s)[:, None])
+        live = (radii[:, None] < reach) & ~(bound < lower_s[:, None])
         svds = 0
         for j in np.flatnonzero(live.any(axis=0)):
-            Rs = np.flatnonzero(live[:, j] & ~_probe_skips(
-                frob2[:, j], height[j], width[j], np.ldexp(lower[radii], s)))
+            Rs = np.flatnonzero(live[:, j] & ~(bound[:, j] < lower_s))
             if len(Rs) == 0:
                 continue
             svds += len(Rs)
@@ -454,6 +494,7 @@ class MuProfile:
             beyond = (dL > Rs[:, None])[:, :, None]
             sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
             lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
+            lower_s[Rs] = np.ldexp(lower[Rs], s)
         lower.flags.writeable = False
         return lower, svds, int(reach.sum()) - svds
 
@@ -524,10 +565,12 @@ def _radius_powers(Rmax: int, n: float) -> np.ndarray:
     return np.arange(1, Rmax + 1, dtype=float) ** n
 
 
-def _probe_skips(frob2, m, k, lower):
-    """Which of one probe's SVDs, an m x k matrix per radius, cannot raise
-    lower: those whose computed Frobenius norm F, times 1 + (m*k + m + k + 2)
-    eps, is below it (all in the same power-of-two scale).
+def _probe_bounds(frob2, m, k):
+    """The certified Frobenius bound of every probe SVD, built once for the
+    whole pass: for probe j, an m[j] x k[j] matrix at each radius with squared
+    Frobenius norm frob2[R, j], the computed F times 1 + (m*k + m + k + 2)
+    eps, inf where frob2 < 2^-960.  An SVD whose bound is below the running
+    lower (in the same power-of-two scale) cannot raise it and is skipped.
 
     The computed sigma is at most sigma * (1 + m*k*eps) (the LAPACK model of
     _dense_norm2) and sigma <= F.  A row's mass adds at most k squares and
@@ -535,10 +578,10 @@ def _probe_skips(frob2, m, k, lower):
     off by at most (m + k + 1) eps/2 relative; its square root, the factor
     and the product add a few eps/2, all inside the (m + k + 2) eps added.
     That leaves underflow: at most 2^-1072 per entry, negligible once
-    frob2 >= 2^-960 (the scale puts the largest entry near 1); below that no
-    SVD is skipped."""
+    frob2 >= 2^-960 (the scale puts the largest entry near 1); below that the
+    bound is inf and no SVD is skipped."""
     bound = np.sqrt(frob2) * (1 + (m * k + m + k + 2) * EPS)
-    return (frob2 >= 2.0 ** -960) & (bound < lower)
+    return np.where(frob2 >= 2.0 ** -960, bound, np.inf)
 
 
 def _probe_table(window: Window):
@@ -662,9 +705,9 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
     shell_ratio_upper bounds the inverse's decay shells over its op_lower
     from above (MuProfile.shell_ratio_upper), without an SVD.
 
-    The terms are the scipy products P_k = P_{k-1} @ B from P_0 = I, the
-    first one I @ B too: scipy leaves a product's column indices in the
-    order it found them, that order sets the summation order of the next
+    The terms are the kernel products P_k = P_{k-1} @ B (_csr_product, the
+    arrays of scipy's P_{k-1} @ B) from P_0 = I, the first one I @ B too:
+    the kernel leaves a product's column indices in the order it found them, that order sets the summation order of the next
     product, and starting from B would change the inverse's last bits.  S
     is built once, on the union of the identity's and the terms' patterns,
     rows sorted: 1 on the diagonal, then each term's entries added in place,
@@ -683,7 +726,7 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
     keys, data = [np.arange(N, dtype=np.int64) * (N + 1)], []   # the diagonal
     terms = 0
     while q > 0 and (q ** (terms + 1)) / (1 - q) >= tol:
-        P = P @ B.mat
+        P = _csr_product(P, B.mat)
         keys.append(_csr_rows(P).astype(np.int64) * N + P.indices)
         data.append(P.data)
         terms += 1

@@ -141,13 +141,94 @@ def _definitions(tree, private):
             and not node.name.startswith("__") and node.name.startswith("_") == private]
 
 
-def _references(node):
-    """The names a subtree reads: bare names and attributes."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
+_FUNCTION_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope):
+    """The names a function, lambda or comprehension binds in its own scope:
+    parameters, assignment and loop targets, nested defs and classes,
+    imports and exception names, less those declared global or nonlocal.
+    Nested scopes bind their own."""
+    if isinstance(scope, _COMPREHENSIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    a = scope.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+             if p is not None}
+    declared = set()
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(n.name)
+            continue
+        if isinstance(n, (ast.Lambda, *_COMPREHENSIONS)):
+            continue
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names |= {name for name, _ in _bound_names(n)}
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            names.add(n.name)
+        elif isinstance(n, (ast.Global, ast.Nonlocal)):
+            declared |= set(n.names)
+        stack.extend(ast.iter_child_nodes(n))
+    return names - declared
+
+
+def _references(tree):
+    """The module's reads that may reach a definition, and where each
+    definition is bound.
+
+    A read is (name, node, scope): an attribute read has scope None, as
+    has a bare-name load that no enclosing function (or comprehension) binds;
+    a load that one binds reads that function's local, and its scope is the
+    innermost such function node.  homes maps each function and class
+    definition node to the scope its name is bound in, by the same rule;
+    a method's is None, as attributes read it.  A def's decorators, defaults
+    and annotations, and a comprehension's first iterable, are read in the
+    enclosing scope."""
+    reads, homes = [], {}
+
+    def resolve(name, scopes):
+        for scope, names in reversed(scopes):
+            if name in names:
+                return scope
+        return None
+
+    def visit(node, scopes, in_class):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                reads.append((node.id, node, resolve(node.id, scopes)))
+            return
+        if isinstance(node, ast.Attribute):
+            reads.append((node.attr, node, None))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            homes[node] = None if in_class else resolve(node.name, scopes)
+        if isinstance(node, _FUNCTION_SCOPES + _COMPREHENSIONS):
+            if isinstance(node, _COMPREHENSIONS):
+                outside = [node.generators[0].iter]
+            else:
+                a = node.args
+                outside = [*getattr(node, "decorator_list", []), *a.defaults,
+                           *(d for d in a.kw_defaults if d is not None),
+                           *(p.annotation for p in a.posonlyargs + a.args + a.kwonlyargs
+                             + [a.vararg, a.kwarg] if p is not None and p.annotation),
+                           *([node.returns] if getattr(node, "returns", None) else [])]
+            for child in outside:
+                visit(child, scopes, False)
+            inner = scopes + ((node, _local_names(node)),)
+            ids = {id(n) for n in outside}
+            for child in ast.iter_child_nodes(node):
+                if id(child) not in ids:
+                    visit(child, inner, False)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes, isinstance(node, ast.ClassDef))
+
+    visit(tree, (), False)
+    return reads, homes
 
 
 def _identifier_strings(node):
@@ -160,20 +241,77 @@ def _identifier_strings(node):
                 yield from pieces
 
 
+def _unread(defining, reading, private, extra):
+    """(path name, name, line) of each private or public definition in the
+    defining modules that the reading ones (a dict of path to tree) read,
+    with extra reads added, only inside the definition's own body.  A
+    definition bound in a function is read only by loads of that function's
+    local; one bound at module or class level by the other reads, from any
+    module."""
+    scanned = {path: _references(tree) for path, tree in reading.items()}
+    refs = extra + Counter((name, None) for reads, _ in scanned.values()
+                           for name, _, scope in reads if scope is None)
+    out = []
+    for path in defining:
+        reads, homes = scanned[path]
+        local = Counter((name, scope) for name, _, scope in reads if scope is not None)
+        at = {id(node): (name, scope) for name, node, scope in reads}
+        for node in _definitions(reading[path], private):
+            key = (node.name, homes[node])
+            own = sum(at.get(id(n)) == key for n in ast.walk(node))
+            if (refs if key[1] is None else local)[key] == own:
+                out.append((path.name, node.name, node.lineno))
+    return out
+
+
 def _unreferenced(private, strings):
     """The package's private or public definitions that neither the package
     nor the benchmark references outside the definition's own body; with
     strings, the benchmark's identifier strings count as references too."""
     trees = {path: ast.parse(path.read_text())
              for root in (PACKAGE, ROOT / "perfbench") for path in _modules(root)}
-    refs = Counter(name for tree in trees.values() for name in _references(tree))
+    package = [path for path in trees if PACKAGE in path.parents]
+    extra = Counter()
     if strings:
-        refs += Counter(name for path, tree in trees.items() if PACKAGE not in path.parents
-                        for name in _identifier_strings(tree))
-    return [(path.name, node.name, node.lineno)
-            for path, tree in trees.items() if PACKAGE in path.parents
-            for node in _definitions(tree, private)
-            if refs[node.name] == Counter(_references(node))[node.name]]
+        extra = Counter((name, None) for path, tree in trees.items()
+                        if path not in package for name in _identifier_strings(tree))
+    return _unread(package, trees, private, extra)
+
+
+def test_reference_scan_resolves_bare_names_by_scope():
+    # a method is not read by a local, parameter, loop variable or nested def
+    # of the same name elsewhere; a module-level load or an attribute read is
+    # a read, and so is a name a function declares global
+    src = """
+class Op:
+    def block(self):
+        return self.block_of()
+
+    def block_of(self):
+        return 0
+
+def uses_locals(block=None):
+    rows = [block for block in range(3)]
+    for block in rows:
+        pass
+    def block():
+        return block
+    return block
+
+def reads_global():
+    global row
+    return row
+
+def row():
+    return Op().block_of
+
+def unread_def():
+    return uses_locals, reads_global
+"""
+    path = Path("mod.py")
+    found = {name for _, name, _ in _unread([path], {path: ast.parse(src)},
+                                            private=False, extra=Counter())}
+    assert found == {"block", "unread_def"}
 
 
 def test_every_private_definition_is_used_by_the_program():

@@ -77,6 +77,64 @@ def test_adjoint_of_product(w):
     assert opalg.op_norm(lhs - rhs) < 1e-12
 
 
+def _same_csr(got, ref):
+    """The same CSR arrays, index dtype and each row's column order included,
+    and the same data bits."""
+    assert got.shape == ref.shape
+    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.data.dtype == ref.data.dtype
+    assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+
+
+def _with_int64_indices(A):
+    mat = A.mat.copy()
+    mat.indptr, mat.indices = mat.indptr.astype(np.int64), mat.indices.astype(np.int64)
+    return opalg.BandedOperator(A.window, mat, A.fiber)
+
+
+def test_product_matches_scipy(w, wsmall, heis, tree):
+    # A @ B runs scipy's product kernels without its wrapper: the arrays of
+    # A.mat @ B.mat bit for bit, a product's found column order as a factor
+    # too, and nothing kept on the product yet
+    z2 = spaces.make_window("zd", 6, 3, dim=2)
+    draws = [opalg.random_banded(win, (s, 8), prop=2, decay=0.6, fiber=f)
+             for win, f in ((w, 1), (z2, 1), (heis, 1), (tree, 1), (wsmall, 2))
+             for s in range(3)]
+    saw_unsorted = False
+    for A, B, C in zip(draws[::3], draws[1::3], draws[2::3]):
+        AB = A @ B
+        saw_unsorted |= not AB.mat.has_sorted_indices
+        for X, Y in ((A, B), (AB, C), (C, AB), (_with_int64_indices(A), B)):
+            P = X @ Y
+            _same_csr(P.mat, X.mat @ Y.mat)
+            assert P._prop is None and P._dist is None and P._norm is None
+            assert P.window is A.window and P.fiber == A.fiber
+    assert saw_unsorted
+
+
+def test_product_stores_no_zero(w):
+    # [[1, 1], [0, 2]] [[1, 0], [-1, 3]] = [[0, 3], [-2, 6]]: the cancelled
+    # entry is not stored; a zero factor gives a product with no entries
+    n = w.n_points
+    p, q = w.index_of((0,)), w.index_of((1,))
+
+    def op(entries):
+        r, c, v = zip(*entries)
+        return opalg.BandedOperator(w, sp.csr_matrix((v, (r, c)), shape=(n, n)))
+    A = op([(p, p, 1), (p, q, 1), (q, q, 2)])
+    B = op([(p, p, 1), (q, p, -1), (q, q, 3)])
+    P = A @ B
+    _same_csr(P.mat, A.mat @ B.mat)
+    assert P.mat.nnz == 3 and np.all(P.mat.data != 0)
+    assert P.mat[p, q] == 3 and P.mat[q, p] == -2 and P.mat[q, q] == 6
+    zero = opalg.BandedOperator(w, sp.csr_matrix((n, n)))
+    for X, Y in ((zero, A), (A, zero)):
+        P = X @ Y
+        _same_csr(P.mat, X.mat @ Y.mat)
+        assert P.mat.nnz == 0 and P.propagation == 0
+
+
 def test_adjoint_involution(w):
     A = opalg.random_banded(w, 19, prop=2, decay=0.7)
     assert (A.adjoint().adjoint().mat != A.mat).nnz == 0
@@ -380,8 +438,15 @@ def _far_tiny(A, cut=1, factor=1e-170):
     return opalg.BandedOperator(A.window, mat, A.fiber)
 
 
-@pytest.mark.parametrize("case", ["zd1", "zd2", "heisenberg3", "tree3", "fiber2",
-                                  "closed_form", "tiny", "far_tiny", "near_tie"])
+# Each case's probe SVDs run, summed over its operators: the skip decisions
+# pinned, not only the lower profile they leave (measured before the probe
+# pass built its bound table once).
+PROBE_SVDS = {"zd1": 192, "zd2": 108, "heisenberg3": 99, "tree3": 179,
+              "fiber2": 101, "closed_form": 127, "tiny": 124, "far_tiny": 513,
+              "near_tie": 9}
+
+
+@pytest.mark.parametrize("case", list(PROBE_SVDS))
 def test_mu_profile_matches_unpruned_reference(case, w, wsmall, heis, tree,
                                                monkeypatch):
     # skipping the SVDs that the Frobenius bound rules out leaves the profile
@@ -434,7 +499,7 @@ def test_mu_profile_matches_unpruned_reference(case, w, wsmall, heis, tree,
                          -0.5255281949282995 - 0.4085718534159908j,
                          1.429374484705569 + 0.8771558747518804j)]
         Rmax = 2
-    skips = 0
+    skips = svds = 0
     for A in ops:
         upper, lower, op, op_lower, matrices = _unpruned_profile(A, Rmax)
         prof = opalg.mu_profile(A, Rmax)
@@ -443,6 +508,8 @@ def test_mu_profile_matches_unpruned_reference(case, w, wsmall, heis, tree,
         assert prof.op == op and prof.op_lower == op_lower
         assert prof.probe_svds + prof.probe_skips == matrices
         skips += prof.probe_skips
+        svds += prof.probe_svds
+    assert svds == PROBE_SVDS[case]
     if case == "zd1":
         assert skips > 0
 
