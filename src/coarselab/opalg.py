@@ -18,7 +18,7 @@ computable, so it is sandwiched:
                a skipped SVD could not have been the max, and mu_lower is the
                same bit for bit as with every SVD run.  The pass builds
                those bounds for every (radius, probe) in one table first
-               (_probe_bounds) and keeps the running max in the same scale;
+               (_probe_bounds);
   mu_upper(R)  min(op norm, running max over R' >= R of the norm of the
                off-band part at distance > R'): a certified dominating function.
 
@@ -26,8 +26,7 @@ Products.  A @ B calls scipy's two CSR product kernels (csr_matmat_maxnnz,
 csr_matmat: SMMP, Bank & Douglas 1993) directly, without the Python wrapper
 around them in A.mat @ B.mat, which costs several times the kernels on small
 windows: the same arrays bit for bit, scipy's index dtype, each row's columns
-in the order the kernel found them.  The kernel stores no exact zero, so the
-product skips the constructor's eliminate_zeros.
+in the order the kernel found them.
 
 A profile (MuProfile) computes each of its parts on the first read and keeps
 it: the off-band norms (upper) and the probes (lower), so a check pays only
@@ -148,13 +147,8 @@ class BandedOperator:
 
     def __matmul__(self, other):
         self._check_same(other)
-        # csr_matmat stores no exact zero, so the product skips the
-        # constructor's conversion and eliminate_zeros
-        out = object.__new__(BandedOperator)
-        out.window, out.fiber = self.window, self.fiber
-        out.mat = _csr_product(self.mat, other.mat)
-        out._prop = out._dist = out._norm = None
-        return out
+        return BandedOperator(self.window, _csr_product(self.mat, other.mat),
+                              self.fiber)
 
     def scale(self, z):
         return BandedOperator(self.window, z * self.mat, self.fiber)
@@ -469,20 +463,18 @@ class MuProfile:
         frob2 = np.bincount(ri * n_probes + pj[e], weights=pmass[e],
                             minlength=len(radii) * n_probes
                             ).reshape(len(radii), n_probes)
+        reach = np.zeros(n_probes, dtype=np.int64)
+        np.maximum.at(reach, pj, np.minimum(pdist, Rmax + 1))
         height = np.bincount(pj, minlength=n_probes)    # each probe matrix's m
         start = np.concatenate([[0], np.cumsum(height)])
-        # the pairs run probe by probe, so each probe's are one slice
-        reach = np.zeros(n_probes, dtype=np.int64)
-        has = height > 0
-        reach[has] = np.maximum.reduceat(np.minimum(pdist, Rmax + 1),
-                                         start[:-1][has])
         bound = _probe_bounds(frob2, height, width)
-        lower_s = np.ldexp(lower[radii], s)     # lower in the 2^s scale
         # a skip against the singleton floor stays one: lower only grows
-        live = (radii[:, None] < reach) & ~(bound < lower_s[:, None])
+        live = (radii[:, None] < reach) & ~(
+            bound < np.ldexp(lower[radii], s)[:, None])
         svds = 0
         for j in np.flatnonzero(live.any(axis=0)):
-            Rs = np.flatnonzero(live[:, j] & ~(bound[:, j] < lower_s))
+            Rs = np.flatnonzero(live[:, j] & ~(
+                bound[:, j] < np.ldexp(lower[radii], s)))
             if len(Rs) == 0:
                 continue
             svds += len(Rs)
@@ -494,7 +486,6 @@ class MuProfile:
             beyond = (dL > Rs[:, None])[:, :, None]
             sigma = np.linalg.svd(np.where(beyond, cols_L[nz], 0), compute_uv=False)
             lower[Rs] = np.maximum(lower[Rs], sigma[:, 0])
-            lower_s[Rs] = np.ldexp(lower[Rs], s)
         lower.flags.writeable = False
         return lower, svds, int(reach.sum()) - svds
 
@@ -707,8 +698,9 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
 
     The terms are the kernel products P_k = P_{k-1} @ B (_csr_product, the
     arrays of scipy's P_{k-1} @ B) from P_0 = I, the first one I @ B too:
-    the kernel leaves a product's column indices in the order it found them, that order sets the summation order of the next
-    product, and starting from B would change the inverse's last bits.  S
+    the kernel leaves a product's column indices in the order it found
+    them, that order sets the summation order of the next product, and
+    starting from B would change the inverse's last bits.  S
     is built once, on the union of the identity's and the terms' patterns,
     rows sorted: 1 on the diagonal, then each term's entries added in place,
     term by term.  Those are the additions of S = S + P_k in the same order,
