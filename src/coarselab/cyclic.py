@@ -12,10 +12,13 @@ chain by antisymmetrized local traces: for point projections P_y,
 
 and on the finite window each trace is the block trace of
 A_0[z_n, z_0] A_1[z_0, z_1] ... A_n[z_{n-1}, z_n].  One vectorized join
-(``_paths``) enumerates these paths for every degree and fiber dimension:
-sparse row expansion through A_1 .. A_n over (point, fiber) indices, then one
-lookup of A_0's entry at (z_n, z_0) inside its CSR row z_n to close each
-path.
+(``_paths``) enumerates these paths for every degree and fiber dimension.
+The trace is cyclic, so it closes in the operator with the most stored
+entries, rotated to the front as B_0: sparse row expansion through
+B_1 .. B_n over (point, fiber) indices, then one lookup of B_0's entry at
+(z_n, z_0) inside its CSR row z_n to close each path.  Only the closed paths
+are walked back to gather their points and values, and their columns are
+rolled back to the order of A_0 .. A_n.
 
 An alternating chain is fixed by its values on strictly increasing tuples.
 ``_signed_rows`` gives its rows: path rows sorted and signed by their
@@ -166,34 +169,55 @@ def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
 
     The block trace tr(A_0[z_n, z_0] A_1[z_0, z_1] .. A_n[z_{n-1}, z_n]) is a
     sum over fiber indices of scalar entry products, so the join runs on the
-    matrices' own (point, fiber) indices k: paths k_0 .. k_n start at every
-    index, grow through the CSR rows of A_1 .. A_n (Gustavson row expansion)
-    and close by looking up A_0's entry at (k_n, k_0) in its CSR row k_n;
-    paths whose closing entry is zero (not stored) are dropped.  The indices
-    are kept as one column per step and stacked once, for the closed paths.
-    Each path is returned as its points k // fiber, one row per fiber index
-    combination; coalescing sums them into the block trace.  Every degree
-    and fiber runs the same join.
+    matrices' own (point, fiber) indices k.  The trace is cyclic, so the join
+    closes in the operator with the most stored entries: ops are rotated to
+    put it first, B_0 .. B_n.  Paths k_0 .. k_n start at every index, grow
+    through the CSR rows of B_1 .. B_n (Gustavson row expansion), each step
+    keeping every path's parent and the position of its entry, and close by
+    looking up B_0's entry at (k_n, k_0) in its CSR row k_n; paths whose
+    closing entry is zero (not stored) are dropped.  Only the closed paths
+    are walked back, to gather their indices and multiply their values, ones
+    times B_1 .. B_n, then times the closing entry.  Each path is returned as
+    its points k // fiber, the columns rolled back to A_0 .. A_n, one row per
+    fiber index combination; coalescing sums them into the block trace.
+    Every degree and fiber runs the same join.
     """
+    nnz = [A.mat.nnz for A in ops]
+    r = nnz.index(max(nnz))
+    ops = ops[r:] + ops[:r]
     f = ops[0].fiber
     M = ops[0].mat.shape[0]
-    k = [np.arange(M, dtype=np.int64)]
-    vals = np.ones(M, dtype=np.complex128)
+    start = k = np.arange(M, dtype=np.int64)
+    steps = []
     for A in ops[1:]:
-        first = A.mat.indptr[k[-1]].astype(np.int64)
-        counts = A.mat.indptr[k[-1] + 1] - first
+        first = A.mat.indptr[k].astype(np.int64)
+        counts = A.mat.indptr[k + 1] - first
         src = np.repeat(np.arange(len(first)), counts)
         # the entry of A extending each new path: its row's first entry plus
         # its rank among the extensions of the same path
         pos = first[src] + np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
-        k = [col[src] for col in k] + [A.mat.indices[pos]]
-        vals = vals[src] * A.mat.data[pos]
-    closing = _closing_entries(ops[0].mat, k[-1], k[0])
+        steps.append((src, pos))
+        start = start[src]
+        k = A.mat.indices[pos]
+    closing = _closing_entries(ops[0].mat, k, start)
     # indices select twice as fast as a mask here; != 0 is cheaper than the
     # complex array's own truth test
-    hit = np.flatnonzero(closing != 0)
-    return (np.column_stack([col[hit] for col in k]) // f,
-            closing[hit] * vals[hit])
+    closed = np.flatnonzero(closing != 0)
+    n = len(ops)
+    tuples = np.empty((len(closed), n), dtype=np.int64)
+    factors = []
+    at = closed
+    for j in range(n - 1, 0, -1):
+        src, pos = steps[j - 1]
+        entry = pos[at]
+        tuples[:, (j + r) % n] = ops[j].mat.indices[entry] // f
+        factors.append(ops[j].mat.data[entry])
+        at = src[at]
+    tuples[:, r] = at // f
+    values = np.ones(len(closed), dtype=np.complex128)
+    for d in reversed(factors):
+        values *= d
+    return tuples, values * closing[closed]
 
 
 def _signed_rows(t: CyclicTensor):

@@ -98,7 +98,10 @@ class BandedOperator:
         if not (isinstance(mat, sp.csr_matrix) and mat.dtype == np.complex128
                 and mat.shape == (n, n)):
             mat = sp.csr_matrix(mat, shape=(n, n), dtype=np.complex128)
-        mat.eliminate_zeros()
+        # stored zeros are removed; the scan is skipped when there are none,
+        # as after the algebra's products and sums and Gaussian draws
+        if not mat.data.all():
+            mat.eliminate_zeros()
         self.mat = mat
         self._prop = self._dist = self._norm = None
 
@@ -840,9 +843,13 @@ def _banded_pairs(window: Window, prop: int, safe_only: bool):
 
 
 def _enumerate_pairs(window: Window, prop: int, safe_only: bool):
-    """All ordered point pairs (rows, cols, dists) at distance <= prop,
-    grouped by stencil offset on lattices and by column elsewhere, and the
-    permutation that puts them in CSR order (by row, then column)."""
+    """The candidate pairs of random_banded: all ordered point pairs at
+    distance <= prop, enumerated by stencil offset on lattices and by column
+    elsewhere.  Returns what a draw's layout reads: the distances in
+    enumeration order (the order the draws follow), the permutation
+    ``order`` that puts the pairs in CSR order (by row, then column), their
+    columns in CSR order as int32, and the row pointer of all candidates in
+    CSR order (int32), so that a draw's CSR arrays are index selections."""
     pts = window.safe_points if safe_only else np.arange(window.n_points)
     if window.kind in ("zd", "interval_z"):
         # one lookup over the <= prop offset stencil x points
@@ -869,7 +876,11 @@ def _enumerate_pairs(window: Window, prop: int, safe_only: bool):
             cols.append(block[c])
             ds.append(d[c, r])
         rows, cols, ds = map(np.concatenate, (rows, cols, ds))
-    out = (rows, cols, ds, np.lexsort((cols, rows)))
+    order = np.lexsort((cols, rows))
+    n = window.n_points
+    ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    out = (ds, order, cols[order].astype(np.int32), ptr)
     for a in out:
         a.flags.writeable = False
     return out
@@ -883,15 +894,29 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
     safe_only is set.  With integer=True every entry, of every f x f block
     too, is a Gaussian integer in [-3, 3] + i[-3, 3] (exact in float
     arithmetic), used by the exact test paths; decay is then not applied.
+    density must lie in [0, 1], prop be >= 0 and fiber >= 1.
 
-    The draws follow the pairs' enumeration order; the picked pairs are then
-    laid out in CSR order directly, and the operator's propagation is the
-    largest distance among its nonzero entries (blocks)."""
+    The draws follow the pairs' enumeration order.  The picked pairs are laid
+    out in CSR order from the window's memo (_enumerate_pairs): their
+    positions among the candidates in CSR order select the int32 columns,
+    and bisecting the candidates' row pointer into those positions gives the
+    int32 row pointer.  The operator's propagation is the largest distance
+    among its nonzero entries (blocks)."""
+    if not 0.0 <= density <= 1.0:
+        raise PreconditionError(
+            f"opalg.random_banded: density {density} is outside [0, 1]")
+    if prop < 0:
+        raise PreconditionError(
+            f"opalg.random_banded: propagation {prop} is negative")
+    if fiber < 1:
+        raise PreconditionError(
+            f"opalg.random_banded: fiber dimension {fiber} is below 1")
     rng = np.random.default_rng(seed)
-    rows, cols, dists, order = _banded_pairs(window, prop, safe_only)
-    pick = rng.random(len(rows)) < density
-    dists = dists[pick]
-    m = len(dists)
+    dists, order, csr_cols, ptr = _banded_pairs(window, prop, safe_only)
+    picked = rng.random(len(dists)) < density
+    drawn = np.flatnonzero(picked)
+    dists = dists[drawn]
+    m = len(drawn)
     if integer:
         vals = (rng.integers(-3, 4, size=m)
                 + 1j * rng.integers(-3, 4, size=m)).astype(np.complex128)
@@ -907,16 +932,17 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
             blocks = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / np.sqrt(2.0)
             vals = blocks * np.repeat(np.abs(vals), fiber * fiber)
         vals = vals.reshape(m, fiber, fiber)
-    # the picked pairs in CSR order, and their places among the draws
-    in_csr = order[pick[order]]
-    perm = (np.cumsum(pick) - 1)[in_csr]
+    # the picks' positions in CSR order, and their ranks among the draws
+    sel = np.flatnonzero(picked[order])
+    rank = np.empty(len(picked), dtype=np.intp)
+    rank[drawn] = np.arange(m)
+    perm = rank[order[sel]]
+    indptr = np.searchsorted(sel, ptr).astype(np.int32)
     n = window.n_points
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[in_csr], minlength=n), out=indptr[1:])
     if fiber == 1:
-        mat = sp.csr_matrix((vals[perm], cols[in_csr], indptr), shape=(n, n))
+        mat = sp.csr_matrix((vals[perm], csr_cols[sel], indptr), shape=(n, n))
     else:
-        mat = sp.bsr_matrix((vals[perm], cols[in_csr], indptr),
+        mat = sp.bsr_matrix((vals[perm], csr_cols[sel], indptr),
                             shape=(n * fiber,) * 2).tocsr()
     A = BandedOperator(window, mat, fiber)
     nonzero = vals.reshape(m, fiber * fiber).any(axis=1)

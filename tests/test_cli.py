@@ -176,6 +176,24 @@ def test_usage_errors(tmp_path, capsys):
     assert "error: suite.demo_tree_fundamental_class: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--density=-0.5", "--density=1.5",
+                                  "--prop=-1", "--fiber=0", "--fiber=-1"])
+def test_op_gen_out_of_range_exits_2(tmp_path, capsys, flag):
+    # out-of-range draw parameters are a usage error, and nothing is written
+    w = tmp_path / "w.json"
+    op = tmp_path / "op.json"
+    run(["space", "gen", "--kind", "zd", "--dim", "1", "--radius", "8",
+         "--margin", "2", "--out", str(w)])
+    capsys.readouterr()
+    assert run(["op", "gen", "--window", str(w), "--seed", "3", flag,
+                "--out", str(op)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: opalg.random_banded: ")
+    assert not op.exists()
+
+
 _WINDOW = {"kind": "zd", "W": 8, "margin": 2, "metric": "l1", "dim": 1}
 
 

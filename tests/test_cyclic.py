@@ -308,18 +308,50 @@ def test_closing_entries_match_indexing(fiber):
 
 @pytest.mark.parametrize("fiber", [1, 2])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_paths_against_dense_products(degree, fiber):
+def test_paths_against_dense_products(degree, fiber, monkeypatch):
     # the join itself, before antisymmetrization cancels anything, on
-    # operators whose rows are stored unsorted
+    # operators whose rows are stored unsorted; the operator drawn with
+    # density 1 at each position in turn is the densest, and the join closes
+    # there and rolls the points back to the tensor's own order
     wq = spaces.make_window("zd", 4, 4, dim=1)
-    ops = tuple(reversed_rows(opalg.random_banded(
-        wq, (60, degree, fiber, j), prop=1, decay=0.8, density=0.7,
-        fiber=fiber, safe_only=False)) for j in range(degree + 1))
-    tt, vv = cyclic._paths(ops)
-    assert tt.dtype == np.int64 and tt.shape == (len(vv), degree + 1)
-    got = np.zeros((wq.n_points,) * (degree + 1), dtype=np.complex128)
-    np.add.at(got, tuple(tt.T), vv)  # one row per fiber index combination
-    assert np.abs(got - path_products_dense(ops, fiber)).max() < 1e-12
+    closed_in = []
+    lookup = cyclic._closing_entries
+    monkeypatch.setattr(cyclic, "_closing_entries",
+                        lambda A, r, c: closed_in.append(A) or lookup(A, r, c))
+    for dense in [None] + list(range(degree + 1)):
+        ops = tuple(reversed_rows(opalg.random_banded(
+            wq, (60, degree, fiber, j), prop=1, decay=0.8,
+            density=1.0 if j == dense else 0.7, fiber=fiber, safe_only=False))
+            for j in range(degree + 1))
+        closed_in.clear()
+        tt, vv = cyclic._paths(ops)
+        if dense is not None:
+            assert len(closed_in) == 1 and closed_in[0] is ops[dense].mat
+            assert all(A.mat.nnz < ops[dense].mat.nnz
+                       for j, A in enumerate(ops) if j != dense)
+        assert tt.dtype == np.int64 and tt.shape == (len(vv), degree + 1)
+        got = np.zeros((wq.n_points,) * (degree + 1), dtype=np.complex128)
+        np.add.at(got, tuple(tt.T), vv)  # one row per fiber index combination
+        assert np.abs(got - path_products_dense(ops, fiber)).max() < 1e-12
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_join_expands_through_the_sparser_factor(fiber, monkeypatch):
+    # on (B, B C), as in the middle term of hochschild_b, the join closes in
+    # the product and looks up one closing entry per path through B
+    wz = spaces.make_window("zd", 6, 3, dim=2)
+    B, C = (opalg.random_banded(wz, (65, fiber, j), prop=1, decay=0.8,
+                                density=0.5, fiber=fiber) for j in range(2))
+    BC = B @ C
+    assert BC.mat.nnz > B.mat.nnz
+    samples = []
+    lookup = cyclic._closing_entries
+    monkeypatch.setattr(cyclic, "_closing_entries",
+                        lambda A, r, c: samples.append(len(r)) or lookup(A, r, c))
+    for ops in ((B, BC), (BC, B)):
+        samples.clear()
+        cyclic._paths(ops)
+        assert samples == [B.mat.nnz]
 
 
 @pytest.mark.parametrize("fiber", [1, 2])

@@ -277,6 +277,43 @@ def test_random_banded_integer_fiber2(wsmall):
     assert np.abs(vals.real).max() <= 3 and np.abs(vals.imag).max() <= 3
 
 
+@pytest.mark.parametrize("kw", [dict(density=-0.5), dict(density=1.5),
+                                dict(density=float("nan")), dict(prop=-1),
+                                dict(fiber=0), dict(fiber=-1)],
+                         ids=["density-neg", "density-above-1", "density-nan",
+                              "prop-neg", "fiber-0", "fiber-neg"])
+def test_random_banded_rejects_out_of_range(wsmall, kw):
+    args = dict(prop=2, density=0.5, fiber=1) | kw
+    with pytest.raises(PreconditionError, match="opalg.random_banded: "):
+        opalg.random_banded(wsmall, 1, **args)
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("safe_only", [True, False])
+def test_random_banded_layout_edges(zplane, fiber, safe_only):
+    # density 0 draws nothing and density 1 every candidate pair; either way
+    # the CSR arrays are int32 and canonical, as the closing lookup of the
+    # character's join bisects canonical rows
+    n = zplane.n_points
+    pts = zplane.safe_points if safe_only else np.arange(n)
+    near = zplane.dist_cross(pts, pts) <= 2
+    every = {(int(pts[i]), int(pts[j])) for i, j in zip(*np.nonzero(near))}
+    empty = opalg.random_banded(zplane, 7, prop=2, density=0.0, fiber=fiber,
+                                safe_only=safe_only)
+    assert empty.mat.nnz == 0 and empty.propagation == 0
+    assert not empty.mat.indptr.any()
+    full = opalg.random_banded(zplane, 7, prop=2, density=1.0, fiber=fiber,
+                               safe_only=safe_only)
+    r, c, _ = full.entry_point_pairs()
+    assert full.mat.nnz == len(every) * fiber * fiber
+    assert set(zip(r.tolist(), c.tolist())) == every
+    assert full.propagation == 2
+    for A in (empty, full, opalg.random_banded(zplane, 8, prop=2, fiber=fiber,
+                                               safe_only=safe_only)):
+        assert A.mat.indptr.dtype == np.int32 == A.mat.indices.dtype
+        assert A.mat.has_canonical_format
+
+
 def _converted(window, mat, fiber):
     """The conversion BandedOperator applies to inputs it does not keep: a
     fresh complex CSR of the window's shape with explicit zeros dropped."""
