@@ -38,13 +38,14 @@ from .ufchain import UfChain, boundary, norm_inf_n, shell_norm, sort_sign
 
 
 class SimplicialChain(UfChain):
-    """A UfChain on sorted Kuhn simplices, built in place by add_simplex,
-    which sorts each simplex with its orientation sign and rejects anything
-    outside the triangulation."""
+    """A UfChain on sorted Kuhn simplices of a lattice window, built in place
+    by add_simplex, which sorts each simplex with its orientation sign and
+    rejects anything outside the triangulation."""
 
     __slots__ = ()
 
     def __init__(self, window: Window, degree: int, terms=None):
+        _require_lattice(window, "fill.SimplicialChain")
         super().__init__(window, degree)
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -99,10 +100,14 @@ def kuhn_rows(window: Window, rows: np.ndarray) -> np.ndarray:
 
 # -- the filler -----------------------------------------------------------------
 
-def _require_fillable(window: Window, degree: int, what: str):
+def _require_lattice(window: Window, what: str):
     if window.kind not in ("zd", "interval_z"):
         raise FillError(f"{what}: fillers are defined on lattice windows only, "
                         f"got kind={window.kind!r}")
+
+
+def _require_fillable(window: Window, degree: int, what: str):
+    _require_lattice(window, what)
     if degree > 2:
         raise FillError(f"{what}: degrees above 2 are outside the core "
                         "build (documented extension point)")

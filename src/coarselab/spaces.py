@@ -18,9 +18,10 @@ kernel whose temporaries scale with the size of the answer:
                word lengths of the radius-2W ball as a dense uint8 array over
                the box |a|, |b| <= 2W, |c| <= W^2, built on first use and
                indexed by p^-1 q; (4W+1)^2 (2W^2+1) bytes, 0.34 MB at W=10;
-  tree3        an ancestor table up[i, k] (the ancestor of i at depth k, or i
-               itself below its own depth); the least common ancestor is found
-               by binary search over k; 4 (W+1) bytes per point.
+  tree3        no lookup: ids are breadth-first, so id + 2 spells a node's
+               path (3 + its first step, then one binary digit per later
+               step); parent, label, index_of and the distance are
+               closed-form integer expressions in it.
 
 The margin m marks the set of "safe" points, those at distance <= W - m from
 the base.  Operations that sum over neighbourhoods declare the radius they
@@ -29,7 +30,6 @@ consume and raise MarginError instead of silently truncating at the edge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +84,8 @@ def _heis_ball(L: int) -> np.ndarray:
 
 class Window:
     """Finite window of a quasi-lattice.  Immutable after construction, apart
-    from its memo of derived data.
+    from its memo of derived data: its arrays (coords, dist_to_base, parent,
+    safe_mask, safe_points and the lookups) are read-only.
 
     The memo (see derived) holds results that are pure functions of the
     window: the banded operators' stencils of point pairs, one entry per
@@ -110,7 +111,6 @@ class Window:
         self.dim = dim
         self._max_points = max_points
         self._grid = None         # lattices: dense point-id grid, -1 outside
-        self._index = None        # tree3 only: node path -> point id
         self._heis_ids = None     # heisenberg3: dense point-id box, -1 outside
         self._heis_rel = None     # heisenberg3: radius-2W lookup, built on first use
         self._memo = {}           # see derived
@@ -140,6 +140,9 @@ class Window:
         self.n_points = len(self.dist_to_base)
         self.safe_mask = self.dist_to_base <= self.W - self.margin
         self.safe_points = np.flatnonzero(self.safe_mask)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     def derived(self, key, build):
         """The memo's entry for key, made by build() on first use."""
@@ -213,54 +216,47 @@ class Window:
         return self._heis_rel
 
     def _build_tree(self):
+        # breadth-first ids: depth k >= 1 holds 3 * 2^(k-1) nodes from id
+        # 3 * 2^(k-1) - 2 on, and a node's rank within its depth is twice its
+        # parent's rank plus its last step, so id + 2 = 3 * 2^(k-1) + rank
+        # reads 3 + (first step) followed by the later steps as binary digits
         W = self.W
-        n_est = 1 + 3 * (2 ** W - 1)
-        if n_est > self._max_points:
+        n = 3 * 2 ** W - 2
+        if n > self._max_points:
             raise WindowError(
-                f"spaces.make_window: tree3 window W={W} has {n_est} points, "
+                f"spaces.make_window: tree3 window W={W} has {n} points, "
                 f"budget is {self._max_points}")
-        paths = [()]
-        parent = [-1]
-        depth = [0]
-        frontier = deque([0])
-        while frontier:
-            i = frontier.popleft()
-            if depth[i] == W:
-                continue
-            n_children = 3 if i == 0 else 2
-            for c in range(n_children):
-                paths.append(paths[i] + (c,))
-                parent.append(i)
-                depth.append(depth[i] + 1)
-                frontier.append(len(paths) - 1)
-        self._paths = paths
-        self.parent = np.array(parent, dtype=np.int64)
         self.coords = None
-        self._index = {p: i for i, p in enumerate(paths)}
         self.base = 0
-        self.dist_to_base = np.array(depth, dtype=np.int64)
-        # up[i, k]: ancestor of i at depth k <= depth(i) (i itself beyond);
-        # points are in breadth-first order, so parents' rows are final first
-        n = len(paths)
-        up = np.repeat(np.arange(n, dtype=np.int32)[:, None], W + 1, axis=1)
-        for k in range(1, W + 1):
-            level = np.flatnonzero(self.dist_to_base == k)
-            up[level, :k] = up[self.parent[level], :k]
-        self._up = up
+        self.dist_to_base = np.repeat(np.arange(W + 1, dtype=np.int64),
+                                      [1] + [3 << (k - 1) for k in range(1, W + 1)])
+        # dropping the last digit: parent id + 2 = (id + 2) >> 1 below depth 1
+        self.parent = np.maximum((np.arange(n, dtype=np.int64) - 2) >> 1, 0)
+        self.parent[0] = -1
 
     # -- point access ------------------------------------------------------
 
     def label(self, i: int):
         """Coordinates of point i: int tuple for lattices, node path for trees."""
+        self.check_point(i)
         if self.kind == "tree3":
-            return self._paths[i]
+            d, key = int(self.dist_to_base[i]), int(i) + 2
+            if d == 0:
+                return ()
+            return ((key >> d - 1) - 3, *(key >> s & 1 for s in range(d - 2, -1, -1)))
         return tuple(int(x) for x in self.coords[i])
 
     def index_of(self, label) -> int:
         key = tuple(label)
         W = self.W
-        if self._index is not None:
-            i = self._index.get(key, -1)
+        if self.kind == "tree3":
+            # a path's id + 2 reads 3 + its first step, then the rest in binary
+            i = -1
+            if len(key) <= W and all(c in (0, 1) or c == 2 and not s
+                                     for s, c in enumerate(key)):
+                i = 0
+                for s, c in enumerate(key):
+                    i = 2 * i + 2 + int(c) if s else 1 + int(c)
         elif self._heis_ids is not None:
             C = self._heis_ids.shape[2] // 2
             if (len(key) == 3 and -W <= key[0] <= W and -W <= key[1] <= W
@@ -310,19 +306,14 @@ class Window:
             table, u, v, a, b = self._heis_lookup()
             return table[u[j] - v[i] - a[i] * b[j]].astype(np.int64)
         if self.kind == "tree3":
-            # binary search for the deepest common ancestor depth
-            K = self.W + 1
-            up = self._up.reshape(-1)
-            d = self.dist_to_base
-            ri, rj = i * K, j * K
-            lo = np.zeros(np.broadcast(i, j).shape, dtype=np.int64)
-            hi = np.minimum(d[i], d[j])
-            for _ in range(self.W.bit_length()):
-                mid = (lo + hi + 1) >> 1
-                same = up[ri + mid] == up[rj + mid]
-                lo = np.where(same, mid, lo)
-                hi = np.where(same, hi, mid - 1)
-            return d[i] + d[j] - 2 * lo
+            # drop digits of id + 2 (see _build_tree) down to the shallower
+            # depth m: the paths agree to depth m - bit_length(xor), and
+            # share only the root when their first steps differ
+            n, d = self.n_points, self.dist_to_base
+            di, dj = d[i], d[j]
+            m = np.minimum(di, dj)
+            x = ((i % n + 2) >> (di - m)) ^ ((j % n + 2) >> (dj - m))
+            return di + dj - 2 * np.maximum(m - np.frexp(x)[1], 0)
         # lattices: one coordinate axis at a time
         combine = np.add if self.metric == "l1" else np.maximum
         x, *rest = self._axes

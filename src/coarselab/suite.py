@@ -68,13 +68,18 @@ def plain(obj):
     return obj
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper():
-        t0 = time.perf_counter()
-        name, passed, details = fn()
-        return CheckResult(name, passed, time.perf_counter() - t0, details)
-    return wrapper
+def _timed(name):
+    """Report a check, which returns (passed, details), as the timed
+    CheckResult name; run_suite reports its errors under the same name."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper():
+            t0 = time.perf_counter()
+            passed, details = fn()
+            return CheckResult(name, passed, time.perf_counter() - t0, details)
+        wrapper.check_name = name
+        return wrapper
+    return decorate
 
 
 # -- exact linear algebra for the index oracle -----------------------------------
@@ -262,7 +267,7 @@ def _mixed_windows():
             spaces.make_window("zd", 10, 3, dim=2)]
 
 
-@_timed
+@_timed("boundary_identities")
 def check_boundary_identities() -> tuple:
     rng = np.random.default_rng(SEED)
     windows = _mixed_windows()
@@ -295,12 +300,12 @@ def check_boundary_identities() -> tuple:
                 if cochain.evaluate(dd, w, tup) != 0:
                     cob_ok[conv] = False
     passed = chains_ok and all(cob_ok.values())
-    return ("boundary_identities", passed,
+    return (passed,
             {"chains_exact": chains_ok, "coboundary_full": cob_ok["full"],
              "coboundary_from1": cob_ok["from1"], "instances": n})
 
 
-@_timed
+@_timed("pairing_adjointness")
 def check_pairing_adjointness() -> tuple:
     rng = np.random.default_rng(SEED + 1)
     windows = _mixed_windows()
@@ -333,12 +338,12 @@ def check_pairing_adjointness() -> tuple:
         without = cochain.pair(closed, c2)
         if with_b != without:
             descent_ok = False
-    return ("pairing_adjointness", adj_ok and descent_ok,
+    return (adj_ok and descent_ok,
             {"adjoint_exact": adj_ok, "descent_exact": descent_ok,
              "instances": n})
 
 
-@_timed
+@_timed("chain_map_identity")
 def check_chain_map() -> tuple:
     seed = SEED + 2
     worst = 0.0
@@ -355,11 +360,10 @@ def check_chain_map() -> tuple:
                 t = cyclic.CyclicTensor(degree, [(1.0, ops)])
                 worst = max(worst, cyclic.chain_map_check(t))
                 count += 1
-    return ("chain_map_identity", worst < 1e-9,
-            {"max_residual": worst, "tensors": count})
+    return worst < 1e-9, {"max_residual": worst, "tensors": count}
 
 
-@_timed
+@_timed("cyclic_invariance")
 def check_cyclic_invariance() -> tuple:
     seed = SEED + 3
     w = spaces.make_window("zd", 32, 12, dim=1)
@@ -378,10 +382,10 @@ def check_cyclic_invariance() -> tuple:
             if not (np.array_equal(t1, t2) and np.array_equal(v1, v2)):
                 exact = False
             tested += 1
-    return ("cyclic_invariance", exact, {"tensors": tested, "exact": exact})
+    return exact, {"tensors": tested, "exact": exact}
 
 
-@_timed
+@_timed("product_estimate")
 def check_product_estimate() -> tuple:
     pairs = 100
     seed = SEED + 4
@@ -399,11 +403,11 @@ def check_product_estimate() -> tuple:
             if r.rhs > 0:
                 worst_gap = min(worst_gap, r.rhs - r.lhs)
                 ratio = max(ratio, r.lhs / r.rhs)
-    return ("product_estimate", all_ok,
+    return (all_ok,
             {"pairs": pairs, "min_slack": worst_gap, "max_lhs_over_rhs": ratio})
 
 
-@_timed
+@_timed("power_estimate")
 def check_power_estimate() -> tuple:
     n_ops = 50
     seed = SEED + 5
@@ -417,11 +421,10 @@ def check_power_estimate() -> tuple:
         if not table.passed:
             all_ok = False
         ratio = max([ratio] + [r.lhs / r.rhs for r in table.rows if r.rhs > 0])
-    return ("power_estimate", all_ok,
-            {"operators": n_ops, "nmax": 4, "max_lhs_over_rhs": ratio})
+    return all_ok, {"operators": n_ops, "nmax": 4, "max_lhs_over_rhs": ratio}
 
 
-@_timed
+@_timed("neumann_inverse_bound")
 def check_neumann() -> tuple:
     n_ops = 50
     seed = SEED + 6
@@ -441,12 +444,12 @@ def check_neumann() -> tuple:
             worst = max(worst, rep.measured - rep.bound)
             ratio = max(ratio, rep.measured / rep.bound)
             shells = max(shells, rep.shell_ratio_upper)
-    return ("neumann_inverse_bound", all_ok,
+    return (all_ok,
             {"operators_per_n": n_ops, "max_excess": worst,
              "max_lhs_over_rhs": ratio, "max_shell_ratio_upper": shells})
 
 
-@_timed
+@_timed("fill_chain_map")
 def check_fill_chain_map() -> tuple:
     n_inst = 200
     rng = np.random.default_rng(SEED + 7)
@@ -468,7 +471,7 @@ def check_fill_chain_map() -> tuple:
         s = _random_unit_chain(w, q, rng)
         if not fill.roundtrip_identity(s):
             round_ok = False
-    return ("fill_chain_map", chain_ok and round_ok,
+    return (chain_ok and round_ok,
             {"instances": n_inst, "chain_map_exact": chain_ok,
              "roundtrip_exact": round_ok})
 
@@ -500,7 +503,7 @@ def _random_unit_chain(w, q, rng):
     return s
 
 
-@_timed
+@_timed("crucial_estimate")
 def check_crucial_estimate() -> tuple:
     n_chains = 200
     rng = np.random.default_rng(SEED + 8)
@@ -519,14 +522,14 @@ def check_crucial_estimate() -> tuple:
             all_ok = False
         if rep.rhs > 0:
             worst_ratio = max(worst_ratio, rep.lhs / rep.rhs)
-    return ("crucial_estimate", all_ok,
+    return (all_ok,
             {"chains": n_chains, "D": growth.D, "M": growth.M,
              "C1": profiles[1].C, "N1": profiles[1].N,
              "C2": profiles[2].C, "N2": profiles[2].N,
              "max_lhs_over_rhs": worst_ratio})
 
 
-@_timed
+@_timed("winding_index_demo")
 def check_winding() -> tuple:
     reports = [demo_winding(k, 28, 20) for k in (1, 2, 3, 4)]
     ratios = [r.ratio for r in reports]
@@ -535,12 +538,12 @@ def check_winding() -> tuple:
     raw_ok = abs(k1.pairing_stripped - (-1)) < 1e-10
     idx_ok = [r.oracle_index == -r.k for r in reports]
     passed = spread < 1e-9 and raw_ok and all(idx_ok)
-    return ("winding_index_demo", passed,
+    return (passed,
             {"ratio_spread": spread, "k1_stripped": k1.pairing_stripped,
              "oracle_indices": [r.oracle_index for r in reports]})
 
 
-@_timed
+@_timed("growth_fits")
 def check_growth_fits() -> tuple:
     w1 = spaces.make_window("zd", 16, 0, dim=1)
     w2 = spaces.make_window("zd", 16, 0, dim=2)
@@ -553,12 +556,12 @@ def check_growth_fits() -> tuple:
     ok = (abs(f1.M - 1) <= 0.2 and abs(f2.M - 2) <= 0.2
           and 3.2 <= fh.M <= 4.8 and ft.exponential_flag
           and not f1.exponential_flag and not f2.exponential_flag)
-    return ("growth_fits", ok,
+    return (ok,
             {"M_z1": f1.M, "M_z2": f2.M, "M_heis": fh.M,
              "tree_exponential": ft.exponential_flag})
 
 
-@_timed
+@_timed("pairing_continuity_trend")
 def check_continuity_trend() -> tuple:
     phi = cochain.Jump(0, 0)
     maxima = {}
@@ -575,7 +578,7 @@ def check_continuity_trend() -> tuple:
     # no growth with W: every window's ratio stays within 1.2x the smallest
     # window's (the ratio falls as W grows, as the uniform bound predicts)
     ok = max(maxima.values()) <= 1.2 * maxima[16]
-    return ("pairing_continuity_trend", ok,
+    return (ok,
             {"max_ratio_W16": maxima[16], "max_ratio_W24": maxima[24],
              "max_ratio_W32": maxima[32]})
 
@@ -606,8 +609,7 @@ def run_suite() -> RunReport:
             result = chk()
         except CoarselabError as exc:
             # precondition violations surface as clean per-check failures
-            name = chk.__name__.removeprefix("check_")
-            result = CheckResult(name, False, time.perf_counter() - t1,
+            result = CheckResult(chk.check_name, False, time.perf_counter() - t1,
                                  {"error": str(exc)})
         report.checks.append(result)
         print(result.line())

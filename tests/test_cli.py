@@ -176,6 +176,15 @@ def test_usage_errors(tmp_path, capsys):
     assert "error: suite.demo_tree_fundamental_class: " in capsys.readouterr().err
 
 
+def test_space_gen_over_budget_exits_2(capsys):
+    # 3 * 2^17 - 2 = 393,214 tree points exceed the default budget of 200,000
+    assert run(["space", "gen", "--kind", "tree3", "--radius", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: spaces.make_window: tree3 window W=17 has "
+                            "393214 points, budget is 200000\n")
+
+
 @pytest.mark.parametrize("flag", ["--density=-0.5", "--density=1.5",
                                   "--prop=-1", "--fiber=0", "--fiber=-1"])
 def test_op_gen_out_of_range_exits_2(tmp_path, capsys, flag):

@@ -376,3 +376,24 @@ def test_fill_chain_pinned():
                                          safe_radius=min(w.margin + 8, w.W - 1))
                 digest.update(repr(sorted(fill.fill_chain(c).support.items())).encode())
     assert digest.hexdigest()[:16] == "2f09e9585c402399"
+
+
+
+@pytest.mark.parametrize("kind, edges", [
+    # coordinate steps of 0/1 vectors, which are not Kuhn edges off Z^3
+    ("heisenberg3", [((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (1, 1, 1))]),
+    ("tree3", [((), (0,)), ((1,), (1, 0))]),
+])
+def test_simplicial_chain_needs_lattice(kind, edges):
+    w = spaces.make_window(kind, 3, 0)
+    message = ("fill.SimplicialChain: fillers are defined on lattice windows "
+               f"only, got kind={kind!r}")
+    for edge in edges:
+        with pytest.raises(FillError) as exc:
+            fill.SimplicialChain(w, 1, {tuple(map(w.index_of, edge)): 1})
+        assert str(exc.value) == message
+    with pytest.raises(FillError):
+        fill.SimplicialChain(w, 0)
+    with pytest.raises(FillError) as exc:
+        fill.fill_chain(ufchain.UfChain(w, 1, [((0, 1), 1)]))
+    assert str(exc.value) == message.replace("SimplicialChain", "fill_chain")

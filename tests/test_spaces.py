@@ -221,6 +221,96 @@ def test_heisenberg_index_of_outside():
             w.index_of(label)
 
 
+def test_tree_memory_budget():
+    # W=5 has 94 points; W=40 is refused before anything is allocated
+    assert spaces.make_window("tree3", 5, 0, max_points=94).n_points == 94
+    with pytest.raises(WindowError):
+        spaces.make_window("tree3", 5, 0, max_points=93)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowError, match="budget"):
+            spaces.make_window("tree3", 40, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+
+
+def test_tree_build_memory():
+    # no per-point Python objects: five int64 arrays of 196,606 entries
+    # (about 1.6 MB each) and the safe mask; a path tuple per point exceeds it
+    tracemalloc.start()
+    try:
+        spaces.make_window("tree3", 16, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e7
+
+
+@pytest.mark.parametrize("W", [1, 2, 6])
+def test_tree_ids_breadth_first(W):
+    # ids run breadth first, children in step order: the labels are every
+    # path (first step 0..2, later steps 0..1) of length <= W, sorted by
+    # (length, path), and each point's parent is its path without the last step
+    w = spaces.make_window("tree3", W, 0)
+    paths = [()]
+    for d in range(1, W + 1):
+        paths += sorted(p + (c,) for p in paths if len(p) == d - 1
+                        for c in range(3 if d == 1 else 2))
+    assert [w.label(i) for i in range(w.n_points)] == paths
+    assert w.n_points == 3 * 2 ** W - 2
+    assert np.array_equal(w.dist_to_base, [len(p) for p in paths])
+    assert w.parent[0] == -1
+    assert [paths[int(j)] for j in w.parent[1:]] == [p[:-1] for p in paths[1:]]
+    assert all(type(c) is int for p in map(w.label, range(w.n_points)) for c in p)
+
+
+def test_tree_index_of_rejects_non_paths():
+    w = spaces.make_window("tree3", 4, 0)
+    assert w.index_of(()) == w.base == 0
+    for path in [(3,), (0, 2), (1, 1, 2), (-1,), (0, -1), (0.5,), (1, 0.5),
+                 ("0",), (0, 0, 0, 0, 0), (2, 1, 1, 1, 1)]:
+        with pytest.raises(PointNotInWindowError):
+            w.index_of(path)
+
+
+WINDOWS_OF_EVERY_KIND = [
+    pytest.param(dict(kind="zd", W=4, margin=1, dim=2), id="zd2-l1"),
+    pytest.param(dict(kind="zd", W=3, margin=0, dim=3, metric="linf"), id="zd3-linf"),
+    pytest.param(dict(kind="interval_z", W=6, margin=2), id="interval"),
+    pytest.param(dict(kind="heisenberg3", W=3, margin=1), id="heisenberg3"),
+    pytest.param(dict(kind="tree3", W=1, margin=0), id="tree3-W1"),
+    pytest.param(dict(kind="tree3", W=5, margin=2), id="tree3-W5"),
+]
+
+
+@pytest.mark.parametrize("kw", WINDOWS_OF_EVERY_KIND)
+def test_index_of_label_roundtrip(kw):
+    w = spaces.make_window(**kw)
+    assert [w.index_of(w.label(i)) for i in range(w.n_points)] == list(range(w.n_points))
+
+
+@pytest.mark.parametrize("kw", WINDOWS_OF_EVERY_KIND)
+def test_label_checks_point_range(kw):
+    w = spaces.make_window(**kw)
+    for i in (-1, w.n_points, -w.n_points - 1):
+        with pytest.raises(PointNotInWindowError):
+            w.label(i)
+
+
+@pytest.mark.parametrize("kw", WINDOWS_OF_EVERY_KIND)
+def test_window_arrays_read_only(kw):
+    w = spaces.make_window(**kw)
+    # the tree distance reads dist_to_base as depth: a stray write would
+    # change every distance through that point
+    arrays = [w.dist_to_base, w.safe_mask, w.safe_points]
+    arrays += [w.parent] if w.kind == "tree3" else [w.coords]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 def test_heisenberg_build_memory():
     # no per-point Python objects: the peak is the BFS arrays plus the 0.56 MB
     # id box (about 1.9 MB); a label tuple per point (27,905) exceeds the bound
@@ -316,6 +406,8 @@ def _geometry_cases():
         yield pytest.param(("zd", W, dim, metric), id=f"zd{dim}-{metric}")
     yield pytest.param(("heisenberg3", 4, None, None), id="heisenberg3")
     yield pytest.param(("tree3", 5, None, None), id="tree3")
+    for W in (1, 7):
+        yield pytest.param(("tree3", W, None, None), id=f"tree3-W{W}")
 
 
 @pytest.mark.parametrize("case", list(_geometry_cases()))
@@ -328,6 +420,8 @@ def test_distances_match_oracle(case):
     D = w.dist_cross(pts, pts)
     assert D.dtype == np.int64
     assert np.array_equal(D, oracle)
+    # unchecked negative ids count from the end, as numpy indexing does
+    assert np.array_equal(w.dist_cross(pts - w.n_points, pts), oracle)
     ii, jj = np.meshgrid(pts, pts, indexing="ij")
     assert np.array_equal(w.dist_many(ii.ravel(), jj.ravel()), oracle.ravel())
     rng = np.random.default_rng(5)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coarselab import cochain, cyclic, fill, opalg, spaces, suite, ufchain
-from coarselab.errors import FillError, MarginError
+from coarselab.errors import FillError, MarginError, WindowError
 
 
 def test_toeplitz_oracle_shift_blocks():
@@ -246,12 +246,32 @@ def test_run_suite_surfaces_margin_errors_cleanly(monkeypatch, capsys):
                         [suite.check_winding, suite.check_growth_fits])
     report = suite.run_suite()
     assert not report.passed
-    winding = next(c for c in report.checks if c.name == "winding")
+    winding = next(c for c in report.checks if c.name == "winding_index_demo")
     assert not winding.passed
     assert "margin" in winding.details["error"]
     assert [c.passed for c in report.checks] == [False, True]
     assert capsys.readouterr().out.splitlines()[0].startswith("[FAIL] winding")
     json.dumps(report.as_dict())  # serializable
+
+
+CHECK_NAMES = ["boundary_identities", "pairing_adjointness", "chain_map_identity",
+               "cyclic_invariance", "product_estimate", "power_estimate",
+               "neumann_inverse_bound", "fill_chain_map", "crucial_estimate",
+               "winding_index_demo", "growth_fits", "pairing_continuity_trend"]
+
+
+def test_run_suite_names_errors_as_passes(monkeypatch, capsys):
+    # a check that errors is reported under the name it passes under, the
+    # name in `suite run --json`; every check builds a window first
+    def refuse(*args, **kwargs):
+        raise WindowError("spaces.make_window: refused")
+
+    monkeypatch.setattr(suite.spaces, "make_window", refuse)
+    report = suite.run_suite()
+    assert [c.name for c in report.checks] == CHECK_NAMES
+    assert all(not c.passed and "refused" in c.details["error"] for c in report.checks)
+    assert [chk.check_name for chk in suite.ALL_CHECKS] == CHECK_NAMES
+    capsys.readouterr()
 
 
 def _chain_map_residuals():
