@@ -14,11 +14,12 @@ and on the finite window each trace is the block trace of
 A_0[z_n, z_0] A_1[z_0, z_1] ... A_n[z_{n-1}, z_n].  One vectorized join
 (``_paths``) enumerates these paths for every degree and fiber dimension.
 The trace is cyclic, so it closes in the operator with the most stored
-entries, rotated to the front as B_0: sparse row expansion through
-B_1 .. B_n over (point, fiber) indices, then one lookup of B_0's entry at
-(z_n, z_0) inside its CSR row z_n to close each path.  Only the closed paths
-are walked back to gather their points and values, and their columns are
-rolled back to the order of A_0 .. A_n.
+entries, rotated to the front as B_0: the paths start as B_1's stored
+entries and grow by sparse row expansion through B_2 .. B_n over (point,
+fiber) indices, then one lookup of B_0's entry at (z_n, z_0) inside its CSR
+row z_n closes each path.  Only the closed paths are walked back to gather
+their points and values, and their columns are rolled back to the order of
+A_0 .. A_n.
 
 An alternating chain is fixed by its values on strictly increasing tuples.
 ``_signed_rows`` gives its rows: path rows sorted and signed by their
@@ -171,25 +172,32 @@ def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
     sum over fiber indices of scalar entry products, so the join runs on the
     matrices' own (point, fiber) indices k.  The trace is cyclic, so the join
     closes in the operator with the most stored entries: ops are rotated to
-    put it first, B_0 .. B_n.  Paths k_0 .. k_n start at every index, grow
-    through the CSR rows of B_1 .. B_n (Gustavson row expansion), each step
-    keeping every path's parent and the position of its entry, and close by
-    looking up B_0's entry at (k_n, k_0) in its CSR row k_n; paths whose
-    closing entry is zero (not stored) are dropped.  Only the closed paths
-    are walked back, to gather their indices and multiply their values, ones
-    times B_1 .. B_n, then times the closing entry.  Each path is returned as
-    its points k // fiber, the columns rolled back to A_0 .. A_n, one row per
-    fiber index combination; coalescing sums them into the block trace.
+    put it first, B_0 .. B_n.  Paths k_0 .. k_n start as B_1's stored
+    entries (k_0, k_1), one per entry in storage order (a single operator's
+    paths are its indices k_0), grow through the CSR rows of B_2 .. B_n
+    (Gustavson row expansion), each step keeping every path's parent and the
+    position of its entry, and close by looking up B_0's entry at (k_n, k_0)
+    in its CSR row k_n; paths whose closing entry is zero (not stored) are
+    dropped.  Only the closed paths are walked back, to gather their indices
+    and multiply their values, ones times B_1 .. B_n, then times the closing
+    entry.  Each path is returned as its points k // fiber, the columns
+    rolled back to A_0 .. A_n, one row per fiber index combination;
+    coalescing sums them into the block trace.
     Every degree and fiber runs the same join.
     """
     nnz = [A.mat.nnz for A in ops]
     r = nnz.index(max(nnz))
     ops = ops[r:] + ops[:r]
     f = ops[0].fiber
-    M = ops[0].mat.shape[0]
-    start = k = np.arange(M, dtype=np.int64)
+    start = k = np.arange(ops[0].mat.shape[0], dtype=np.int64)
     steps = []
-    for A in ops[1:]:
+    if len(ops) > 1:
+        # the first step from every index is B_1's stored entries
+        B1 = ops[1].mat
+        start = np.repeat(start, np.diff(B1.indptr))
+        k = B1.indices
+        steps.append((start, np.arange(B1.nnz)))
+    for A in ops[2:]:
         first = A.mat.indptr[k].astype(np.int64)
         counts = A.mat.indptr[k + 1] - first
         src = np.repeat(np.arange(len(first)), counts)

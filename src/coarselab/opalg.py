@@ -22,11 +22,13 @@ computable, so it is sandwiched:
   mu_upper(R)  min(op norm, running max over R' >= R of the norm of the
                off-band part at distance > R'): a certified dominating function.
 
-Products.  A @ B calls scipy's two CSR product kernels (csr_matmat_maxnnz,
-csr_matmat: SMMP, Bank & Douglas 1993) directly, without the Python wrapper
-around them in A.mat @ B.mat, which costs several times the kernels on small
-windows: the same arrays bit for bit, scipy's index dtype, each row's columns
-in the order the kernel found them.
+Products.  A @ B calls scipy's numeric CSR product kernel (csr_matmat: SMMP,
+Bank & Douglas 1993) directly, without the Python wrapper around it in
+A.mat @ B.mat, which costs several times the kernel on small windows, and
+without SMMP's symbolic pass: the output is sized by an upper bound, the sum
+of B's row lengths over A's stored columns, and only the slots the kernel
+wrote are kept.  The same arrays bit for bit, scipy's index dtype, each
+row's columns in the order the kernel found them.
 
 A profile (MuProfile) computes each of its parts on the first read and keeps
 it: the off-band norms (upper) and the probes (lower), so a check pays only
@@ -69,13 +71,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
+from scipy.sparse._sparsetools import csr_matmat
 
 from .errors import DegreeError, PreconditionError, WindowError
 from .spaces import Window
 
 DENSE_CUTOFF = 600          # largest nonzero block (rows or columns) normed by SVD
 EPS = np.finfo(np.float64).eps
+_INT32_MAX = np.iinfo(np.int32).max
 PROBE_SUBSETS = 32
 PROBE_SEED = 0x5EED
 
@@ -165,24 +168,33 @@ class BandedOperator:
 
 
 def _csr_product(a, b):
-    """a @ b for complex CSR matrices a and b, through the two kernels scipy's
-    product runs (SMMP: Bank & Douglas, Adv. Comput. Math. 1, 1993) without
-    its Python wrapper: the same entries, bit for bit, each row's columns in
-    the order the kernel found them, and scipy's index dtype, int32 unless an
-    index array or the product's size needs int64.  No exact zero is stored."""
+    """a @ b for complex CSR matrices a and b, through the numeric kernel of
+    scipy's product (SMMP: Bank & Douglas, Adv. Comput. Math. 1, 1993)
+    without its Python wrapper: the same entries, bit for bit, each row's
+    columns in the order the kernel found them, and scipy's index dtype,
+    int32 unless an index array or the product's size needs int64.  No exact
+    zero is stored.
+
+    The output is sized by an upper bound instead of SMMP's symbolic pass,
+    which counts the entries exactly: each stored product a_ij b_jk gives at
+    most one entry, so the sum of b's row lengths over a's stored columns
+    bounds them.  Index dtypes follow scipy's rule with the bound in place
+    of the exact count; the two differ only for a bound above 2^31 - 1, when
+    the buffers alone would pass 40 GB.  Only the indptr[-1] slots the
+    kernel wrote are passed on, as views: the constructor reads the contents
+    of int64 index arrays to pick its dtype, and it copies a view of less
+    than half its buffer (scipy's prune)."""
     m, n = a.shape[0], b.shape[1]
     index = (a.indptr, a.indices, b.indptr, b.indices)
-    dt = np.int64 if any(x.dtype == np.int64 for x in index) else np.int32
+    bound = int(np.add.reduce((b.indptr[1:] - b.indptr[:-1]).take(a.indices)))
+    dt = np.int64 if bound > _INT32_MAX else np.result_type(*index)
     ap, ai, bp, bi = (x.astype(dt, copy=False) for x in index)
-    nnz = csr_matmat_maxnnz(m, n, ap, ai, bp, bi)
-    if dt == np.int32 and nnz > np.iinfo(np.int32).max:
-        dt = np.int64
-        ap, ai, bp, bi = (x.astype(dt) for x in index)
     indptr = np.empty(m + 1, dtype=dt)
-    indices = np.empty(nnz, dtype=dt)
-    data = np.empty(nnz, dtype=np.complex128)
+    indices = np.empty(bound, dtype=dt)
+    data = np.empty(bound, dtype=np.complex128)
     csr_matmat(m, n, ap, ai, a.data, bp, bi, b.data, indptr, indices, data)
-    return sp.csr_matrix((data, indices, indptr), shape=(m, n))
+    nnz = int(indptr[-1])
+    return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(m, n))
 
 
 def _csr_rows(mat) -> np.ndarray:
@@ -886,6 +898,18 @@ def _enumerate_pairs(window: Window, prop: int, safe_only: bool):
     return out
 
 
+def _complex_gaussians(rng, k: int) -> np.ndarray:
+    """k standard complex Gaussians, real and imaginary parts of variance
+    1/2, from one draw of 2k normals: the first k are the real parts, the
+    rest the imaginary parts, as two draws of k would give them.  The draw is
+    scaled by 1 / sqrt(2) before it is paired: numpy divides a complex array
+    by a real scalar as a product with its reciprocal, so these are the bits
+    of (x + 1j * y) / sqrt(2), which g / sqrt(2) would not give."""
+    g = rng.standard_normal(2 * k)
+    g *= 1.0 / np.sqrt(2.0)
+    return g[:k] + 1j * g[k:]
+
+
 def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
                   fiber: int = 1, density: float = 0.5,
                   safe_only: bool = True, integer: bool = False) -> BandedOperator:
@@ -896,11 +920,14 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
     arithmetic), used by the exact test paths; decay is then not applied.
     density must lie in [0, 1], prop be >= 0 and fiber >= 1.
 
-    The draws follow the pairs' enumeration order.  The picked pairs are laid
-    out in CSR order from the window's memo (_enumerate_pairs): their
-    positions among the candidates in CSR order select the int32 columns,
-    and bisecting the candidates' row pointer into those positions gives the
-    int32 row pointer.  The operator's propagation is the largest distance
+    The draws follow the pairs' enumeration order: one uniform per candidate
+    picks it, then one Gaussian draw (_complex_gaussians) gives the picked
+    entries, scaled by decay^distance from a table of the powers 0 .. prop;
+    when fiber > 1 a second draw gives f x f blocks scaled by those entries'
+    moduli.  The picked pairs are laid out in CSR order from the window's
+    memo (_enumerate_pairs): their positions among the candidates in CSR
+    order select the int32 columns, and bisecting the candidates' row
+    pointer into those positions gives the int32 row pointer.  The operator's propagation is the largest distance
     among its nonzero entries (blocks)."""
     if not 0.0 <= density <= 1.0:
         raise PreconditionError(
@@ -921,16 +948,16 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
         vals = (rng.integers(-3, 4, size=m)
                 + 1j * rng.integers(-3, 4, size=m)).astype(np.complex128)
     else:
-        vals = (rng.normal(size=m) + 1j * rng.normal(size=m)) / np.sqrt(2.0)
-        vals *= decay ** dists.astype(float)
+        vals = _complex_gaussians(rng, m)
+        vals *= (decay ** np.arange(prop + 1.0))[dists]
     if fiber > 1:
         nb = m * fiber * fiber
         if integer:
             vals = (rng.integers(-3, 4, size=nb)
                     + 1j * rng.integers(-3, 4, size=nb)).astype(np.complex128)
         else:
-            blocks = (rng.normal(size=nb) + 1j * rng.normal(size=nb)) / np.sqrt(2.0)
-            vals = blocks * np.repeat(np.abs(vals), fiber * fiber)
+            vals = _complex_gaussians(rng, nb) * np.repeat(np.abs(vals),
+                                                           fiber * fiber)
         vals = vals.reshape(m, fiber, fiber)
     # the picks' positions in CSR order, and their ranks among the draws
     sel = np.flatnonzero(picked[order])

@@ -296,12 +296,23 @@ class Window:
                 f"spaces: point id {i} out of range for window with "
                 f"{self.n_points} points")
 
+    def _check_ids(self, ids, what: str) -> np.ndarray:
+        """ids as an int64 array, every one a point of the window."""
+        ids = np.asarray(ids, dtype=np.int64)
+        # one reduction: read as unsigned, a negative id is above 2^63
+        if ids.size and ids.view(np.uint64).max() >= self.n_points:
+            bad = ids[(ids < 0) | (ids >= self.n_points)].flat[0]
+            raise PointNotInWindowError(
+                f"spaces.{what}: point id {bad} out of range for window "
+                f"with {self.n_points} points")
+        return ids
+
     # -- metric ------------------------------------------------------------
 
     def _pair_dist(self, i, j) -> np.ndarray:
         """d(i, j) for broadcasting id arrays; temporaries have the shape of
-        the broadcast result.  Ids are not range-checked here: numpy raises
-        IndexError past the end, and negative ids count from it."""
+        the broadcast result.  Ids are not range-checked here: every caller
+        checks them first (check_point, _check_ids)."""
         if self.kind == "heisenberg3":
             table, u, v, a, b = self._heis_lookup()
             return table[u[j] - v[i] - a[i] * b[j]].astype(np.int64)
@@ -309,10 +320,10 @@ class Window:
             # drop digits of id + 2 (see _build_tree) down to the shallower
             # depth m: the paths agree to depth m - bit_length(xor), and
             # share only the root when their first steps differ
-            n, d = self.n_points, self.dist_to_base
+            d = self.dist_to_base
             di, dj = d[i], d[j]
             m = np.minimum(di, dj)
-            x = ((i % n + 2) >> (di - m)) ^ ((j % n + 2) >> (dj - m))
+            x = ((i + 2) >> (di - m)) ^ ((j + 2) >> (dj - m))
             return di + dj - 2 * np.maximum(m - np.frexp(x)[1], 0)
         # lattices: one coordinate axis at a time
         combine = np.add if self.metric == "l1" else np.maximum
@@ -329,8 +340,8 @@ class Window:
 
     def dist_many(self, ii, jj) -> np.ndarray:
         """Vectorized pairwise distances for parallel index arrays ii, jj."""
-        ii = np.asarray(ii, dtype=np.int64)
-        jj = np.asarray(jj, dtype=np.int64)
+        ii = self._check_ids(ii, "dist_many")
+        jj = self._check_ids(jj, "dist_many")
         if ii.shape != jj.shape:
             raise WindowError(
                 f"spaces.dist_many: index arrays of shapes {ii.shape} and "
@@ -339,24 +350,23 @@ class Window:
 
     def dist_cross(self, rows, cols) -> np.ndarray:
         """Distance block D[a, b] = d(rows[a], cols[b])."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows = self._check_ids(rows, "dist_cross")
+        cols = self._check_ids(cols, "dist_cross")
         return self._pair_dist(rows[:, None], cols)
 
     def tuple_length(self, tup) -> int:
         """Max pairwise distance within a point tuple (0 for singletons)."""
-        for p in tup:
-            self.check_point(p)
         return int(self.tuple_lengths([tup])[0])
 
     def tuple_lengths(self, tuples: np.ndarray) -> np.ndarray:
         """Vectorized tuple_length over an (S, m) index array."""
-        tuples = np.asarray(tuples, dtype=np.int64)
+        tuples = self._check_ids(tuples, "tuple_lengths")
         S, m = tuples.shape
         out = np.zeros(S, dtype=np.int64)
         for a in range(m):
             for b in range(a + 1, m):
-                np.maximum(out, self.dist_many(tuples[:, a], tuples[:, b]), out=out)
+                np.maximum(out, self._pair_dist(tuples[:, a], tuples[:, b]),
+                           out=out)
         return out
 
     # -- margin discipline ---------------------------------------------------

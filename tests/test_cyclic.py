@@ -1,5 +1,6 @@
 """Cyclic tensors, Chern characters, the rough character and its chain map."""
 
+import hashlib
 import itertools
 import math
 
@@ -333,6 +334,49 @@ def test_paths_against_dense_products(degree, fiber, monkeypatch):
         got = np.zeros((wq.n_points,) * (degree + 1), dtype=np.complex128)
         np.add.at(got, tuple(tt.T), vv)  # one row per fiber index combination
         assert np.abs(got - path_products_dense(ops, fiber)).max() < 1e-12
+
+
+# sha256 prefixes of _paths' rows and value bits, recorded before the join's
+# first step was read off B_1's stored entries: (canonical, product) factors
+_PATHS_DIGESTS = {
+    (0, 1): ("f6da7e736de45560", "8cb4a447b4c551f2"),
+    (0, 2): ("95871c1a12f17dfb", "22757f018b4bca3f"),
+    (1, 1): ("53c32e5d3ac92202", "033c4852cbdcaab0"),
+    (1, 2): ("fb54e9f12ba353cb", "91d087f7958cac3f"),
+    (2, 1): ("4892b1ec459725d9", "7204c8147f2bc1b7"),
+    (2, 2): ("4a90ef39819eaea1", "fd917fb1d0362680"),
+    (3, 1): ("145df6eb08a44a26", "636e6b6aa51df93f"),
+    (3, 2): ("af84cf1b0a5e1db8", "a317b6d2dae9da0b"),
+}
+
+
+def _paths_digest(ops):
+    tt, vv = cyclic._paths(ops)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(tt, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(vv, dtype=np.complex128).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("degree, fiber", list(_PATHS_DIGESTS),
+                         ids=[f"deg{d}-fiber{f}" for d, f in _PATHS_DIGESTS])
+def test_paths_pinned(degree, fiber):
+    # the join on canonical draws, and with a product (rows in the order
+    # the kernel found them) as the first factor it expands through
+    wz = spaces.make_window("zd", 3, 3, dim=2)
+    ops = tuple(opalg.random_banded(wz, (66, degree, fiber, j), prop=1,
+                                    decay=0.8, density=0.7, fiber=fiber,
+                                    safe_only=False)
+                for j in range(degree + 1))
+    dense = opalg.random_banded(wz, (67, fiber), prop=2, decay=0.8,
+                                density=1.0, fiber=fiber, safe_only=False)
+    AB = ops[0] @ ops[-1]
+    assert not AB.mat.has_sorted_indices
+    with_product = (AB,) if degree == 0 else (dense, AB) + ops[2:]
+    nnz = [A.mat.nnz for A in with_product]
+    assert nnz.index(max(nnz)) == 0     # the join expands through AB first
+    assert (_paths_digest(ops), _paths_digest(with_product)
+            ) == _PATHS_DIGESTS[degree, fiber]
 
 
 @pytest.mark.parametrize("fiber", [1, 2])

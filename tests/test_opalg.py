@@ -79,8 +79,10 @@ def test_adjoint_of_product(w):
 
 def _same_csr(got, ref):
     """The same CSR arrays, index dtype and each row's column order included,
-    and the same data bits."""
+    and the same data bits; got's arrays hold exactly its entries."""
     assert got.shape == ref.shape
+    got.check_format(full_check=True)
+    assert len(got.data) == len(got.indices) == got.nnz
     for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert got.data.dtype == ref.data.dtype
@@ -111,6 +113,36 @@ def test_product_matches_scipy(w, wsmall, heis, tree):
             assert P._prop is None and P._dist is None and P._norm is None
             assert P.window is A.window and P.fiber == A.fiber
     assert saw_unsorted
+    # the output is sized by the bound sum over a_ij of b's row j length:
+    # factors with no entries, or whose entries meet only empty rows, bound
+    # it by 0; a bound over twice the entries (a density-1 draw squared, a
+    # power chain) and one under it (two draws on the 2-D benchmark window)
+    for f in (1, 2):
+        empty = opalg._diagonal(w, [], f)
+        one = opalg.random_banded(w, (9, f), prop=2, decay=0.6, fiber=f)
+        for X, Y in ((empty, one), (one, empty), (empty, empty)):
+            _same_csr((X @ Y).mat, X.mat @ Y.mat)
+    p, q = opalg.site_projection(w, 3), opalg.site_projection(w, 4)
+    assert (p @ q).mat.nnz == 0 and p.mat.nnz == q.mat.nnz == 1
+    _same_csr((p @ q).mat, p.mat @ q.mat)
+
+    def bound_ratio(X, Y):
+        P = X @ Y
+        _same_csr(P.mat, X.mat @ Y.mat)
+        bound = np.diff(Y.mat.indptr)[X.mat.indices].sum()
+        return bound / P.mat.nnz
+    D = opalg.random_banded(z2, 4, prop=2, density=1.0)
+    assert bound_ratio(D, D) > 4
+    A = opalg.random_banded(w, 3, prop=3, decay=0.5)
+    P, ratios = A, []
+    for _ in range(3):
+        ratios.append(bound_ratio(P, A))
+        P = P @ A
+    assert min(ratios) < 2 < max(ratios)
+    z2c = spaces.make_window("zd", 32, 12, dim=2)
+    A, B = (opalg.random_banded(z2c, (1, j), prop=2, decay=0.7, density=0.3)
+            for j in range(2))
+    assert 1.1 < bound_ratio(A, B) < 1.5
 
 
 def test_product_stores_no_zero(w):

@@ -420,8 +420,9 @@ def test_distances_match_oracle(case):
     D = w.dist_cross(pts, pts)
     assert D.dtype == np.int64
     assert np.array_equal(D, oracle)
-    # unchecked negative ids count from the end, as numpy indexing does
-    assert np.array_equal(w.dist_cross(pts - w.n_points, pts), oracle)
+    # negative ids are refused, not read from the end as numpy indexing would
+    with pytest.raises(PointNotInWindowError):
+        w.dist_cross(pts - w.n_points, pts)
     ii, jj = np.meshgrid(pts, pts, indexing="ij")
     assert np.array_equal(w.dist_many(ii.ravel(), jj.ravel()), oracle.ravel())
     rng = np.random.default_rng(5)
@@ -438,6 +439,30 @@ def test_distance_arguments_checked(heis, tree, zline):
             w.dist(0, w.n_points)
         with pytest.raises(WindowError):
             w.dist_many([0, 1], [0])
+
+
+@pytest.mark.parametrize("fixture", ["zline", "zplane", "heis", "tree"])
+def test_distance_ids_range_checked(fixture, request):
+    # every vectorized distance refuses ids outside 0 .. n_points - 1, as
+    # dist does; empty id arrays give empty answers
+    w = request.getfixturevalue(fixture)
+    n = w.n_points
+    for bad in (-1, n, -n, n + 5):
+        ids, good = np.array([0, bad, 1]), np.array([0, 1, 2])
+        for call in (lambda: w.dist_many(ids, good),
+                     lambda: w.dist_many(good, ids),
+                     lambda: w.dist_cross(ids, good),
+                     lambda: w.dist_cross(good[:1], ids),
+                     lambda: w.tuple_lengths(np.stack([good, ids], 1)),
+                     lambda: w.tuple_length((0, bad))):
+            with pytest.raises(PointNotInWindowError, match=f"id {bad} "):
+                call()
+    empty = np.array([], dtype=np.int64)
+    assert w.dist_many(empty, empty).shape == (0,)
+    assert w.dist_cross(empty, [0, 1]).shape == (0, 2)
+    assert w.dist_cross([0, 1], empty).shape == (2, 0)
+    assert w.tuple_lengths(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+    assert w.dist_many([n - 1], [w.base]) == w.dist_to_base[n - 1]
 
 
 @pytest.mark.parametrize("dim, metric, W", _ZD_CASES)
@@ -523,6 +548,32 @@ def test_random_banded_pinned(name, kw, prop):
     assert np.array_equal(first.lower, again.lower)
     assert np.array_equal(first.upper, again.upper)
     assert digests() == _BANDED_DIGESTS[name]
+
+
+# digests at the decays the decay and nonlattice benchmarks draw: decay 0.5
+# and 0.6, then a fiber-2 draw at 0.6, recorded before the Gaussians were
+# drawn in one call and the decay factor read from a table
+_DECAY_DIGESTS = {
+    ("zd1-l1", 3): ("7da51f103f79cc57", "ab0bf484e319a298",
+                    "ceee528c3e380bb9"),
+    ("zd1-l1", 4): ("a238fbfdc5c0b616", "808000fafdc1144b",
+                    "770710107733afed"),
+    ("heisenberg3", 3): ("300fe93ce7912eae", "4c2e8615afdfe139",
+                         "6fa092f87936727c"),
+    ("heisenberg3", 4): ("0547e977d151aee5", "c48fb80faa54bd75",
+                         "22ed8e64395d1550"),
+}
+
+
+@pytest.mark.parametrize("name, prop", list(_DECAY_DIGESTS),
+                         ids=[f"{n}-prop{p}" for n, p in _DECAY_DIGESTS])
+def test_random_banded_pinned_at_benchmark_decays(name, prop):
+    w = spaces.make_window(**dict((c[0], c[1]) for c in _BANDED_CASES)[name])
+    assert (_coo_digest(opalg.random_banded(w, (7, prop), prop=prop, decay=0.5)),
+            _coo_digest(opalg.random_banded(w, (8, prop), prop=prop, decay=0.6)),
+            _coo_digest(opalg.random_banded(w, (9, prop), prop=prop, decay=0.6,
+                                            fiber=2, density=0.4))
+            ) == _DECAY_DIGESTS[name, prop]
 
 
 @pytest.mark.parametrize("name, kw, prop", _BANDED_CASES,
