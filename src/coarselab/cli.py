@@ -75,6 +75,14 @@ def _load(path: str, args, from_json):
     return _read(path, build)
 
 
+def _first_coordinate(spec: str, window: spaces.Window):
+    """Refuse a spec that reads a point's first coordinate on a window whose
+    points have none (a tree's root is the empty path)."""
+    if window.coords is None:
+        raise PreconditionError(f"cli: spec {spec!r} reads a first coordinate; "
+                                f"{window.kind} window points have none")
+
+
 def _parse_cochain(spec: str, window: spaces.Window) -> cochain.CoarseCochain:
     parts = spec.split(":")
     if parts[0] == "jump":
@@ -82,6 +90,7 @@ def _parse_cochain(spec: str, window: spaces.Window) -> cochain.CoarseCochain:
         thr = int(parts[2]) if len(parts) > 2 else 0
         return cochain.Jump(axis, thr)
     if parts[0] == "range":
+        _first_coordinate(spec, window)
         lo, hi = int(parts[1]), int(parts[2])
         return cochain.Indicator(predicate=lambda lb: lo <= lb[0] <= hi)
     if parts[0] == "point":
@@ -98,6 +107,7 @@ def _parse_cochain(spec: str, window: spaces.Window) -> cochain.CoarseCochain:
 def _parse_projection(spec: str, window: spaces.Window) -> opalg.BandedOperator:
     parts = spec.split(":")
     if parts[0] == "even":
+        _first_coordinate(spec, window)
         return opalg.diag_indicator(window, lambda lb: lb[0] % 2 == 0)
     if parts[0] == "site":
         return opalg.site_projection(window, window.index_of((int(parts[1]),)))
@@ -150,7 +160,10 @@ def cmd_op_mu_profile(args) -> int:
 
 
 def cmd_op_verify_product(args) -> int:
-    if args.op and args.op2:
+    if (args.op is None) != (args.op2 is None):
+        raise PreconditionError("cli: verify-product checks --op with --op2; "
+                                "give both or neither")
+    if args.op is not None:
         A, w = _load(args.op, args, opalg.from_json_dict)
         B = _read(args.op2, lambda d: opalg.from_json_dict(d, w))
         tables = [opalg.check_product_estimate(A, B, _rmax(args, w))]

@@ -130,19 +130,19 @@ def chern0(e: BandedOperator, n: int) -> CyclicTensor:
     return CyclicTensor(2 * n, [(weight, (e,) * (2 * n + 1))], tau_power=n)
 
 
-def chern1(u: BandedOperator, n: int,
-           u_inv: BandedOperator | None = None) -> CyclicTensor:
-    """Odd character of an invertible: alternating (u^-1 - 1) ox (u - 1) tuple."""
-    if u_inv is None:
-        u_inv = u.adjoint()
+def chern1(u: BandedOperator, n: int) -> CyclicTensor:
+    """Odd character of a u that is unitary on the margin-safe core, so that
+    its adjoint is its inverse there: the alternating (u* - 1) ox (u - 1)
+    tuple."""
+    u_star = u.adjoint()
     P = safe_projector(u.window)
     one = identity(u.window, u.fiber)
-    defect = op_norm(P @ ((u @ u_inv) - one) @ P)
+    defect = op_norm(P @ ((u @ u_star) - one) @ P)
     if defect >= 1e-8:
         raise PreconditionError(
-            f"cyclic.chern1: ||u u^-1 - id||_op = {defect:.2e} on the "
-            "margin-safe core; not an invertible/inverse pair")
-    a = u_inv - one
+            f"cyclic.chern1: ||u u* - id||_op = {defect:.2e} on the "
+            "margin-safe core; u is not unitary there")
+    a = u_star - one
     b = u - one
     weight = math.factorial(2 * n + 1) / math.factorial(n + 1)
     return CyclicTensor(2 * n + 1, [(weight, (a, b) * (n + 1))],

@@ -44,13 +44,9 @@ class SimplicialChain(UfChain):
 
     __slots__ = ()
 
-    def __init__(self, window: Window, degree: int, terms=None):
+    def __init__(self, window: Window, degree: int):
         _require_lattice(window, "fill.SimplicialChain")
         super().__init__(window, degree)
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for simplex, coeff in items:
-                self.add_simplex(simplex, coeff)
 
     def add_simplex(self, simplex, coeff):
         """Accumulate an (arbitrarily ordered) simplex with orientation sign.
@@ -101,7 +97,7 @@ def kuhn_rows(window: Window, rows: np.ndarray) -> np.ndarray:
 # -- the filler -----------------------------------------------------------------
 
 def _require_lattice(window: Window, what: str):
-    if window.kind not in ("zd", "interval_z"):
+    if window.kind != "zd":
         raise FillError(f"{what}: fillers are defined on lattice windows only, "
                         f"got kind={window.kind!r}")
 

@@ -810,7 +810,7 @@ def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12):
 
 def shift(window: Window, axis: int = 0, power: int = 1) -> BandedOperator:
     """Lattice shift: entry 1 at (p + power * e_axis, p) whenever both exist."""
-    if window.kind not in ("zd", "interval_z"):
+    if window.kind != "zd":
         raise WindowError("opalg.shift: needs a lattice window")
     if not (0 <= axis < window.dim):
         raise WindowError(f"opalg.shift: unsupported axis {axis} for "
@@ -847,23 +847,23 @@ def safe_projector(window: Window) -> BandedOperator:
         window.dist_to_base <= window.W - window.margin), 1)
 
 
-def _banded_pairs(window: Window, prop: int, safe_only: bool):
-    """_enumerate_pairs, once per (window, prop, safe_only): the window's memo
-    keeps its arrays, read-only."""
-    return window.derived(("banded_pairs", prop, bool(safe_only)),
-                          lambda: _enumerate_pairs(window, prop, safe_only))
+def _banded_pairs(window: Window, prop: int):
+    """_enumerate_pairs, once per (window, prop): the window's memo keeps its
+    arrays, read-only."""
+    return window.derived(("banded_pairs", prop),
+                          lambda: _enumerate_pairs(window, prop))
 
 
-def _enumerate_pairs(window: Window, prop: int, safe_only: bool):
-    """The candidate pairs of random_banded: all ordered point pairs at
-    distance <= prop, enumerated by stencil offset on lattices and by column
-    elsewhere.  Returns what a draw's layout reads: the distances in
+def _enumerate_pairs(window: Window, prop: int):
+    """The candidate pairs of random_banded: all ordered pairs of margin-safe
+    points at distance <= prop, enumerated by stencil offset on lattices and
+    by column elsewhere.  Returns what a draw's layout reads: the distances in
     enumeration order (the order the draws follow), the permutation
     ``order`` that puts the pairs in CSR order (by row, then column), their
     columns in CSR order as int32, and the row pointer of all candidates in
     CSR order (int32), so that a draw's CSR arrays are index selections."""
-    pts = window.safe_points if safe_only else np.arange(window.n_points)
-    if window.kind in ("zd", "interval_z"):
+    pts = window.safe_points
+    if window.kind == "zd":
         # one lookup over the <= prop offset stencil x points
         grid = np.stack(np.meshgrid(*([np.arange(-prop, prop + 1)] * window.dim),
                                     indexing="ij"), -1).reshape(-1, window.dim)
@@ -871,9 +871,8 @@ def _enumerate_pairs(window: Window, prop: int, safe_only: bool):
         offsets = grid[norms <= prop]
         dists = norms[norms <= prop]
         idx = window.index_many(window.coords[pts][None, :, :] + offsets[:, None, :])
-        ok = idx >= 0
-        if safe_only:
-            ok &= window.safe_mask[idx]
+        # an off-window idx of -1 reads the last point's mask; idx >= 0 drops it
+        ok = (idx >= 0) & window.safe_mask[idx]
         rows, cols = idx[ok], np.broadcast_to(pts, idx.shape)[ok]
         ds = np.broadcast_to(dists[:, None], idx.shape)[ok]
     else:
@@ -912,13 +911,13 @@ def _complex_gaussians(rng, k: int) -> np.ndarray:
 
 def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
                   fiber: int = 1, density: float = 0.5,
-                  safe_only: bool = True, integer: bool = False) -> BandedOperator:
+                  integer: bool = False) -> BandedOperator:
     """Seeded random operator with propagation <= prop and entry magnitudes
-    scaled by decay^distance; support confined to the margin-safe core when
-    safe_only is set.  With integer=True every entry, of every f x f block
-    too, is a Gaussian integer in [-3, 3] + i[-3, 3] (exact in float
-    arithmetic), used by the exact test paths; decay is then not applied.
-    density must lie in [0, 1], prop be >= 0 and fiber >= 1.
+    scaled by decay^distance, supported on the margin-safe core.  With
+    integer=True every entry, of every f x f block too, is a Gaussian
+    integer in [-3, 3] + i[-3, 3] (exact in float arithmetic), used by the
+    exact test paths; decay is then not applied.  density must lie in
+    [0, 1], prop be >= 0 and fiber >= 1.
 
     The draws follow the pairs' enumeration order: one uniform per candidate
     picks it, then one Gaussian draw (_complex_gaussians) gives the picked
@@ -927,8 +926,9 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
     moduli.  The picked pairs are laid out in CSR order from the window's
     memo (_enumerate_pairs): their positions among the candidates in CSR
     order select the int32 columns, and bisecting the candidates' row
-    pointer into those positions gives the int32 row pointer.  The operator's propagation is the largest distance
-    among its nonzero entries (blocks)."""
+    pointer into those positions gives the int32 row pointer.  The
+    operator's propagation is the largest distance among its nonzero
+    entries (blocks)."""
     if not 0.0 <= density <= 1.0:
         raise PreconditionError(
             f"opalg.random_banded: density {density} is outside [0, 1]")
@@ -939,7 +939,7 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
         raise PreconditionError(
             f"opalg.random_banded: fiber dimension {fiber} is below 1")
     rng = np.random.default_rng(seed)
-    dists, order, csr_cols, ptr = _banded_pairs(window, prop, safe_only)
+    dists, order, csr_cols, ptr = _banded_pairs(window, prop)
     picked = rng.random(len(dists)) < density
     drawn = np.flatnonzero(picked)
     dists = dists[drawn]

@@ -30,6 +30,7 @@ consume and raise MarginError instead of silently truncating at the edge.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,9 @@ MAX_POINTS_DEFAULT = 200_000
 # fit residual beats the polynomial one by this factor
 EXP_FIT_FACTOR = 2.0
 
-_ZD_METRICS = ("l1", "linf")
+# the metrics each kind supports, its default first; "interval_z" is a
+# spelling of zd with dim 1 (make_window)
+_METRICS = {"zd": ("l1", "linf"), "heisenberg3": ("word",), "tree3": ("graph",)}
 
 
 # the dense Heisenberg construction refuses a window whose coordinate box has
@@ -89,7 +92,7 @@ class Window:
 
     The memo (see derived) holds results that are pure functions of the
     window: the banded operators' stencils of point pairs, one entry per
-    (propagation, safe_only), the 32 probe supports of opalg.mu_profile and
+    propagation, the 32 probe supports of opalg.mu_profile and
     each point's distance to them, and the balls ufchain.random_chain draws
     tuples from, one anchor -> ball dict per radius.
     It is a dict on the window, so it lives exactly as long as the window and
@@ -99,6 +102,19 @@ class Window:
 
     def __init__(self, kind: str, W: int, margin: int, metric: str,
                  dim: int | None = None, max_points: int = MAX_POINTS_DEFAULT):
+        if kind not in _METRICS:
+            raise WindowError(
+                f"spaces.make_window: unsupported kind {kind!r} "
+                f"(supported: {', '.join(_METRICS)}, interval_z)")
+        if metric not in _METRICS[kind]:
+            raise WindowError(
+                f"spaces.make_window: {kind} metric must be one of "
+                f"{_METRICS[kind]}, got {metric!r}")
+        if kind == "zd" and (dim is None or dim < 1):
+            raise WindowError("spaces.make_window: kind 'zd' needs dim >= 1")
+        if kind != "zd" and dim is not None:
+            raise WindowError(
+                f"spaces.make_window: kind {kind!r} takes no dim, got {dim!r}")
         if W < 1:
             raise WindowError(f"spaces.make_window: W must be >= 1, got {W}")
         if margin < 0 or margin > W:
@@ -116,26 +132,11 @@ class Window:
         self._memo = {}           # see derived
 
         if kind == "zd":
-            if dim is None or dim < 1:
-                raise WindowError("spaces.make_window: kind 'zd' needs dim >= 1")
-            if metric not in _ZD_METRICS:
-                raise WindowError(
-                    f"spaces.make_window: zd metric must be one of {_ZD_METRICS}")
-            self._build_zd()
-        elif kind == "interval_z":
-            self.dim = 1
-            self.metric = "l1"
             self._build_zd()
         elif kind == "heisenberg3":
-            self.metric = "word"
             self._build_heisenberg()
-        elif kind == "tree3":
-            self.metric = "graph"
-            self._build_tree()
         else:
-            raise WindowError(
-                f"spaces.make_window: unsupported kind {kind!r} "
-                "(supported: zd, interval_z, heisenberg3, tree3)")
+            self._build_tree()
 
         self.n_points = len(self.dist_to_base)
         self.safe_mask = self.dist_to_base <= self.W - self.margin
@@ -247,9 +248,14 @@ class Window:
         return tuple(int(x) for x in self.coords[i])
 
     def index_of(self, label) -> int:
-        key = tuple(label)
+        try:
+            key = tuple(map(operator.index, label))
+        except TypeError:         # a coordinate that is not an integer
+            key = None
         W = self.W
-        if self.kind == "tree3":
+        if key is None:
+            i = -1
+        elif self.kind == "tree3":
             # a path's id + 2 reads 3 + its first step, then the rest in binary
             i = -1
             if len(key) <= W and all(c in (0, 1) or c == 2 and not s
@@ -403,10 +409,17 @@ class Window:
 def make_window(kind: str, W: int, margin: int = 0, metric: str | None = None,
                 dim: int | None = None,
                 max_points: int = MAX_POINTS_DEFAULT) -> Window:
-    """Build a window; see Window.  Metric defaults: l1 / word / graph."""
+    """Build a window; see Window.  Metric defaults: l1 / word / graph.  Kind
+    "interval_z" is zd with dim 1 and metric l1; another dim or metric for it
+    is a WindowError."""
+    if kind == "interval_z":
+        if dim not in (None, 1) or metric not in (None, "l1"):
+            raise WindowError(
+                f"spaces.make_window: interval_z is zd with dim 1 and metric l1, "
+                f"got dim={dim!r}, metric={metric!r}")
+        kind, dim = "zd", 1
     if metric is None:
-        metric = {"zd": "l1", "interval_z": "l1",
-                  "heisenberg3": "word", "tree3": "graph"}.get(kind, "l1")
+        metric = _METRICS.get(kind, (None,))[0]
     return Window(kind, W, margin, metric, dim=dim, max_points=max_points)
 
 

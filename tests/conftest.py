@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from coarselab import spaces
+from coarselab import opalg, spaces
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +23,22 @@ def heis():
 @pytest.fixture(scope="session")
 def tree():
     return spaces.make_window("tree3", 6, 1)
+
+
+@functools.cache
+def _margin0_twin(kind, W, metric, dim):
+    return spaces.make_window(kind, W, 0, metric, dim=dim)
+
+
+def _draw_everywhere(window, seed, prop, fiber=1, **kw):
+    """random_banded with its support on every point of the window, not only
+    the margin-safe core: the draw on the window's margin-0 twin, whose point
+    ids are the same, rebound to the window."""
+    twin = _margin0_twin(window.kind, window.W, window.metric, window.dim)
+    A = opalg.random_banded(twin, seed, prop, fiber=fiber, **kw)
+    return opalg.BandedOperator(window, A.mat, fiber)
+
+
+@pytest.fixture(scope="session")
+def draw_everywhere():
+    return _draw_everywhere

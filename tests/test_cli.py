@@ -343,3 +343,64 @@ def test_rmax_defaults_to_the_window_margin(tmp_path, capsys):
                             "--nmax", "2"], capsys))
     assert blob["rows"] == 2 * 8 and blob["passed"] is True
     assert run(["op", "verify-power", "--op", str(op), "--nmax", "2"]) == 0
+
+
+def test_verify_product_needs_both_operators(tmp_path, capsys):
+    # one of --op and --op2 without the other is a usage error, not a run of
+    # random pairs that ignores the operator given
+    w = tmp_path / "w.json"
+    op = tmp_path / "op.json"
+    run(["space", "gen", "--kind", "zd", "--dim", "1", "--radius", "12",
+         "--margin", "4", "--out", str(w)])
+    run(["op", "gen", "--window", str(w), "--seed", "3", "--prop", "2",
+         "--out", str(op)])
+    capsys.readouterr()
+    for flag in ("--op", "--op2"):
+        assert run(["op", "verify-product", "--window", str(w), flag, str(op)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cli: verify-product checks --op with --op2")
+
+
+def test_degree0_first_coordinate_specs_need_coordinates(tmp_path, capsys):
+    # even and range:a:b read a point's first coordinate, which tree points
+    # lack: a usage error, while the specs that name a point still run
+    w = tmp_path / "tree.json"
+    run(["space", "gen", "--kind", "tree3", "--radius", "3", "--out", str(w)])
+    capsys.readouterr()
+    for argv in ([], ["--e", "even", "--phi", "point:0"],
+                 ["--e", "site:0", "--phi", "range:0:9"]):
+        assert run(["demo", "degree0", "--window", str(w), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cli: spec ")
+        assert "tree3 window points have none" in captured.err
+    assert run(["demo", "degree0", "--window", str(w), "--e", "site:0",
+                "--phi", "point:0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"re": 1.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "tree3", "--metric", "linf"],
+    ["--kind", "heisenberg3", "--metric", "l1"],
+    ["--kind", "zd", "--dim", "2", "--metric", "graph"],
+    ["--kind", "tree3", "--dim", "2"],
+    ["--kind", "interval_z", "--dim", "2"],
+    ["--kind", "interval_z", "--metric", "linf"],
+], ids=["tree-linf", "heisenberg-l1", "zd-graph", "tree-dim", "interval-dim",
+        "interval-linf"])
+def test_space_gen_refuses_unused_metric_or_dim(tmp_path, capsys, argv):
+    out = tmp_path / "w.json"
+    assert run(["space", "gen", "--radius", "3", "--out", str(out), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: spaces.make_window: ")
+    assert not out.exists()
+
+
+def test_space_gen_interval_z_writes_a_zd_descriptor(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert run(["space", "gen", "--kind", "interval_z", "--radius", "5",
+                "--margin", "2", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 11
+    assert json.loads(out.read_text()) == {"kind": "zd", "W": 5, "margin": 2,
+                                           "metric": "l1", "dim": 1}

@@ -142,7 +142,7 @@ def test_chern1_weights(w):
 def test_chern1_rejects_bad_inverse(w):
     u = opalg.shift(w, 0, 1).scale(2.0)
     with pytest.raises(PreconditionError):
-        cyclic.chern1(u, 0, u_inv=u.adjoint())
+        cyclic.chern1(u, 0)
 
 
 def test_chi_site_projection(w):
@@ -192,7 +192,7 @@ def test_chi_against_dense_oracle_deg3():
     assert_chain_matches(chain, chi_dense_oracle(ops))
 
 
-def test_chi_block_fiber2_against_dense_oracle():
+def test_chi_block_fiber2_against_dense_oracle(draw_everywhere):
     # every degree on a 1-D window with W = margin = 2 * (degree + 1), so
     # the propagation-2 factors close paths through distinct points (with
     # propagation 1 on a 1-D window every degree >= 2 path repeats a point
@@ -200,8 +200,8 @@ def test_chi_block_fiber2_against_dense_oracle():
     for degree in range(4):
         W = 2 * (degree + 1)
         wq = spaces.make_window("zd", W, W, dim=1)
-        ops = tuple(opalg.random_banded(wq, (40, degree, j), prop=2, decay=0.8,
-                                        density=0.9, fiber=2, safe_only=False)
+        ops = tuple(draw_everywhere(wq, (40, degree, j), prop=2, decay=0.8,
+                                    density=0.9, fiber=2)
                     for j in range(degree + 1))
         chain = cyclic.chi(cyclic.CyclicTensor(degree, [(1.0, ops)]))
         assert max((abs(v) for _, v in chain.terms()), default=0.0) > 1e-6
@@ -209,13 +209,13 @@ def test_chi_block_fiber2_against_dense_oracle():
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_chi_tree_against_dense_oracle(degree):
+def test_chi_tree_against_dense_oracle(draw_everywhere, degree):
     # tree3 W=3 (22 points): margin 3 allows degree 2 with propagation-1
     # factors.  A tree has no triangles, so every degree-2 path repeats a
     # point and the chain is exactly empty although the join finds raw paths.
     wt = spaces.make_window("tree3", 3, 3)
-    ops = tuple(opalg.random_banded(wt, (50, degree, j), prop=1, decay=0.8,
-                                    density=0.9, safe_only=False)
+    ops = tuple(draw_everywhere(wt, (50, degree, j), prop=1, decay=0.8,
+                                density=0.9)
                 for j in range(degree + 1))
     assert len(cyclic._paths(ops)[1]) > 0
     chain = cyclic.chi(cyclic.CyclicTensor(degree, [(1.0, ops)]))
@@ -280,12 +280,11 @@ def reversed_rows(A):
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
-def test_closing_entries_match_indexing(fiber):
+def test_closing_entries_match_indexing(draw_everywhere, fiber):
     # _closing_entries calls scipy's private CSR sampling kernel; a scipy
     # that renames it or changes what it returns must fail here
     wq = spaces.make_window("zd", 4, 4, dim=1)
-    A = opalg.random_banded(wq, (61, fiber), prop=1, density=0.6,
-                            fiber=fiber, safe_only=False)
+    A = draw_everywhere(wq, (61, fiber), prop=1, density=0.6, fiber=fiber)
     M = A.mat.shape[0]
     rng = np.random.default_rng(fiber)
     rows = rng.integers(0, M, size=3 * M)
@@ -309,7 +308,7 @@ def test_closing_entries_match_indexing(fiber):
 
 @pytest.mark.parametrize("fiber", [1, 2])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_paths_against_dense_products(degree, fiber, monkeypatch):
+def test_paths_against_dense_products(draw_everywhere, degree, fiber, monkeypatch):
     # the join itself, before antisymmetrization cancels anything, on
     # operators whose rows are stored unsorted; the operator drawn with
     # density 1 at each position in turn is the densest, and the join closes
@@ -320,9 +319,9 @@ def test_paths_against_dense_products(degree, fiber, monkeypatch):
     monkeypatch.setattr(cyclic, "_closing_entries",
                         lambda A, r, c: closed_in.append(A) or lookup(A, r, c))
     for dense in [None] + list(range(degree + 1)):
-        ops = tuple(reversed_rows(opalg.random_banded(
+        ops = tuple(reversed_rows(draw_everywhere(
             wq, (60, degree, fiber, j), prop=1, decay=0.8,
-            density=1.0 if j == dense else 0.7, fiber=fiber, safe_only=False))
+            density=1.0 if j == dense else 0.7, fiber=fiber))
             for j in range(degree + 1))
         closed_in.clear()
         tt, vv = cyclic._paths(ops)
@@ -360,16 +359,15 @@ def _paths_digest(ops):
 
 @pytest.mark.parametrize("degree, fiber", list(_PATHS_DIGESTS),
                          ids=[f"deg{d}-fiber{f}" for d, f in _PATHS_DIGESTS])
-def test_paths_pinned(degree, fiber):
+def test_paths_pinned(draw_everywhere, degree, fiber):
     # the join on canonical draws, and with a product (rows in the order
     # the kernel found them) as the first factor it expands through
     wz = spaces.make_window("zd", 3, 3, dim=2)
-    ops = tuple(opalg.random_banded(wz, (66, degree, fiber, j), prop=1,
-                                    decay=0.8, density=0.7, fiber=fiber,
-                                    safe_only=False)
+    ops = tuple(draw_everywhere(wz, (66, degree, fiber, j), prop=1,
+                                decay=0.8, density=0.7, fiber=fiber)
                 for j in range(degree + 1))
-    dense = opalg.random_banded(wz, (67, fiber), prop=2, decay=0.8,
-                                density=1.0, fiber=fiber, safe_only=False)
+    dense = draw_everywhere(wz, (67, fiber), prop=2, decay=0.8,
+                            density=1.0, fiber=fiber)
     AB = ops[0] @ ops[-1]
     assert not AB.mat.has_sorted_indices
     with_product = (AB,) if degree == 0 else (dense, AB) + ops[2:]
@@ -399,13 +397,13 @@ def test_join_expands_through_the_sparser_factor(fiber, monkeypatch):
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
-def test_degree4_paths_and_chain_map(fiber):
+def test_degree4_paths_and_chain_map(draw_everywhere, fiber):
     # degree 4 is capped only in chi's (n+1)! expansion: the join matches
     # the dense products, and the chain map holds on canonical rows
     wq = spaces.make_window("zd", 3, 3, dim=1)
-    ops = tuple(reversed_rows(opalg.random_banded(
-        wq, (63, fiber, j), prop=1, decay=0.8, density=0.7, fiber=fiber,
-        safe_only=False)) for j in range(5))
+    ops = tuple(reversed_rows(draw_everywhere(
+        wq, (63, fiber, j), prop=1, decay=0.8, density=0.7, fiber=fiber))
+        for j in range(5))
     tt, vv = cyclic._paths(ops)
     assert tt.dtype == np.int64 and tt.shape == (len(vv), 5)
     got = np.zeros((wq.n_points,) * 5, dtype=np.complex128)

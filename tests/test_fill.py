@@ -111,16 +111,25 @@ def test_fill_chain_map_random(w2):
             assert lhs == rhs
 
 
+def _simplicial(window, degree, simplices):
+    """A SimplicialChain of the {simplex: coefficient} dict, built through
+    add_simplex."""
+    s = fill.SimplicialChain(window, degree)
+    for simplex, coeff in simplices.items():
+        s.add_simplex(simplex, coeff)
+    return s
+
+
 def test_roundtrip_unit_edge(wz):
     i = wz.index_of
-    s = fill.SimplicialChain(wz, 1, {(i((0,)), i((1,))): 1})
+    s = _simplicial(wz, 1, {(i((0,)), i((1,))): 1})
     assert fill.roundtrip_identity(s)
 
 
 def test_roundtrip_kuhn_triangles(w2):
     j = w2.index_of
-    low = fill.SimplicialChain(w2, 2, {(j((0, 0)), j((1, 0)), j((1, 1))): 1})
-    high = fill.SimplicialChain(w2, 2, {(j((0, 0)), j((0, 1)), j((1, 1))): 1})
+    low = _simplicial(w2, 2, {(j((0, 0)), j((1, 0)), j((1, 1))): 1})
+    high = _simplicial(w2, 2, {(j((0, 0)), j((0, 1)), j((1, 1))): 1})
     assert fill.roundtrip_identity(low)
     assert fill.roundtrip_identity(high)
 
@@ -143,9 +152,9 @@ def test_roundtrip_random_unit_chains(w2):
 def test_non_kuhn_simplex_rejected(w2):
     j = w2.index_of
     with pytest.raises(FillError):
-        fill.SimplicialChain(w2, 2, {(j((0, 0)), j((1, 0)), j((0, 1))): 1})
+        _simplicial(w2, 2, {(j((0, 0)), j((1, 0)), j((0, 1))): 1})
     with pytest.raises(FillError):
-        fill.SimplicialChain(w2, 1, {(j((0, 0)), j((2, 0))): 1})
+        _simplicial(w2, 1, {(j((0, 0)), j((2, 0))): 1})
 
 
 def test_kuhn_membership(w2):
@@ -345,7 +354,7 @@ def test_add_simplex_resets_cached_propagation(w2):
 
 def test_simplicial_chain_is_a_ufchain(w2):
     j = w2.index_of
-    s = fill.SimplicialChain(w2, 1, {(j((1, 0)), j((0, 0))): 2})
+    s = _simplicial(w2, 1, {(j((1, 0)), j((0, 0))): 2})
     assert isinstance(s, ufchain.UfChain)
     assert s.support == {(j((0, 0)), j((1, 0))): -2}
     assert ufchain.boundary(s) == ufchain.UfChain(
@@ -390,7 +399,7 @@ def test_simplicial_chain_needs_lattice(kind, edges):
                f"only, got kind={kind!r}")
     for edge in edges:
         with pytest.raises(FillError) as exc:
-            fill.SimplicialChain(w, 1, {tuple(map(w.index_of, edge)): 1})
+            _simplicial(w, 1, {tuple(map(w.index_of, edge)): 1})
         assert str(exc.value) == message
     with pytest.raises(FillError):
         fill.SimplicialChain(w, 0)

@@ -321,27 +321,26 @@ def test_random_banded_rejects_out_of_range(wsmall, kw):
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
-@pytest.mark.parametrize("safe_only", [True, False])
-def test_random_banded_layout_edges(zplane, fiber, safe_only):
+@pytest.mark.parametrize("core_only", [True, False])
+def test_random_banded_layout_edges(zplane, draw_everywhere, fiber, core_only):
     # density 0 draws nothing and density 1 every candidate pair; either way
     # the CSR arrays are int32 and canonical, as the closing lookup of the
-    # character's join bisects canonical rows
+    # character's join bisects canonical rows.  Drawn on the margin-safe
+    # core, and on every point through the window's margin-0 twin
     n = zplane.n_points
-    pts = zplane.safe_points if safe_only else np.arange(n)
+    pts = zplane.safe_points if core_only else np.arange(n)
+    draw = opalg.random_banded if core_only else draw_everywhere
     near = zplane.dist_cross(pts, pts) <= 2
     every = {(int(pts[i]), int(pts[j])) for i, j in zip(*np.nonzero(near))}
-    empty = opalg.random_banded(zplane, 7, prop=2, density=0.0, fiber=fiber,
-                                safe_only=safe_only)
+    empty = draw(zplane, 7, prop=2, density=0.0, fiber=fiber)
     assert empty.mat.nnz == 0 and empty.propagation == 0
     assert not empty.mat.indptr.any()
-    full = opalg.random_banded(zplane, 7, prop=2, density=1.0, fiber=fiber,
-                               safe_only=safe_only)
+    full = draw(zplane, 7, prop=2, density=1.0, fiber=fiber)
     r, c, _ = full.entry_point_pairs()
     assert full.mat.nnz == len(every) * fiber * fiber
     assert set(zip(r.tolist(), c.tolist())) == every
     assert full.propagation == 2
-    for A in (empty, full, opalg.random_banded(zplane, 8, prop=2, fiber=fiber,
-                                               safe_only=safe_only)):
+    for A in (empty, full, draw(zplane, 8, prop=2, fiber=fiber)):
         assert A.mat.indptr.dtype == np.int32 == A.mat.indices.dtype
         assert A.mat.has_canonical_format
 
@@ -364,11 +363,9 @@ def _same_csr(a, b):
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
-def test_banded_operator_input_contract(wsmall, fiber):
-    A = opalg.random_banded(wsmall, 44, prop=2, density=0.6, fiber=fiber,
-                            safe_only=False)
-    B = opalg.random_banded(wsmall, 45, prop=1, density=0.6, fiber=fiber,
-                            safe_only=False)
+def test_banded_operator_input_contract(wsmall, draw_everywhere, fiber):
+    A = draw_everywhere(wsmall, 44, prop=2, density=0.6, fiber=fiber)
+    B = draw_everywhere(wsmall, 45, prop=1, density=0.6, fiber=fiber)
     unsorted = (A @ B).mat            # sparse products leave rows unsorted
     assert not unsorted.has_sorted_indices
     # a complex CSR of the right shape is kept, its explicit zeros dropped
@@ -389,9 +386,8 @@ def test_banded_operator_input_contract(wsmall, fiber):
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
-def test_entry_point_pairs_match_coo(wsmall, fiber):
-    A = opalg.random_banded(wsmall, 46, prop=2, density=0.6, fiber=fiber,
-                            safe_only=False)
+def test_entry_point_pairs_match_coo(wsmall, draw_everywhere, fiber):
+    A = draw_everywhere(wsmall, 46, prop=2, density=0.6, fiber=fiber)
     n = wsmall.n_points * fiber
     for C in (A, A @ A, opalg.BandedOperator(wsmall, np.zeros((n, n)), fiber)):
         coo = C.mat.tocoo()

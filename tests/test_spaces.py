@@ -35,9 +35,54 @@ def test_z2_l1_unit_ball():
 
 
 def test_interval_z_alias():
+    # interval_z is a spelling of zd with dim 1, resolved by make_window: the
+    # window is a zd window, and an old descriptor that names it still loads
     w = spaces.make_window("interval_z", 7, 1)
     assert w.n_points == 15
-    assert w.metric == "l1"
+    assert (w.kind, w.dim, w.metric) == ("zd", 1, "l1")
+    z = spaces.make_window("zd", 7, 1, dim=1)
+    assert np.array_equal(w.coords, z.coords)
+    pts = np.arange(w.n_points)
+    assert np.array_equal(w.dist_cross(pts, pts), z.dist_cross(pts, pts))
+    assert w.descriptor() == z.descriptor()
+    old = {"kind": "interval_z", "W": 7, "margin": 1, "metric": "l1"}
+    assert spaces.window_from_descriptor(old).descriptor() == z.descriptor()
+    assert spaces.make_window("interval_z", 7, 1, metric="l1", dim=1).descriptor() \
+        == z.descriptor()
+    for kw in (dict(dim=2), dict(metric="linf"), dict(metric="word")):
+        with pytest.raises(WindowError, match="interval_z is zd with dim 1"):
+            spaces.make_window("interval_z", 7, 1, **kw)
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("zd", dict(dim=2, metric="word")),
+    ("zd", dict(dim=2, metric="graph")),
+    ("zd", dict(metric="l1")),
+    ("zd", dict(dim=0)),
+    ("heisenberg3", dict(metric="l1")),
+    ("heisenberg3", dict(metric="graph")),
+    ("heisenberg3", dict(dim=3)),
+    ("tree3", dict(metric="linf")),
+    ("tree3", dict(metric="word")),
+    ("tree3", dict(dim=1)),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()))
+def test_make_window_refuses_what_the_kind_does_not_use(kind, kw):
+    # a metric or dim the kind has no use for is refused, not dropped
+    with pytest.raises(WindowError, match="spaces.make_window: "):
+        spaces.make_window(kind, 3, 0, **kw)
+
+
+def test_make_window_takes_each_kinds_own_metrics():
+    for kind, metrics, dim in (("zd", ("l1", "linf"), 2),
+                               ("heisenberg3", ("word",), None),
+                               ("tree3", ("graph",), None)):
+        default = spaces.make_window(kind, 3, 0, dim=dim)
+        assert default.metric == metrics[0]
+        for metric in metrics:
+            w = spaces.make_window(kind, 3, 0, metric=metric, dim=dim)
+            assert w.metric == metric
+            assert spaces.window_from_descriptor(w.descriptor()).descriptor() \
+                == w.descriptor()
 
 
 def _heis_words_upto(L):
@@ -292,6 +337,19 @@ def test_index_of_label_roundtrip(kw):
 
 
 @pytest.mark.parametrize("kw", WINDOWS_OF_EVERY_KIND)
+def test_index_of_refuses_non_integer_coordinates(kw):
+    # a coordinate that is not an integer names no point, on every kind;
+    # numpy integers do name one
+    w = spaces.make_window(**kw)
+    label = w.label(w.n_points - 1)
+    assert w.index_of(tuple(np.int64(c) for c in label)) == w.n_points - 1
+    for bad in [(0.5,), ("a",), (0.5, 0, 0), (1.0,), ("0",), (0, None),
+                (*label[:-1], 0.5), (*label[:-1], "1"), 3, None]:
+        with pytest.raises(PointNotInWindowError):
+            w.index_of(bad)
+
+
+@pytest.mark.parametrize("kw", WINDOWS_OF_EVERY_KIND)
 def test_label_checks_point_range(kw):
     w = spaces.make_window(**kw)
     for i in (-1, w.n_points, -w.n_points - 1):
@@ -526,23 +584,22 @@ def _coo_digest(A):
 
 @pytest.mark.parametrize("name, kw, prop", _BANDED_CASES,
                          ids=[c[0] for c in _BANDED_CASES])
-def test_random_banded_pinned(name, kw, prop):
+def test_random_banded_pinned(draw_everywhere, name, kw, prop):
     w = spaces.make_window(**kw)
 
     def digests():
         return (_coo_digest(opalg.random_banded(w, 0, prop=prop, decay=0.7)),
-                _coo_digest(opalg.random_banded(w, 11, prop=prop, decay=0.7,
-                                                safe_only=False)),
+                _coo_digest(draw_everywhere(w, 11, prop=prop, decay=0.7)),
                 _coo_digest(opalg.random_banded(w, (5, 1), prop=prop, fiber=2,
                                                 density=0.4)))
 
     assert digests() == _BANDED_DIGESTS[name]
     # the window's memo now also holds the stencils of other draws and the
     # probes of a profile; the pinned draws, read from it, are unchanged
-    for p, safe, fiber, integer in itertools.product(
-            (prop - 1, prop, prop + 1), (True, False), (1, 2), (False, True)):
-        opalg.random_banded(w, 3, prop=p, fiber=fiber, safe_only=safe,
-                            integer=integer)
+    for p, draw, fiber, integer in itertools.product(
+            (prop - 1, prop, prop + 1), (opalg.random_banded, draw_everywhere),
+            (1, 2), (False, True)):
+        draw(w, 3, prop=p, fiber=fiber, integer=integer)
     A = opalg.random_banded(w, 1, prop=prop, decay=0.7)
     first, again = opalg.mu_profile(A, 2), opalg.mu_profile(A, 2)
     assert np.array_equal(first.lower, again.lower)
@@ -593,10 +650,10 @@ def test_random_banded_propagation_skips_zero_entries():
     # integer draws can be 0 + 0i; on three points the distance-2 pairs are
     # sometimes drawn and all zero, and then the propagation is below 2
     w = spaces.make_window("interval_z", 1, 0)
-    dists = opalg._banded_pairs(w, 2, False)[0]
+    dists = opalg._banded_pairs(w, 2)[0]
     shorter = 0
     for seed in range(1000):
-        A = opalg.random_banded(w, seed, prop=2, safe_only=False, integer=True)
+        A = opalg.random_banded(w, seed, prop=2, integer=True)
         d = A.entry_point_pairs()[2]
         assert A._prop == (int(d.max()) if len(d) else 0)
         drawn = dists[np.random.default_rng(seed).random(len(dists)) < 0.5]
@@ -605,12 +662,12 @@ def test_random_banded_propagation_skips_zero_entries():
 
 
 def test_window_memo_is_read_only(zplane):
-    for arr in (opalg._banded_pairs(zplane, 2, True) + opalg._probe_subsets(zplane)
+    for arr in (opalg._banded_pairs(zplane, 2) + opalg._probe_subsets(zplane)
                 + opalg._probe_table(zplane)):
         with pytest.raises(ValueError):
             arr[0] = 0
-    # one enumeration per (window, prop, safe_only)
-    assert opalg._banded_pairs(zplane, 2, True) is opalg._banded_pairs(zplane, 2, True)
+    # one enumeration per (window, prop)
+    assert opalg._banded_pairs(zplane, 2) is opalg._banded_pairs(zplane, 2)
     assert opalg._probe_subsets(zplane) is opalg._probe_subsets(zplane)
     assert opalg._probe_table(zplane) is opalg._probe_table(zplane)
     # the probe-distance table: each point's distance to each probe support
