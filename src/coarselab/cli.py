@@ -83,18 +83,28 @@ def _first_coordinate(spec: str, window: spaces.Window):
                                 f"{window.kind} window points have none")
 
 
+def _spec_int(spec: str, parts: list, k: int, default: int | None = None) -> int:
+    """The integer in part k of a spec, or default when the spec stops
+    before it; a missing or non-integer part is a precondition error."""
+    if k >= len(parts) and default is not None:
+        return default
+    try:
+        return int(parts[k])
+    except (IndexError, ValueError):
+        raise PreconditionError(
+            f"cli: spec {spec!r} needs an integer in part {k}") from None
+
+
 def _parse_cochain(spec: str, window: spaces.Window) -> cochain.CoarseCochain:
     parts = spec.split(":")
     if parts[0] == "jump":
-        axis = int(parts[1]) if len(parts) > 1 else 0
-        thr = int(parts[2]) if len(parts) > 2 else 0
-        return cochain.Jump(axis, thr)
+        return cochain.Jump(_spec_int(spec, parts, 1, 0), _spec_int(spec, parts, 2, 0))
     if parts[0] == "range":
         _first_coordinate(spec, window)
-        lo, hi = int(parts[1]), int(parts[2])
+        lo, hi = _spec_int(spec, parts, 1), _spec_int(spec, parts, 2)
         return cochain.Indicator(predicate=lambda lb: lo <= lb[0] <= hi)
     if parts[0] == "point":
-        return cochain.Indicator(points=[window.index_of((int(parts[1]),))])
+        return cochain.Indicator(points=[window.index_of((_spec_int(spec, parts, 1),))])
     if parts[0] == "tablefile":
         return _read(parts[1], lambda d: cochain.Table(
             d["degree"], {tuple(t["tuple"]): complex(t["re"], t.get("im", 0))
@@ -110,7 +120,7 @@ def _parse_projection(spec: str, window: spaces.Window) -> opalg.BandedOperator:
         _first_coordinate(spec, window)
         return opalg.diag_indicator(window, lambda lb: lb[0] % 2 == 0)
     if parts[0] == "site":
-        return opalg.site_projection(window, window.index_of((int(parts[1]),)))
+        return opalg.site_projection(window, window.index_of((_spec_int(spec, parts, 1),)))
     if parts[0] == "opfile":
         return _read(parts[1], lambda d: opalg.from_json_dict(d, window))
     raise PreconditionError(f"cli: unknown projection spec {spec!r} "

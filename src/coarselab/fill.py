@@ -28,13 +28,15 @@ lattice windows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DegreeError, FillError, MarginError
+from .errors import DegreeError, FillError, MarginError, PointNotInWindowError
 from .spaces import GrowthFit, Window, fit_growth
-from .ufchain import UfChain, boundary, norm_inf_n, shell_norm, sort_sign
+from .ufchain import UfChain, boundary, norm_inf_n, shell_norm, sort_sign, summed_arrays
 
 
 class SimplicialChain(UfChain):
@@ -51,30 +53,46 @@ class SimplicialChain(UfChain):
     def add_simplex(self, simplex, coeff):
         """Accumulate an (arbitrarily ordered) simplex with orientation sign.
 
-        Degenerate simplices vanish; anything that is not a simplex of the
-        triangulation is rejected.
+        Vertices are point ids (integers below n_points, else
+        PointNotInWindowError).  Degenerate simplices vanish; anything that
+        is not a simplex of the triangulation is rejected.
         """
         if coeff == 0:
             return
-        ordered, sign, distinct = sort_sign(np.array([simplex], dtype=np.int64))
-        if not distinct[0]:
+        try:
+            ids = list(map(operator.index, simplex))
+        except TypeError:           # a vertex that is not an integer
+            ids = None
+        if ids is None or not all(0 <= p < self.window.n_points for p in ids):
+            raise PointNotInWindowError(
+                f"fill.SimplicialChain: simplex {simplex!r} has a vertex that is "
+                f"not a point id of the window ({self.window.n_points} points)")
+        key = tuple(sorted(ids))
+        if any(a == b for a, b in zip(key, key[1:])):
             return
-        key = tuple(ordered[0].tolist())
         if len(key) != self.degree + 1:
             raise DegreeError(
                 f"fill.SimplicialChain: simplex {key} has arity {len(key)}, "
                 f"degree {self.degree} needs {self.degree + 1}")
-        if not kuhn_rows(self.window, ordered)[0]:
+        if not kuhn_rows(self.window, np.array([key]))[0]:
             raise FillError(
                 f"fill.SimplicialChain: {tuple(self.window.label(p) for p in key)} "
                 "is not a simplex of the triangulation")
-        self._assign(*UfChain(self.window, self.degree,
-                               [*self.terms(), (key, int(sign[0]) * coeff)]).arrays())
+        # the sign of the sorting permutation: the parity of the inversions
+        odd = sum(a > b for i, a in enumerate(ids) for b in ids[i + 1:]) % 2
+        acc = dict(self.support)
+        value = (1 - 2 * odd) * coeff
+        acc[key] = acc[key] + value if key in acc else value
+        self._assign(*summed_arrays(self.degree, acc))
 
 
 # the face sum of sorted simplices is the chain boundary; the name stays
 # for callers that spell out the simplicial side
 simplicial_boundary = boundary
+
+
+# the sums a + b, a + c, b + d of the steps (a, b), (c, d) of a triangle
+_TRIANGLE_SUMS = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 0], [0, 0, 1]])
 
 
 def kuhn_rows(window: Window, rows: np.ndarray) -> np.ndarray:
@@ -84,13 +102,16 @@ def kuhn_rows(window: Window, rows: np.ndarray) -> np.ndarray:
     q = rows.shape[1] - 1
     if q == 0:
         return np.ones(len(rows), dtype=bool)
-    steps = np.diff(window.coords[rows], axis=1)
-    unit = np.all((steps == 0) | (steps == 1), axis=2)
+    corners = window.coords.take(rows, axis=0)
+    steps = (corners[:, 1:] - corners[:, :-1]).reshape(len(rows), q * window.dim)
+    # read as unsigned, a negative step is above 2^63: 0/1 entries are <= 1
+    unit = (steps.view(np.uint64) <= 1).all(axis=1)
     if q == 1:
-        return unit[:, 0] & np.any(steps[:, 0] != 0, axis=1)
+        return unit & steps.any(axis=1)
     if q == 2 and window.dim == 2:
-        return (unit.all(axis=1) & (steps.sum(axis=2) == 1).all(axis=1)
-                & np.any(steps[:, 0] != steps[:, 1], axis=1))
+        # 0/1 steps (a, b), (c, d) are e0 and e1 in some order when the
+        # first is a unit vector (a + b = 1) and both add up to (1, 1)
+        return unit & (steps @ _TRIANGLE_SUMS == 1).all(axis=1)
     return np.zeros(len(rows), dtype=bool)
 
 
@@ -114,18 +135,19 @@ def _require_fillable(window: Window, degree: int, what: str):
 
 def _bbox_check(window: Window, tuples: np.ndarray, what: str):
     """Every tuple's coordinate box lies in the window, or MarginError."""
-    coords = window.coords[tuples]
+    coords = window.coords.take(tuples, axis=0)
     lo, hi = coords.min(axis=1), coords.max(axis=1)
-    # l1 and linf grow with each |coordinate|: one corner is the farthest
-    corner = np.where(np.abs(lo) > np.abs(hi), lo, hi)
-    dist = window._zd_norm(corner)
+    # l1 and linf grow with each |coordinate|: the farthest corner takes
+    # max(|lo|, |hi|) = max(-lo, hi) on each axis
+    dist = window._zd_norm(np.maximum(-lo, hi))
     outside = np.flatnonzero(dist > window.W)
     if len(outside):
         r = outside[0]
         labels = tuple(window.label(int(p)) for p in tuples[r])
+        corner = np.where(np.abs(lo[r]) > np.abs(hi[r]), lo[r], hi[r])
         raise MarginError(
             f"{what}: filling of tuple {labels} needs the box corner "
-            f"{tuple(corner[r].tolist())} at distance {int(dist[r])} > W={window.W}; "
+            f"{tuple(corner.tolist())} at distance {int(dist[r])} > W={window.W}; "
             "enlarge the window or its margin")
 
 
@@ -217,16 +239,20 @@ def fill_chain(c: UfChain) -> UfChain:
     w, q = c.window, c.degree
     _require_fillable(w, q, "fill.fill_chain")
     _bbox_check(w, c.tuples, "fill.fill_chain")
-    pieces, owner = [], []
-    for r, y in enumerate(w.coords[c.tuples].tolist()):
+    pieces, counts = [], []
+    for y in w.coords.take(c.tuples, axis=0).tolist():
+        n = len(pieces)
         _fill_pieces(pieces, tuple(map(tuple, y)))
-        owner += [r] * (len(pieces) - len(owner))
-    simplices = np.array([s for s, _ in pieces], dtype=np.int64).reshape(-1, q + 1, w.dim)
-    rows, sign, distinct = sort_sign(w.index_many(simplices))
+        counts.append(len(pieces) - n)
+    # the pieces' vertex coordinates, flattened
+    points = np.fromiter(chain.from_iterable(chain.from_iterable(s for s, _ in pieces)),
+                         dtype=np.int64, count=len(pieces) * (q + 1) * w.dim)
+    rows, sign, distinct = sort_sign(w.index_many(points.reshape(-1, q + 1, w.dim)))
     rows = rows[distinct]
     if not kuhn_rows(w, rows).all():
         raise FillError("fill.fill_chain: a piece is not a simplex of the triangulation")
-    values = c.values[owner] * (sign * np.array([z for _, z in pieces], dtype=np.int64))
+    values = np.repeat(c.values, counts) * (sign * np.array([z for _, z in pieces],
+                                                            dtype=np.int64))
     return UfChain.from_arrays(w, q, rows, values[distinct])
 
 

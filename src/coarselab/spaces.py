@@ -170,6 +170,8 @@ class Window:
                 f"budget is {self._max_points}")
         self._grid = np.full((2 * W + 1,) * d, -1, dtype=np.int32)
         self._grid[tuple((self.coords + W).T)] = np.arange(len(self.coords))
+        # flat cell index = (coordinates + W) @ _grid_steps
+        self._grid_steps = (2 * W + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
         self.base = int(self._grid[(W,) * d])
         self._axes = tuple(np.ascontiguousarray(x) for x in self.coords.T)
         self.dist_to_base = self._zd_norm(self.coords)
@@ -282,19 +284,26 @@ class Window:
 
     def index_many(self, coords) -> np.ndarray:
         """Point ids of lattice coordinates, an integer array of shape (..., d);
-        -1 wherever the coordinates lie outside the window."""
+        -1 wherever the coordinates lie outside the window.  Coordinates that
+        are not integers raise PointNotInWindowError, as in index_of."""
         if self._grid is None:
             raise WindowError(
                 f"spaces.index_many: needs a lattice window, not {self.kind}")
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.asarray(coords)
+        if coords.dtype.kind not in "biu":
+            raise PointNotInWindowError(
+                f"spaces.index_many: coordinates of dtype {coords.dtype} are not "
+                "integers")
         if coords.shape[-1:] != (self.dim,):
             raise PointNotInWindowError(
                 f"spaces.index_many: coordinates of shape {coords.shape} do not "
                 f"end in the window dimension {self.dim}")
         W = self.W
-        inside = (np.abs(coords) <= W).all(axis=-1)
-        ids = self._grid[tuple(np.moveaxis(np.clip(coords + W, 0, 2 * W), -1, 0))]
-        return np.where(inside, ids, -1).astype(np.int64)
+        cells = np.add(coords, W, dtype=np.int64)
+        # read as unsigned, a cell index below 0 is above 2^63
+        inside = (cells.view(np.uint64) <= 2 * W).all(axis=-1)
+        ids = self._grid.take(cells @ self._grid_steps, mode="clip")
+        return np.where(inside, ids, np.int64(-1))
 
     def check_point(self, i: int):
         if not (0 <= i < self.n_points):

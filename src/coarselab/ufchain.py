@@ -94,9 +94,7 @@ class UfChain:
                     f"degree {degree} needs {degree + 1}")
         _check_rows(window, degree,
                     np.array(list(acc), dtype=np.int64).reshape(-1, degree + 1))
-        keys = sorted(k for k, v in acc.items() if v != 0)
-        self._assign(np.array(keys, dtype=np.int64).reshape(-1, degree + 1),
-                     exact_column([acc[k] for k in keys]))
+        self._assign(*summed_arrays(degree, acc))
 
     def _assign(self, tuples: np.ndarray, values: np.ndarray):
         """Take coalesced arrays: lex-sorted rows without repeats, no zeros."""
@@ -172,6 +170,14 @@ class UfChain:
     def __repr__(self):
         return (f"{type(self).__name__}(degree={self.degree}, terms={len(self)}, "
                 f"propagation={self.propagation})")
+
+
+def summed_arrays(degree: int, acc: dict):
+    """The coalesced arrays of a dict of checked degree-q tuples -> summed
+    coefficients: rows in sorted order, zeros dropped."""
+    keys = sorted(k for k, v in acc.items() if v != 0)
+    return (np.array(keys, dtype=np.int64).reshape(-1, degree + 1),
+            exact_column([acc[k] for k in keys]))
 
 
 def _coalesced(window: Window, degree: int, tuples, values) -> UfChain:
@@ -267,6 +273,8 @@ def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
     if coeff not in ("complex", "int"):
         raise PreconditionError(
             f"ufchain.random_chain: coeff must be 'complex' or 'int', got {coeff!r}")
+    if degree < 0:
+        raise DegreeError("ufchain: degree must be >= 0")
     rng = np.random.default_rng(seed)
     if safe_radius is None:
         safe_radius = window.margin
@@ -274,22 +282,26 @@ def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
     if len(anchors) == 0:
         raise PointNotInWindowError("ufchain.random_chain: no safe anchor points")
     balls = window.derived(("ball", max_len), dict)
-    terms = []
+    integers, n_anchors, vertices = rng.integers, len(anchors), range(int(degree) + 1)
+    # the terms are summed in input order, as UfChain(window, degree, terms)
+    # sums them; their points come from the window, so need no range check
+    acc = {}
     for _ in range(n_terms):
-        a = int(anchors[rng.integers(len(anchors))])
+        a = anchors.item(integers(n_anchors))
         near = balls.get(a)
         if near is None:
             near = balls[a] = np.flatnonzero(
                 window.dist_cross([a], np.arange(window.n_points))[0] <= max_len)
             near.flags.writeable = False
-        tup = tuple(int(near[rng.integers(len(near))]) for _ in range(degree + 1))
+        n_near = len(near)
+        tup = tuple([near.item(integers(n_near)) for _ in vertices])
         if coeff == "int":
-            v = int(rng.integers(1, 6)) * (1 if rng.random() < 0.5 else -1)
+            v = int(integers(1, 6)) * (1 if rng.random() < 0.5 else -1)
         else:
             v = complex(rng.normal(), rng.normal())
             v /= max(1.0, abs(v))
-        terms.append((tup, v))
-    return UfChain(window, degree, terms)
+        acc[tup] = acc[tup] + v if tup in acc else v
+    return _coalesced(window, int(degree), *summed_arrays(degree, acc))
 
 
 def to_json_dict(c: UfChain) -> dict:

@@ -381,6 +381,17 @@ def test_degree0_first_coordinate_specs_need_coordinates(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--phi", "range:a:b"], ["--phi", "range:0"], ["--phi", "point:x"],
+    ["--phi", "point"], ["--phi", "jump:q"], ["--phi", "jump:0:"], ["--e", "site:x"],
+])
+def test_degree0_malformed_spec_numbers_are_usage_errors(argv, capsys):
+    assert run(["demo", "degree0", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cli: spec {argv[1]!r} needs an integer in part ")
+
+
+@pytest.mark.parametrize("argv", [
     ["--kind", "tree3", "--metric", "linf"],
     ["--kind", "heisenberg3", "--metric", "l1"],
     ["--kind", "zd", "--dim", "2", "--metric", "graph"],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coarselab import fill, spaces, ufchain
-from coarselab.errors import DegreeError, FillError, MarginError
+from coarselab.errors import DegreeError, FillError, MarginError, PointNotInWindowError
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +362,35 @@ def test_simplicial_chain_is_a_ufchain(w2):
     assert s.sup_norm() == 2 and (s - s).support == {}
     with pytest.raises(DegreeError):
         s.add_simplex((j((0, 0)),), 1)
+
+
+@pytest.mark.parametrize("make_simplex", [
+    lambda w: (3, 4.5),                          # truncated to (3, 4) by an int64 cast
+    lambda w: (3, 4.0),                          # a float, even an integral one
+    lambda w: (0, w.n_points),                   # one past the last id
+    lambda w: (-1, 0),                           # read from the end by numpy
+    lambda w: (w.n_points + 5, w.n_points + 5),  # degenerate, but not in the window
+], ids=["float", "integral-float", "past-end", "negative", "degenerate-outside"])
+def test_add_simplex_refuses_ids_outside_the_window(w2, make_simplex):
+    s = fill.SimplicialChain(w2, 1)
+    with pytest.raises(PointNotInWindowError, match="not a point id of the window"):
+        s.add_simplex(make_simplex(w2), 1)
+    assert len(s) == 0
+    s.add_simplex(make_simplex(w2), 0)          # a zero coefficient adds nothing
+    assert len(s) == 0
+
+
+def test_add_simplex_sums_in_python_values(w2):
+    # the sign is a Python int, so the stored coefficients keep their type
+    j = w2.index_of
+    edge = (j((1, 1)), j((0, 0)))
+    s = _simplicial(w2, 1, {edge: 2})
+    s.add_simplex(edge[::-1], 5)
+    assert s.support == {edge[::-1]: 3} and s.values.dtype == np.int64
+    s.add_simplex(edge, 3)
+    assert len(s) == 0 and s.tuples.shape == (0, 2)
+    s.add_simplex(edge, 2 ** 70)
+    assert s.support == {edge[::-1]: -2 ** 70} and s.values.dtype == object
 
 
 def test_lattice_only():

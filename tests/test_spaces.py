@@ -543,6 +543,17 @@ def test_index_many_roundtrip_and_outside(dim, metric, W):
         w.index_many(np.zeros((2, dim + 1), dtype=int))
 
 
+def test_index_many_refuses_non_integer_coordinates():
+    w = spaces.make_window("zd", 4, 1, dim=1)
+    with pytest.raises(PointNotInWindowError):
+        w.index_of((0.5,))
+    for coords in ([[0.5], [2.9], [-0.7]], [[2.0]], np.zeros((0, 1))):
+        with pytest.raises(PointNotInWindowError, match="are not integers"):
+            w.index_many(coords)
+    assert w.index_many([[0], [2], [-5]]).tolist() == [w.index_of((0,)), w.index_of((2,)), -1]
+    assert w.index_many(np.array([[3]], dtype=np.uint8)).tolist() == [w.index_of((3,))]
+
+
 def test_index_many_needs_lattice(heis, tree):
     for w in (heis, tree):
         with pytest.raises(WindowError):

@@ -1,5 +1,6 @@
 """Uniformly finite chains: boundary, decay norms, shell norms."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,28 @@ def test_random_chain_same_with_warm_ball_cache():
                                  n_terms=20, max_len=3, seed=9, coeff="int")
     assert len(cold.derived(("ball", 3), dict)) > 0
     assert dict(first.terms()) == dict(warm.terms()) == dict(fresh.terms())
+
+
+def test_random_chain_pinned():
+    # tuples, value bits and Python value types of draws on every window
+    # kind, both coefficient kinds, degrees 0..3, with the default and an
+    # explicit safe radius; short radii and many terms make repeats, so
+    # summing and cancellation are covered too
+    digest = hashlib.sha256()
+    windows = (spaces.make_window("zd", 8, 2, dim=1), spaces.make_window("zd", 6, 2, dim=2),
+               spaces.make_window("heisenberg3", 3, 1), spaces.make_window("tree3", 4, 1))
+    for win in windows:
+        for q in range(4):
+            for coeff in ("int", "complex"):
+                for safe_radius in (None, win.W - 1):
+                    c = ufchain.random_chain(win, q, n_terms=25, max_len=2, seed=7 * q + 1,
+                                             coeff=coeff, safe_radius=safe_radius)
+                    values = c.values.tolist()
+                    digest.update(repr(c.tuples.tolist()).encode())
+                    digest.update(repr([type(v).__name__ for v in values]).encode())
+                    digest.update(repr([(v.real.hex(), v.imag.hex()) if isinstance(v, complex)
+                                        else v for v in values]).encode())
+    assert digest.hexdigest()[:16] == "58d58838b596f5e9"
 
 
 @pytest.mark.parametrize("coeff", ["int ", "real", "Complex", None])
