@@ -1,32 +1,37 @@
 """Constructive filling of point tuples by chains of the Kuhn triangulation.
 
-The Kuhn (Freudenthal) triangulation of the integer lattice has vertex set
-Z^d, edges v -> v + 1_S for nonempty subsets S of the axes, and in 2-D the two
-triangle families [v, v+e0, v+(1,1)] and [v, v+e1, v+(1,1)].  Windows built by
-make_window order lattice points lexicographically, so sorting a simplex by
-point id is the same as sorting by coordinates.  A filling is a
-ufchain.UfChain on sorted Kuhn simplices, the sorting parity folded into the
-coefficient, so a filling and the chain it fills compare and subtract
-directly.  fill_chain collects the pieces of all its tuples, then sorts them
-with their signs, checks them against the triangulation and coalesces them
-once; fill_tuple is fill_chain of a one-term chain.
+The Kuhn (Freudenthal) triangulation of Z^d has a simplex for each chain of
+points whose steps are nonzero 0/1 vectors and whose last point exceeds the
+first by at most 1 on every axis.  Windows built by make_window order lattice
+points lexicographically, so sorting a simplex by point id is the same as
+sorting by coordinates.  A filling is a ufchain.UfChain on sorted Kuhn
+simplices, the sorting parity folded into the coefficient.
 
-The filler:
-  degree 0   vertex itself
-  degree 1   single Kuhn edge when the pair spans one, otherwise the
-             axis-ordered staircase path (axis 0 first, then axis 1, ...)
-  degree 2   cone of the first point over the staircase of the opposite edge
-             (columns of lattice squares), plus a one-triangle correction per
-             diagonal face pair.  This reproduces unit simplices identically,
-             which makes the roundtrip on simplicial chains the identity.
-
-Boundary compatibility d(fill(y0..yq)) = sum_j (-1)^j fill(.. without yj ..)
-holds exactly in integer arithmetic; degree 2 is supported on 1-D and 2-D
-lattice windows.
+One construction fills tuples of every degree: F' = F + dH + Hd, where
+  h_p  contracts the cubical chains of Z^d toward the vertex p (the tensor
+       product of the 1-D contractions): term k of a cube needs its axes
+       from k up to be vertices, moves those above k to p and replaces axis
+       k by the unit path p_k -> x_k;
+  F    is EZ F_cub, F_cub(y_q) = y_q and F_cub(y_0..y_q) = h_{y_0}
+       F_cub(y_1..y_q); the shuffle map EZ (Eilenberg and Mac Lane, Ann. of
+       Math. 58, 1953) sends a unit cube on the axes S to the sum over orders
+       pi of S of sgn(pi), against S descending, times the Kuhn simplex that
+       steps along pi: Kuhn's triangulation is the shuffle triangulation of a
+       product of intervals (Freudenthal, Ann. of Math. 43, 1942);
+  H    is nonzero only on orderings y of Kuhn simplices (2 on Z^2, the
+       diagonal edge both ways; 38 on Z^3).  The residual sgn * simplex -
+       F(y) - H(dy) is a cycle in y's unit box, a cone on its low corner, and
+       prepending that corner fills it; so F'(y) = sgn * simplex, and the
+       roundtrip on simplicial chains is the identity.
+Every vertex of F'(y) lies in y's coordinate box, the bound under
+contractibility_profile: h_p keeps each coordinate between those of p and of
+its cube, EZ stays in the unit cube, and H of a face in the face's unit box.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -36,7 +41,7 @@ import numpy as np
 
 from .errors import DegreeError, FillError, MarginError, PointNotInWindowError
 from .spaces import GrowthFit, Window, fit_growth
-from .ufchain import UfChain, boundary, norm_inf_n, shell_norm, sort_sign, summed_arrays
+from .ufchain import UfChain, boundary, norm_inf_n, shell_norm, summed_arrays
 
 
 class SimplicialChain(UfChain):
@@ -78,10 +83,8 @@ class SimplicialChain(UfChain):
             raise FillError(
                 f"fill.SimplicialChain: {tuple(self.window.label(p) for p in key)} "
                 "is not a simplex of the triangulation")
-        # the sign of the sorting permutation: the parity of the inversions
-        odd = sum(a > b for i, a in enumerate(ids) for b in ids[i + 1:]) % 2
         acc = dict(self.support)
-        value = (1 - 2 * odd) * coeff
+        value = _parity(ids) * coeff
         acc[key] = acc[key] + value if key in acc else value
         self._assign(*summed_arrays(self.degree, acc))
 
@@ -91,28 +94,13 @@ class SimplicialChain(UfChain):
 simplicial_boundary = boundary
 
 
-# the sums a + b, a + c, b + d of the steps (a, b), (c, d) of a triangle
-_TRIANGLE_SUMS = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 0], [0, 0, 1]])
-
-
 def kuhn_rows(window: Window, rows: np.ndarray) -> np.ndarray:
-    """Which rows of sorted point ids are simplices of the triangulation:
-    edges step by a nonzero 0/1 vector, triangles (2-D only) by one unit
-    step along each axis."""
-    q = rows.shape[1] - 1
-    if q == 0:
-        return np.ones(len(rows), dtype=bool)
-    corners = window.coords.take(rows, axis=0)
-    steps = (corners[:, 1:] - corners[:, :-1]).reshape(len(rows), q * window.dim)
-    # read as unsigned, a negative step is above 2^63: 0/1 entries are <= 1
-    unit = (steps.view(np.uint64) <= 1).all(axis=1)
-    if q == 1:
-        return unit & steps.any(axis=1)
-    if q == 2 and window.dim == 2:
-        # 0/1 steps (a, b), (c, d) are e0 and e1 in some order when the
-        # first is a unit vector (a + b = 1) and both add up to (1, 1)
-        return unit & (steps @ _TRIANGLE_SUMS == 1).all(axis=1)
-    return np.zeros(len(rows), dtype=bool)
+    """Which rows of increasing point ids are simplices of the triangulation:
+    every step (nonzero, as the ids increase) and last - first are 0/1."""
+    v = window.coords.take(rows, axis=0)
+    diffs = np.concatenate([v[:, 1:] - v[:, :-1], v[:, -1:] - v[:, :1]], axis=1)
+    # read as unsigned, a negative entry is above 2^63: 0/1 entries are <= 1
+    return (diffs.view(np.uint64) <= 1).all(axis=(1, 2))
 
 
 # -- the filler -----------------------------------------------------------------
@@ -125,12 +113,9 @@ def _require_lattice(window: Window, what: str):
 
 def _require_fillable(window: Window, degree: int, what: str):
     _require_lattice(window, what)
-    if degree > 2:
-        raise FillError(f"{what}: degrees above 2 are outside the core "
-                        "build (documented extension point)")
-    if degree == 2 and window.dim not in (1, 2):
-        raise FillError(f"{what}: degree-2 fillings are implemented for "
-                        "1-D and 2-D lattice windows")
+    if degree > 2 or window.dim > 2:
+        raise FillError(f"{what}: degree {degree} on a {window.dim}-D window is not "
+                        "admitted, only degrees up to 2 on 1-D and 2-D windows")
 
 
 def _bbox_check(window: Window, tuples: np.ndarray, what: str):
@@ -151,109 +136,123 @@ def _bbox_check(window: Window, tuples: np.ndarray, what: str):
             "enlarge the window or its margin")
 
 
-def _staircase_steps(ca, cb):
-    """Oriented unit steps of the axis-ordered lattice path ca -> cb."""
-    cur = list(ca)
-    for axis in range(len(ca)):
-        step = 1 if cb[axis] > cur[axis] else -1
-        while cur[axis] != cb[axis]:
-            tail = tuple(cur)
-            cur[axis] += step
-            yield tail, tuple(cur), axis, step
+def _offsets(points):
+    """The flat offsets of points[1:] from points[0]: the tuple's shape."""
+    return tuple(map(operator.sub, chain.from_iterable(points[1:]),
+                     points[0] * (len(points) - 1)))
 
 
-# The filler's pieces append (simplex, coefficient) pairs to the list `out`,
-# each simplex a tuple of lattice coordinates in any vertex order.
-
-def _square(out, v, z):
-    """Q(v): low triangle minus high triangle; boundary is the ccw square loop."""
-    a, b = v
-    out.append((((a, b), (a + 1, b), (a + 1, b + 1)), z))
-    out.append((((a, b), (a, b + 1), (a + 1, b + 1)), -z))
+def _parity(seq) -> int:
+    """The sign of the permutation that sorts seq."""
+    return 1 - 2 * (sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) % 2)
 
 
-def _cone_edge(out, pc, u, axis, step):
-    """Cone of point pc over the oriented unit step (u -> u + step*e_axis).
-
-    Boundary is (step edge) - staircase(pc, head) + staircase(pc, tail).
-    Steps along the last axis cone to zero; x-steps sweep a column of squares
-    between the heights of pc and u.
-    """
-    if len(pc) == 1 or axis == 1:
+def _fill_pieces(out, y, blocks, fills, corrections):
+    """Append the pieces of F'(y) to out = (flat corners, shapes, coefficients)."""
+    corners, shapes, coefs = out
+    q = len(y) - 1
+    hit = fills[q].get(_offsets(y))
+    if hit:
+        corners += y[0] * len(hit[0])
+        shapes += hit[0]
+        coefs += hit[1]
         return
-    # canonical +x edge at x = min; fold the step direction into the sign
-    ux = u[0] if step > 0 else u[0] - 1
-    sign = 1 if step > 0 else -1
-    py, uy = pc[1], u[1]
-    if uy > py:
-        for b in range(py, uy):
-            _square(out, (ux, b), -sign)
-    elif uy < py:
-        for b in range(uy, py):
-            _square(out, (ux, b), sign)
+    for plan, shuffles in blocks[q]:
+        ranges, sign = [], 1
+        for i, src, interval in plan:
+            a, b = y[src - interval][i], y[src][i]
+            if a > b:
+                a, b, sign = b, a, -sign
+            ranges.append(range(a, b) if interval else (b,))
+        cells = list(chain.from_iterable(itertools.product(*ranges)))
+        n = len(cells) // len(plan)
+        for s, shape in shuffles:
+            corners += cells
+            shapes += [shape] * n
+            coefs += [s * sign] * n
+    if corrections[q - 1]:
+        for j in range(q + 1):
+            face = y[:j] + y[j + 1:]
+            ks, zs = corrections[q - 1].get(_offsets(face), ((), ()))
+            corners += face[0] * len(ks)
+            shapes += ks
+            coefs += [-z for z in zs] if j % 2 else zs
 
 
-def _diag_correction(out, ca, cb, z):
-    """K(a, b) with boundary fill1(a,b) - staircase(a,b); nonzero for diagonals."""
-    if len(ca) != 2:
-        return
-    dx, dy = cb[0] - ca[0], cb[1] - ca[1]
-    if (dx, dy) == (1, 1):
-        a, b = ca
-        out.append((((a, b), (a + 1, b), (a + 1, b + 1)), -z))
-    elif (dx, dy) == (-1, -1):
-        a, b = cb
-        out.append((((a, b), (a, b + 1), (a + 1, b + 1)), z))
+@functools.cache
+def _tables(dim: int):
+    """The filler's tables for Z^dim, dicts over the degree q: blocks (per
+    chain of q axes, its plan of (axis, point of y, from the point before?)
+    and its shuffle pieces), shapes (the Kuhn q-simplices' vertex offsets,
+    increasing, in an (n, q+1, dim) array), fills and corrections (F' and
+    the nonzero H on the orderings y of Kuhn simplices, keyed by _offsets(y),
+    as (shape ids, coefficients) placed at y[0])."""
+    shapes = {q: {} for q in range(dim + 2)}
 
+    def shape(verts):
+        known = shapes[len(verts) // dim - 1]
+        return known.setdefault(verts, len(known))
 
-def _fill1(out, ca, cb):
-    if len(ca) == 2 and (cb[0] - ca[0], cb[1] - ca[1]) in ((1, 1), (-1, -1)):
-        # the pair spans a diagonal Kuhn edge; orientation handled by parity
-        out.append(((ca, cb), 1))
-    else:
-        out.extend(((tail, head), 1) for tail, head, _, _ in _staircase_steps(ca, cb))
-
-
-def _fill_pieces(out, y):
-    """The pieces of the filling of the coordinate tuple y."""
-    if len(y) == 1:
-        out.append((y, 1))
-    elif len(y) == 2:
-        # diagonal pair fills to the Kuhn edge, else to the staircase;
-        # coincident points fill to zero
-        _fill1(out, *y)
-    else:
-        y0, y1, y2 = y
-        for tail, head, axis, step in _staircase_steps(y1, y2):
-            _cone_edge(out, y0, tail, axis, step)
-        _diag_correction(out, y1, y2, 1)
-        _diag_correction(out, y0, y2, -1)
-        _diag_correction(out, y0, y1, 1)
+    # degree dim + 1 has no Kuhn simplex; H is 0 on a vertex's empty face (-1)
+    blocks, fills = {q: [] for q in range(dim + 2)}, {q: {} for q in range(dim + 2)}
+    corrections = {q: {} for q in range(-1, dim + 2)}
+    cube = list(itertools.product((0, 1), repeat=dim))
+    for q in range(dim + 1):
+        for axes in itertools.combinations(range(dim), q):
+            plan = tuple((i, q - sum(a < i for a in axes), i in axes) for i in range(dim))
+            # EZ: the Kuhn simplex along each order of the axes, against descending
+            shuffles = [(_parity(steps[::-1]), shape(tuple(
+                int(a in steps[:k]) for k in range(q + 1) for a in range(dim))))
+                for steps in itertools.permutations(axes)]
+            blocks[q].append((plan, shuffles))
+        # the Kuhn q-simplices at the origin: chains of 0/1 points above it
+        for simplex in ((cube[0], *up) for up in itertools.combinations(cube[1:], q)
+                        if all(all(map(operator.le, u, v)) for u, v in zip(up, up[1:]))):
+            for y in itertools.permutations(simplex):
+                # while y has no entry, the generator gives F(y) + H(dy)
+                corners, ks, zs = out = [], [], []
+                _fill_pieces(out, list(map(list, y)), blocks, fills, corrections)
+                verts = np.reshape(corners, (-1, 1, dim)) + np.reshape(
+                    list(shapes[q]), (-1, q + 1, dim))[ks]
+                pieces = [(tuple(map(tuple, v)), z) for v, z in zip(verts.tolist(), zs)]
+                # H(y): the cone on the box's low corner, the origin, of the
+                # cycle sgn * simplex - F(y) - H(dy), where the simplex drops out
+                residual = {}
+                for v, z in pieces:
+                    residual[v] = residual.get(v, 0) - z
+                cone = [(shape(_offsets([y[0], cube[0], *v])), z)
+                        for v, z in residual.items() if z and cube[0] not in v]
+                if cone:
+                    corrections[q][_offsets(y)] = tuple(zip(*cone))
+                    pieces = [(simplex, _parity(y))]
+                fills[q][_offsets(y)] = tuple(zip(*[(shape(_offsets([y[0], *v])), z)
+                                                    for v, z in pieces]))
+    for q in shapes:
+        shapes[q] = np.array(list(shapes[q]), dtype=np.int64).reshape(-1, q + 1, dim)
+    return blocks, shapes, fills, corrections
 
 
 def fill_chain(c: UfChain) -> UfChain:
-    """Fill each tuple of c (degree <= 2) by a chain of the triangulation,
-    times its coefficient; a chain map in exact arithmetic.  The boundary of
-    a tuple's filling is exactly the alternating sum of the fillings of its
-    faces, and its vertices stay inside the tuple's coordinate box."""
+    """F'(c), a chain map in exact arithmetic: the tabled pieces of each tuple
+    times its coefficient, checked against the triangulation, coalesced once."""
     w, q = c.window, c.degree
     _require_fillable(w, q, "fill.fill_chain")
     _bbox_check(w, c.tuples, "fill.fill_chain")
-    pieces, counts = [], []
+    blocks, offsets, fills, corrections = _tables(w.dim)
+    corners, shapes, coefs = out = [], [], []
+    counts = []
     for y in w.coords.take(c.tuples, axis=0).tolist():
-        n = len(pieces)
-        _fill_pieces(pieces, tuple(map(tuple, y)))
-        counts.append(len(pieces) - n)
-    # the pieces' vertex coordinates, flattened
-    points = np.fromiter(chain.from_iterable(chain.from_iterable(s for s, _ in pieces)),
-                         dtype=np.int64, count=len(pieces) * (q + 1) * w.dim)
-    rows, sign, distinct = sort_sign(w.index_many(points.reshape(-1, q + 1, w.dim)))
-    rows = rows[distinct]
+        n = len(coefs)
+        _fill_pieces(out, y, blocks, fills, corrections)
+        counts.append(len(coefs) - n)
+    # a shape lists its vertices in increasing order, so each row is sorted
+    points = (np.array(corners, dtype=np.int64).reshape(-1, 1, w.dim)
+              + offsets[q][np.array(shapes, dtype=np.intp)])
+    rows = w.index_many(points)
     if not kuhn_rows(w, rows).all():
         raise FillError("fill.fill_chain: a piece is not a simplex of the triangulation")
-    values = np.repeat(c.values, counts) * (sign * np.array([z for _, z in pieces],
-                                                            dtype=np.int64))
-    return UfChain.from_arrays(w, q, rows, values[distinct])
+    values = np.repeat(c.values, counts) * np.array(coefs, dtype=np.int64)
+    return UfChain.from_arrays(w, q, rows, values)
 
 
 def fill_tuple(window: Window, tup) -> UfChain:
@@ -282,9 +281,9 @@ def contractibility_profile(window: Window, degree: int, samples: int = 50,
     """Certified S'(R) = max filling radius over tuples of length <= R.
 
     The filler is translation-equivariant and keeps every vertex in the
-    bounding box of its tuple, so S'(R) is at most the largest distance from
-    a tuple's first point to its box (in l1 each axis extent of three points
-    is half the sum of their pairwise gaps):
+    coordinate box of its tuple (see the module docstring), so S'(R) is at
+    most the largest distance from a tuple's first point to its box (in l1
+    each axis extent of three points is half the sum of their pairwise gaps):
       degree 0, and degree 2 on a line  0            (C, N) = (1, 0)
       degree 1                          R            (1, 1)
       degree 2, 2-D linf                R            (1, 1)

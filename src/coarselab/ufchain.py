@@ -9,8 +9,8 @@ from then on (``exact_column`` decides), so exact coefficients cancel exactly.
 Python terms (a dict or (tuple, value) pairs) are summed in Python in input
 order; arrays go through ``coalesce`` (``from_arrays``), which adds a run of
 equal rows as its first value plus numpy's sum of the rest, and so does every
-operation.  ``sort_sign`` serves the character map and the filler alike, and
-``faces`` the boundary and the character's chain-map check.
+operation.  ``sort_sign`` serves the character map, and ``faces`` the
+boundary and the character's chain-map check.
 
 Tuple length is the max pairwise distance of the tuple's points; it is the
 shell coordinate used by shell_norm (the product-metric distance to the
@@ -305,14 +305,19 @@ def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
 
 
 def to_json_dict(c: UfChain) -> dict:
-    terms = [{"tuple": tup, "re": complex(v).real, "im": complex(v).imag}
+    """Integer coefficients as JSON integers, exact at any size; any other as
+    its real and imaginary parts."""
+    terms = [{"tuple": tup, "re": v} if isinstance(v, int) else
+             {"tuple": tup, "re": complex(v).real, "im": complex(v).imag}
              for tup, v in zip(c.tuples.tolist(), c.values.tolist())]
     return {"degree": c.degree, "terms": terms, "window": c.window.descriptor()}
 
 
 def from_json_dict(d: dict, window: Window) -> UfChain:
-    terms = [(tuple(t["tuple"]), complex(t["re"], t.get("im", 0.0)))
-             for t in d["terms"]]
+    """A term whose "re" is an integer and that has no "im" is an integer
+    coefficient; any other term a complex one."""
+    terms = [(tuple(t["tuple"]), t["re"] if type(t["re"]) is int and "im" not in t
+              else complex(t["re"], t.get("im", 0.0))) for t in d["terms"]]
     return UfChain(window, d["degree"], terms)
 
 

@@ -193,6 +193,20 @@ def test_degree2_dim3_rejected():
         fill.fill_tuple(w3, (i((0, 0, 0)), i((1, 0, 0)), i((0, 1, 0))))
 
 
+def test_public_entry_points_refuse_z3():
+    # the construction covers Z^3 (see the tests of the private generator
+    # below), but only 1-D and 2-D windows are admitted
+    w3 = spaces.make_window("zd", 4, 1, dim=3)
+    for q in range(4):
+        tup = tuple(range(q + 1))
+        with pytest.raises(FillError, match="not admitted"):
+            fill.fill_chain(ufchain.UfChain(w3, q, {tup: 1}))
+        with pytest.raises(FillError, match="not admitted"):
+            fill.fill_tuple(w3, tup)
+        with pytest.raises(FillError, match="not admitted"):
+            fill.contractibility_profile(w3, q)
+
+
 def test_contractibility_profile_line(wz):
     prof = fill.contractibility_profile(wz, 1)
     assert (prof.C, prof.N) == (1.0, 1.0)
@@ -435,3 +449,137 @@ def test_simplicial_chain_needs_lattice(kind, edges):
     with pytest.raises(FillError) as exc:
         fill.fill_chain(ufchain.UfChain(w, 1, [((0, 1), 1)]))
     assert str(exc.value) == message.replace("SimplicialChain", "fill_chain")
+
+
+def _kuhn_cells(dim, q):
+    """Every Kuhn q-simplex of the unit cube [0, 1]^dim as a sorted tuple of
+    vertices, built as a chain of axis steps: each step adds a nonzero 0/1
+    vector and stays in the cube."""
+    cube = list(itertools.product((0, 1), repeat=dim))
+
+    def grow(cell):
+        if len(cell) == q + 1:
+            yield cell
+            return
+        for step in cube[1:]:
+            head = tuple(a + b for a, b in zip(cell[-1], step))
+            if max(head) <= 1:
+                yield from grow(cell + (head,))
+
+    return [cell for start in cube for cell in grow((start,))]
+
+
+def test_fill_outputs_pinned():
+    # what test_fill_chain_pinned leaves out: degree 0, degree 2 on a line
+    # (which fills to zero), linf 2-D windows, complex coefficients, and the
+    # roundtrip of unit Kuhn chains built by add_simplex in shuffled vertex
+    # order; recorded before the filler became one construction for every
+    # degree, which had to reproduce it bit for bit
+    rng = np.random.default_rng(2031)
+    digest = hashlib.sha256()
+    for W, margin, dim, metric in ((20, 4, 1, "l1"), (14, 4, 2, "l1"), (10, 4, 2, "linf")):
+        w = spaces.make_window("zd", W, margin, dim=dim, metric=metric)
+        for q, coeff in itertools.product((0, 1, 2), ("int", "complex")):
+            for _ in range(8):
+                c = ufchain.random_chain(w, q, n_terms=6, max_len=4,
+                                         seed=int(rng.integers(2 ** 31)), coeff=coeff,
+                                         safe_radius=min(w.margin + 8, w.W - 1))
+                f = fill.fill_chain(c)
+                digest.update(repr((q, f.values.dtype.str,
+                                    sorted(f.support.items()))).encode())
+        for q in range(dim + 1):
+            cells = _kuhn_cells(dim, q)
+            s = fill.SimplicialChain(w, q)
+            for _ in range(12):
+                anchor = rng.integers(-3, 3, size=dim)
+                cell = cells[int(rng.integers(len(cells)))]
+                cell = [cell[k] for k in rng.permutation(q + 1)]
+                s.add_simplex([w.index_of(tuple((anchor + v).tolist())) for v in cell],
+                              int(rng.integers(-4, 5)))
+            assert fill.roundtrip_identity(s)
+            digest.update(repr((q, sorted(s.support.items()))).encode())
+    assert digest.hexdigest()[:16] == "085affa132a01c33"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kuhn_rows_against_chains_of_axis_steps(dim):
+    # every sorted row of unit-cube vertices, in every degree up to 3, is a
+    # simplex exactly when it is a chain of axis steps
+    w = spaces.make_window("zd", dim, 0, dim=dim)
+    cube = list(itertools.product((0, 1), repeat=dim))
+    for q in range(4):
+        cells = list(itertools.combinations(cube, q + 1))
+        rows = np.array([[w.index_of(p) for p in cell] for cell in cells],
+                        dtype=np.int64).reshape(-1, q + 1)
+        assert (np.diff(rows, axis=1) > 0).all()
+        kuhn = set(_kuhn_cells(dim, q))
+        assert fill.kuhn_rows(w, rows).tolist() == [cell in kuhn for cell in cells]
+
+
+def _filled(y):
+    """F'(y) for a tuple y of lattice points of any dimension, through the
+    private generator: {sorted simplex: coefficient}."""
+    dim = len(y[0])
+    blocks, offsets, fills, corrections = fill._tables(dim)
+    corners, shapes, coefs = out = [], [], []
+    fill._fill_pieces(out, [list(p) for p in y], blocks, fills, corrections)
+    verts = np.reshape(corners, (-1, 1, dim)) + offsets[len(y) - 1][shapes]
+    acc = {}
+    for v, z in zip(verts.tolist(), coefs):
+        key = tuple(map(tuple, v))
+        assert list(key) == sorted(key)
+        acc[key] = acc.get(key, 0) + z
+    return {k: z for k, z in acc.items() if z}
+
+
+def _face_sum(chains):
+    """sum_j (-1)^j chains[j], each a list of (simplex, coefficient) pairs,
+    zeros dropped."""
+    acc = {}
+    for j, c in enumerate(chains):
+        for k, z in c:
+            acc[k] = acc.get(k, 0) + (-1) ** j * z
+    return {k: z for k, z in acc.items() if z}
+
+
+def test_tables():
+    # the orderings of unit Kuhn simplices on which H is not zero: none on
+    # Z^1, the diagonal edge both ways on Z^2, 38 on Z^3; and every simplex
+    # a piece can be lists distinct vertices in increasing order, which
+    # fill_chain and kuhn_rows rely on
+    for dim, size in ((1, 0), (2, 2), (3, 38)):
+        _, shapes, _, corrections = fill._tables(dim)
+        assert sum(map(len, corrections.values())) == size
+        for offsets in shapes.values():
+            for verts in offsets.tolist():
+                assert all(u < v for u, v in zip(verts, verts[1:]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_generator_is_a_chain_map_in_the_box(dim):
+    # on random tuples of degrees 1 to 3 (at most dim + 1), crowded into
+    # boxes of side 1 to 3 so that faces often order Kuhn simplices: the
+    # boundary of F'(y) is the alternating sum of F' over the faces, with
+    # every vertex in y's box
+    rng = np.random.default_rng(dim)
+    for _ in range(450):
+        q = int(rng.integers(1, min(3, dim + 1) + 1))
+        y = [tuple(p) for p in rng.integers(0, rng.integers(2, 5), size=(q + 1, dim)).tolist()]
+        filled = _filled(y)
+        boundary = _face_sum([[(s[:j] + s[j + 1:], z) for s, z in filled.items()]
+                              for j in range(q + 1)])
+        faces = [_filled(y[:j] + y[j + 1:]).items() for j in range(q + 1)]
+        assert boundary == _face_sum(faces)
+        lo, hi = np.min(y, axis=0), np.max(y, axis=0)
+        assert all((lo <= v).all() and (v <= hi).all() for s in filled for v in np.array(s))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kuhn_orderings_fill_to_themselves(dim):
+    shift = (3, -2, 1)[:dim]
+    for q in range(dim + 1):
+        for cell in _kuhn_cells(dim, q):
+            simplex = tuple(tuple(a + b for a, b in zip(v, shift)) for v in cell)
+            for order in itertools.permutations(range(q + 1)):
+                sign = (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+                assert _filled([simplex[k] for k in order]) == {simplex: sign}

@@ -159,6 +159,25 @@ def test_ball_volume_closed_forms(zline, zplane):
             2 * R * R + 2 * R + 1
 
 
+@pytest.mark.parametrize("kind, W, kw", [
+    ("zd", 7, dict(dim=1)), ("zd", 4, dict(dim=2)), ("zd", 3, dict(dim=2, metric="linf")),
+    ("heisenberg3", 4, {}), ("tree3", 5, {})],
+    ids=["zd1", "zd2", "zd2-linf", "heisenberg3", "tree3"])
+def test_ball_volume_off_the_base_point(kind, W, kw):
+    # a centre other than the base takes its own branch: check it against a
+    # count over dist at every radius the window allows, on centres at each
+    # distance from the base; these spaces are homogeneous, so every ball of
+    # radius R also has the volume of the one around the base
+    w = spaces.make_window(kind, W, 0, **kw)
+    for r in range(1, W):
+        center = int(np.flatnonzero(w.dist_to_base == r)[-1])
+        dists = [w.dist(center, p) for p in range(w.n_points)]
+        for R in range(W - r + 1):
+            volume = spaces.ball_volume(w, center, R)
+            assert volume == sum(d <= R for d in dists)
+            assert volume == spaces.ball_volume(w, w.base, R)
+
+
 def test_ball_volume_monotone(zplane):
     vols = [spaces.ball_volume(zplane, zplane.base, R) for R in range(6)]
     assert vols == sorted(vols)

@@ -1,6 +1,7 @@
 """Uniformly finite chains: boundary, decay norms, shell norms."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,26 @@ def test_json_roundtrip(w):
     assert set(d["terms"][0]) == {"tuple", "re", "im"}
     c2 = ufchain.from_json_dict(d, w)
     assert {t: complex(v) for t, v in c.terms()} == dict(c2.terms())
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 60, 2 ** 70],
+                         ids=["int64", "int64-above-2^53", "python-int"])
+def test_json_roundtrip_keeps_integer_chains(w, scale):
+    # int64 (also above 2^53, where a float loses bits) and Python-int
+    # chains come back with their dtype and every coefficient equal
+    c = ufchain.random_chain(w, 1, n_terms=7, max_len=4, seed=13, coeff="int").scale(scale)
+    assert c.values.dtype == (object if scale > 2 ** 62 else np.int64)
+    c2 = ufchain.from_json_dict(json.loads(json.dumps(ufchain.to_json_dict(c))), w)
+    assert c2 == c and c2.values.dtype == c.values.dtype
+    assert [type(v) for v in c2.values.tolist()] == [type(v) for v in c.values.tolist()]
+
+
+def test_json_float_terms_stay_complex(w):
+    # a float "re", with or without "im", is read as a complex coefficient
+    a, b = w.index_of((0,)), w.index_of((1,))
+    d = {"degree": 1, "terms": [{"tuple": [a, b], "re": 2.0}]}
+    c = ufchain.from_json_dict(d, w)
+    assert c.values.dtype == np.complex128 and c.support == {(a, b): 2 + 0j}
 
 
 def test_array_roundtrip(w):
