@@ -154,7 +154,7 @@ def cmd_op_gen(args) -> int:
     A = opalg.random_banded(_window(args), args.seed, args.prop, decay=args.decay,
                             fiber=args.fiber, density=args.density)
     opalg.save_operator(A, args.out)
-    return _emit({"nnz": A.mat.nnz, "propagation": A.propagation,
+    return _emit({"nnz": A.nnz, "propagation": A.propagation,
                   "out": args.out})
 
 

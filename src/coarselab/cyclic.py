@@ -152,13 +152,13 @@ def chern1(u: BandedOperator, n: int) -> CyclicTensor:
 # -- the rough character ----------------------------------------------------------
 
 def _closing_entries(A, rows, cols) -> np.ndarray:
-    """A[rows, cols] for a CSR matrix A and parallel index arrays, 0 where
-    nothing is stored: each entry is looked up in its own row, bisected when
-    A's rows are sorted and scanned when they are not.  This is scipy's
-    sampling kernel, the one ``A[rows, cols]`` runs after checking its
-    arguments; the join's indices are in range by construction."""
+    """A[rows, cols] for a CSR matrix or operator A and parallel index arrays,
+    0 where nothing is stored: each entry is looked up in its own row,
+    bisected when A's rows are sorted and scanned when they are not.  This
+    is scipy's sampling kernel, the one ``A[rows, cols]`` runs after checking
+    its arguments; the join's indices are in range by construction."""
     idx = A.indices.dtype
-    out = np.empty(len(rows), dtype=A.dtype)
+    out = np.empty(len(rows), dtype=A.data.dtype)
     csr_sample_values(A.shape[0], A.shape[1], A.indptr, A.indices, A.data,
                       len(rows), rows.astype(idx, copy=False),
                       cols.astype(idx, copy=False), out)
@@ -185,29 +185,29 @@ def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
     coalescing sums them into the block trace.
     Every degree and fiber runs the same join.
     """
-    nnz = [A.mat.nnz for A in ops]
+    nnz = [A.nnz for A in ops]
     r = nnz.index(max(nnz))
     ops = ops[r:] + ops[:r]
     f = ops[0].fiber
-    start = k = np.arange(ops[0].mat.shape[0], dtype=np.int64)
+    start = k = np.arange(ops[0].shape[0], dtype=np.int64)
     steps = []
     if len(ops) > 1:
         # the first step from every index is B_1's stored entries
-        B1 = ops[1].mat
+        B1 = ops[1]
         start = np.repeat(start, np.diff(B1.indptr))
         k = B1.indices
         steps.append((start, np.arange(B1.nnz)))
     for A in ops[2:]:
-        first = A.mat.indptr[k].astype(np.int64)
-        counts = A.mat.indptr[k + 1] - first
+        first = A.indptr[k].astype(np.int64)
+        counts = A.indptr[k + 1] - first
         src = np.repeat(np.arange(len(first)), counts)
         # the entry of A extending each new path: its row's first entry plus
         # its rank among the extensions of the same path
         pos = first[src] + np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
         steps.append((src, pos))
         start = start[src]
-        k = A.mat.indices[pos]
-    closing = _closing_entries(ops[0].mat, k, start)
+        k = A.indices[pos]
+    closing = _closing_entries(ops[0], k, start)
     # indices select twice as fast as a mask here; != 0 is cheaper than the
     # complex array's own truth test
     closed = np.flatnonzero(closing != 0)
@@ -218,8 +218,8 @@ def _paths(ops) -> tuple[np.ndarray, np.ndarray]:
     for j in range(n - 1, 0, -1):
         src, pos = steps[j - 1]
         entry = pos[at]
-        tuples[:, (j + r) % n] = ops[j].mat.indices[entry] // f
-        factors.append(ops[j].mat.data[entry])
+        tuples[:, (j + r) % n] = ops[j].indices[entry] // f
+        factors.append(ops[j].data[entry])
         at = src[at]
     tuples[:, r] = at // f
     values = np.ones(len(closed), dtype=np.complex128)

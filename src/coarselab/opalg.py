@@ -22,13 +22,18 @@ computable, so it is sandwiched:
   mu_upper(R)  min(op norm, running max over R' >= R of the norm of the
                off-band part at distance > R'): a certified dominating function.
 
-Products.  A @ B calls scipy's numeric CSR product kernel (csr_matmat: SMMP,
-Bank & Douglas 1993) directly, without the Python wrapper around it in
-A.mat @ B.mat, which costs several times the kernel on small windows, and
-without SMMP's symbolic pass: the output is sized by an upper bound, the sum
-of B's row lengths over A's stored columns, and only the slots the kernel
-wrote are kept.  The same arrays bit for bit, scipy's index dtype, each
-row's columns in the order the kernel found them.
+Products.  An operator keeps its matrix as CSR arrays (indptr, indices,
+data); draws, products, scales and diagonal projections build them directly
+and build no scipy matrix, which would cost more than a small product's
+kernel in format checks alone.  .mat, the scipy csr_matrix over those
+arrays, is built on its first read.  A @ B calls scipy's numeric CSR
+product kernel (csr_matmat: SMMP, Bank & Douglas 1993) on the factors'
+arrays, without the Python wrapper around it in A.mat @ B.mat, which costs
+several times the kernel on small windows, and without SMMP's symbolic
+pass: the output is sized by an upper bound, the sum of B's row lengths
+over A's stored columns, and only the slots the kernel wrote are kept.  The
+same arrays bit for bit, scipy's index dtype, each row's columns in the
+order the kernel found them.
 
 A profile (MuProfile) computes each of its parts on the first read and keeps
 it: the off-band norms (upper) and the probes (lower), so a check pays only
@@ -71,7 +76,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat
+from scipy.sparse._sparsetools import bsr_tocsr, csr_matmat
 
 from .errors import DegreeError, PreconditionError, WindowError
 from .spaces import Window
@@ -86,27 +91,66 @@ PROBE_SEED = 0x5EED
 class BandedOperator:
     """Finite-propagation or decaying operator over a window.
 
+    An operator holds its matrix as CSR arrays, indptr, indices and data:
+    complex entries, no stored zero, and scipy's index dtype (int32 unless
+    the size or the entry count needs int64).  Draws, products, scales and
+    diagonal projections build those arrays themselves, and the norms, the
+    profiles and the character's join read them.  .mat is the matrix as a
+    scipy csr_matrix over the same arrays, built by scipy's public
+    constructor on its first read and kept; a complex CSR input of the
+    operator's shape is kept as .mat as it is.
+
     Operators are treated as immutable: the entries' distances, the
     propagation and the norm bracket are computed once and kept on the
     operator, so its matrix must not change after they are read."""
 
-    __slots__ = ("window", "fiber", "mat", "_prop", "_dist", "_norm")
+    __slots__ = ("window", "fiber", "indptr", "indices", "data", "_mat",
+                 "_prop", "_dist", "_norm")
 
     def __init__(self, window: Window, mat, fiber: int = 1):
-        self.window = window
-        self.fiber = int(fiber)
-        n = window.n_points * self.fiber
-        # a complex CSR of the right shape (what random_banded and the
-        # algebra below build) is kept as it is; anything else converts
+        n = window.n_points * int(fiber)
+        # a complex CSR of the right shape is kept as it is, as .mat;
+        # anything else converts
         if not (isinstance(mat, sp.csr_matrix) and mat.dtype == np.complex128
                 and mat.shape == (n, n)):
             mat = sp.csr_matrix(mat, shape=(n, n), dtype=np.complex128)
-        # stored zeros are removed; the scan is skipped when there are none,
-        # as after the algebra's products and sums and Gaussian draws
+        # stored zeros are removed; the scan is skipped when there are none
         if not mat.data.all():
             mat.eliminate_zeros()
-        self.mat = mat
-        self._prop = self._dist = self._norm = None
+        self._set(window, fiber, mat.indptr, mat.indices, mat.data)
+        self._mat = mat
+
+    @classmethod
+    def _of(cls, window: Window, fiber: int, indptr, indices, data):
+        """The operator on CSR arrays that already have the class's form (no
+        stored zero, scipy's index dtype), kept as they are."""
+        A = cls.__new__(cls)
+        A._set(window, fiber, indptr, indices, data)
+        return A
+
+    def _set(self, window, fiber, indptr, indices, data):
+        self.window = window
+        self.fiber = int(fiber)
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self._mat = self._prop = self._dist = self._norm = None
+
+    @property
+    def mat(self) -> sp.csr_matrix:
+        """The matrix as a scipy csr_matrix on the operator's arrays, built on
+        the first read and kept."""
+        if self._mat is None:
+            self._mat = sp.csr_matrix((self.data, self.indices, self.indptr),
+                                      shape=self.shape)
+        return self._mat
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.indptr) - 1
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
 
     # -- structure ---------------------------------------------------------
 
@@ -116,7 +160,7 @@ class BandedOperator:
                               "or have different fiber dimensions")
 
     def _entry_points(self):
-        return _csr_rows(self.mat) // self.fiber, self.mat.indices // self.fiber
+        return _csr_rows(self) // self.fiber, self.indices // self.fiber
 
     def entry_point_pairs(self):
         """(rows, cols, dists) at point level for the stored entries, in CSR
@@ -124,7 +168,7 @@ class BandedOperator:
         read-only, with the propagation if it is not yet known."""
         r, c = self._entry_points()
         if self._dist is None:
-            d = self.window.dist_many(r, c)
+            d = self.window._pair_dist(r, c)     # entries' points are in range
             d.flags.writeable = False
             self._dist = d
             if self._prop is None:
@@ -137,7 +181,7 @@ class BandedOperator:
             # the distances are not kept for this alone: most operators whose
             # propagation is read (the character's products, for its margin
             # check) never have them read, and they cost 8 bytes an entry
-            self._prop = int(self.window.dist_many(*self._entry_points())
+            self._prop = int(self.window._pair_dist(*self._entry_points())
                              .max(initial=0))
         return self._prop
 
@@ -153,37 +197,55 @@ class BandedOperator:
 
     def __matmul__(self, other):
         self._check_same(other)
-        return BandedOperator(self.window, _csr_product(self.mat, other.mat),
-                              self.fiber)
+        return BandedOperator._of(self.window, self.fiber,
+                                  *_csr_product(self, other))
 
     def scale(self, z):
-        return BandedOperator(self.window, z * self.mat, self.fiber)
+        """z times the operator: the entries of scipy's z * A.mat, bit for
+        bit, with the products that round to zero dropped."""
+        data = (self.data * z).astype(np.complex128, copy=False)
+        return BandedOperator._of(self.window, self.fiber,
+                                  *_canonical(self.indptr, self.indices, data))
 
     def adjoint(self):
         return BandedOperator(self.window, self.mat.conj().T.tocsr(), self.fiber)
 
     def __repr__(self):
         return (f"BandedOperator(points={self.window.n_points}, fiber={self.fiber}, "
-                f"nnz={self.mat.nnz}, propagation={self.propagation})")
+                f"nnz={self.nnz}, propagation={self.propagation})")
+
+
+def _canonical(indptr, indices, data):
+    """CSR arrays as scipy's constructor and eliminate_zeros leave them:
+    index arrays in scipy's index dtype, picked before the drop as the
+    constructor picks it from their contents, and the stored zeros dropped.
+    Arrays already in that form are returned as they are."""
+    dt = np.int32 if max(len(indptr) - 1, len(data)) <= _INT32_MAX else np.int64
+    keep = data != 0
+    if not keep.all():
+        kept = np.zeros(len(data) + 1, dtype=dt)
+        np.cumsum(keep, out=kept[1:])
+        indptr, indices, data = kept[indptr], indices[keep], data[keep]
+    return indptr.astype(dt, copy=False), indices.astype(dt, copy=False), data
 
 
 def _csr_product(a, b):
-    """a @ b for complex CSR matrices a and b, through the numeric kernel of
-    scipy's product (SMMP: Bank & Douglas, Adv. Comput. Math. 1, 1993)
-    without its Python wrapper: the same entries, bit for bit, each row's
-    columns in the order the kernel found them, and scipy's index dtype,
-    int32 unless an index array or the product's size needs int64.  No exact
-    zero is stored.
+    """The CSR arrays (indptr, indices, data) of a @ b for operators a and b,
+    through the numeric kernel of scipy's product (SMMP: Bank & Douglas,
+    Adv. Comput. Math. 1, 1993) without its Python wrapper: the arrays of
+    a.mat @ b.mat, bit for bit, each row's columns in the order the kernel
+    found them, in scipy's index dtype.  No exact zero is stored.
 
     The output is sized by an upper bound instead of SMMP's symbolic pass,
     which counts the entries exactly: each stored product a_ij b_jk gives at
     most one entry, so the sum of b's row lengths over a's stored columns
-    bounds them.  Index dtypes follow scipy's rule with the bound in place
-    of the exact count; the two differ only for a bound above 2^31 - 1, when
-    the buffers alone would pass 40 GB.  Only the indptr[-1] slots the
-    kernel wrote are passed on, as views: the constructor reads the contents
-    of int64 index arrays to pick its dtype, and it copies a view of less
-    than half its buffer (scipy's prune)."""
+    bounds them.  The kernel runs in the index dtype scipy's rule gives with
+    the bound in place of the exact count; the two differ only for a bound
+    above 2^31 - 1, when the buffers alone would pass 40 GB.  Only the
+    indptr[-1] slots the kernel wrote are passed on: copied when they are
+    under half the buffer, as scipy's constructor copies such a view (its
+    prune), else as views; and in scipy's index dtype for the exact count,
+    the dtype its constructor picks from the contents of int64 arrays."""
     m, n = a.shape[0], b.shape[1]
     index = (a.indptr, a.indices, b.indptr, b.indices)
     bound = int(np.add.reduce((b.indptr[1:] - b.indptr[:-1]).take(a.indices)))
@@ -194,33 +256,36 @@ def _csr_product(a, b):
     data = np.empty(bound, dtype=np.complex128)
     csr_matmat(m, n, ap, ai, a.data, bp, bi, b.data, indptr, indices, data)
     nnz = int(indptr[-1])
-    return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(m, n))
+    out = np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
+    prune = nnz < bound // 2
+    return (indptr.astype(out, copy=False),
+            indices[:nnz].astype(out, copy=prune),
+            data[:nnz].copy() if prune else data[:nnz])
 
 
-def _csr_rows(mat) -> np.ndarray:
-    """The row of each stored entry of a CSR matrix, in storage order (the
-    rows ``tocoo`` gives, without building the COO matrix)."""
-    return np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype),
-                     np.diff(mat.indptr))
+def _csr_rows(A) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix or operator, in storage
+    order (the rows ``tocoo`` gives, without building the COO matrix)."""
+    return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype),
+                     np.diff(A.indptr))
 
 
 # -- norms ------------------------------------------------------------------------
 
-def _compress(mat):
-    """The block of a sparse mat on its nonzero rows and columns, with those row
-    and column indices.  It has the nonzero singular values of mat.  The block
-    is a dense array when it has at most DENSE_CUTOFF rows and columns, else
-    a CSR matrix."""
-    csr = mat.tocsr()
-    counts = np.diff(csr.indptr)
+def _compress(A):
+    """The block of a CSR matrix or operator A on its nonzero rows and
+    columns, with those row and column indices.  It has the nonzero singular
+    values of A.  The block is a dense array when it has at most DENSE_CUTOFF
+    rows and columns, else a CSR matrix."""
+    counts = np.diff(A.indptr)
     rows = np.flatnonzero(counts)
-    cols, c = np.unique(csr.indices, return_inverse=True)
+    cols, c = np.unique(A.indices, return_inverse=True)
     r = np.repeat(np.arange(len(rows)), counts[rows])
     shape = (len(rows), len(cols))
     if max(shape) > DENSE_CUTOFF:
-        return sp.csr_matrix((csr.data, (r, c)), shape=shape), rows, cols
+        return sp.csr_matrix((A.data, (r, c)), shape=shape), rows, cols
     block = np.zeros(shape, dtype=np.complex128)
-    np.add.at(block, (r, c), csr.data)
+    np.add.at(block, (r, c), A.data)
     return block, rows, cols
 
 
@@ -272,12 +337,12 @@ def _bracket(A: BandedOperator, block=None) -> tuple[float, float]:
     is, of the entries times 2^s, so no square over- or underflows."""
     if A._norm is None:
         if block is None:
-            block, _, _ = _compress(A.mat)
+            block, _, _ = _compress(A)
         if sp.issparse(block):
-            c, a = A.mat.indices, np.abs(A.mat.data)
+            c, a = A.indices, np.abs(A.data)
             s = _pow2_scale(a)
             col2 = np.bincount(c, weights=np.ldexp(a, s) ** 2).max()
-            A._norm = (_schur_cap(_csr_rows(A.mat), c, a),
+            A._norm = (_schur_cap(_csr_rows(A), c, a),
                        float(np.ldexp(np.sqrt(col2), -s)))
         else:
             sigma = _dense_sigma(block)
@@ -332,7 +397,7 @@ class MuProfile:
         A.window.require_margin(Rmax, "opalg.mu_profile")
         self.Rmax = Rmax
         self._A = A
-        self._block, rows, cols = _compress(A.mat)
+        self._block, rows, cols = _compress(A)
         self._rpts, self._cpts = rows // A.fiber, cols // A.fiber
         self._sparse = sp.issparse(self._block)
         if A.fiber == 1 or self._sparse:
@@ -353,13 +418,13 @@ class MuProfile:
         A, block = self._A, self._block
         raw = np.zeros(self.Rmax + 1)
         if not self._sparse:
-            d = A.window.dist_cross(self._rpts, self._cpts)
+            d = A.window._pair_dist(self._rpts[:, None], self._cpts)
             # one radius at a time: a stack of all radii would be large
             for R in self._radii:
                 raw[R] = _dense_norm2(np.where(d > R, block, 0))
         else:
-            r, c = _csr_rows(A.mat), A.mat.indices
-            a = np.abs(A.mat.data)
+            r, c = _csr_rows(A), A.indices
+            a = np.abs(A.data)
             _, _, dist = A.entry_point_pairs()
             for R in self._radii:
                 keep = dist > R
@@ -405,7 +470,7 @@ class MuProfile:
         itself a bound: the squares' underflow adds at most nnz * 2^-1073."""
         A, Rmax, s = self._A, self.Rmax, self._scale
         _, _, dist = A.entry_point_pairs()
-        z = A.mat.data
+        z = A.data
         sq = np.ldexp(z.real, s) ** 2 + np.ldexp(z.imag, s) ** 2
         beyond = np.cumsum(np.bincount(np.minimum(dist, Rmax + 1), weights=sq,
                                        minlength=Rmax + 2)[::-1])[::-1]
@@ -434,7 +499,7 @@ class MuProfile:
             # singletons: column mass beyond each radius, all radii in one
             # bincount over (radius, entry) pairs, R-major
             _, pcol, dist = A.entry_point_pairs()
-            absdata2 = np.ldexp(np.abs(A.mat.data), s) ** 2
+            absdata2 = np.ldexp(np.abs(A.data), s) ** 2
             ri, e = np.nonzero(dist > radii[:, None])
             mass = np.bincount(ri * w.n_points + pcol[e], weights=absdata2[e],
                                minlength=len(radii) * w.n_points)
@@ -601,7 +666,7 @@ def _probe_table(window: Window):
         dist_to = np.empty((window.n_points, len(supports)), dtype=np.int64)
         member = np.zeros((len(supports), window.n_points), dtype=bool)
         for j, L in enumerate(supports):
-            dist_to[:, j] = window.dist_cross(pts, L).min(axis=1)
+            dist_to[:, j] = window._pair_dist(pts[:, None], L).min(axis=1)
             member[j, L] = True
         dist_to.flags.writeable = False
         member.flags.writeable = False
@@ -680,9 +745,8 @@ def _diagonal(window: Window, points, fiber: int) -> BandedOperator:
     indptr = np.zeros(n + 1, dtype=dt)
     indptr[idx + 1] = 1
     np.cumsum(indptr, out=indptr)
-    mat = sp.csr_matrix((np.ones(len(idx), dtype=np.complex128), idx, indptr),
-                        shape=(n, n))
-    return BandedOperator(window, mat, fiber)
+    return BandedOperator._of(window, fiber, indptr, idx,
+                              np.ones(len(idx), dtype=np.complex128))
 
 
 def identity(window: Window, fiber: int = 1) -> BandedOperator:
@@ -712,7 +776,7 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
     from above (MuProfile.shell_ratio_upper), without an SVD.
 
     The terms are the kernel products P_k = P_{k-1} @ B (_csr_product, the
-    arrays of scipy's P_{k-1} @ B) from P_0 = I, the first one I @ B too:
+    arrays of scipy's P_{k-1}.mat @ B.mat) from P_0 = I, the first one I @ B too:
     the kernel leaves a product's column indices in the order it found
     them, that order sets the summation order of the next product, and
     starting from B would change the inverse's last bits.  S
@@ -728,12 +792,12 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
             f"opalg.neumann_inverse: ||B||_op = {q:.6f} is not below "
             f"1/(2^{n + 1} * 5) = {thresh:.6f} required for n = {n}")
     Rmax = B.window.margin
-    P = identity(B.window, B.fiber).mat
+    P = identity(B.window, B.fiber)
     N = P.shape[0]
     keys, data = [np.arange(N, dtype=np.int64) * (N + 1)], []   # the diagonal
     terms = 0
     while q > 0 and (q ** (terms + 1)) / (1 - q) >= tol:
-        P = _csr_product(P, B.mat)
+        P = P @ B
         keys.append(_csr_rows(P).astype(np.int64) * N + P.indices)
         data.append(P.data)
         terms += 1
@@ -746,8 +810,8 @@ def neumann_inverse(B: BandedOperator, n: int, tol: float = 1e-13):
         vals[at[start:start + len(d)]] += d
         start += len(d)
     indptr = np.searchsorted(pattern, np.arange(0, N * N + 1, N))
-    S = BandedOperator(B.window, sp.csr_matrix((vals, pattern % N, indptr),
-                                               shape=(N, N)), B.fiber)
+    S = BandedOperator._of(B.window, B.fiber,
+                           *_canonical(indptr, pattern % N, vals))
     tail = (q ** (terms + 1)) / (1 - q) if q > 0 else 0.0
     prof_S = mu_profile(S, Rmax)
     prof_B = mu_profile(B, Rmax)
@@ -788,7 +852,7 @@ def power_series_apply(A: BandedOperator, coeffs, tol: float = 1e-12):
             f"||A||_op = {opA:.4f} (tail radius estimate {radius:.4f}, term "
             "bounds still growing at the truncation point)")
     out = BandedOperator(A.window,
-                         sp.csr_matrix(A.mat.shape, dtype=np.complex128), A.fiber)
+                         sp.csr_matrix(A.shape, dtype=np.complex128), A.fiber)
     P = identity(A.window, A.fiber)
     remaining = sum(bounds)
     used = 0
@@ -859,9 +923,9 @@ def _enumerate_pairs(window: Window, prop: int):
     points at distance <= prop, enumerated by stencil offset on lattices and
     by column elsewhere.  Returns what a draw's layout reads: the distances in
     enumeration order (the order the draws follow), the permutation
-    ``order`` that puts the pairs in CSR order (by row, then column), their
-    columns in CSR order as int32, and the row pointer of all candidates in
-    CSR order (int32), so that a draw's CSR arrays are index selections."""
+    ``order`` that puts the pairs in CSR order (by row, then column), and
+    their rows and columns in CSR order as int32, so that a draw's CSR
+    arrays are index selections and a count of the selected rows."""
     pts = window.safe_points
     if window.kind == "zd":
         # one lookup over the <= prop offset stencil x points
@@ -881,17 +945,14 @@ def _enumerate_pairs(window: Window, prop: int):
         rows, cols, ds = [], [], []
         for start in range(0, len(pts), step):
             block = pts[start:start + step]
-            d = window.dist_cross(block, pts)
+            d = window._pair_dist(block[:, None], pts)
             c, r = np.nonzero(d <= prop)
             rows.append(pts[r])
             cols.append(block[c])
             ds.append(d[c, r])
         rows, cols, ds = map(np.concatenate, (rows, cols, ds))
     order = np.lexsort((cols, rows))
-    n = window.n_points
-    ptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    out = (ds, order, cols[order].astype(np.int32), ptr)
+    out = (ds, order, rows[order].astype(np.int32), cols[order].astype(np.int32))
     for a in out:
         a.flags.writeable = False
     return out
@@ -925,8 +986,10 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
     when fiber > 1 a second draw gives f x f blocks scaled by those entries'
     moduli.  The picked pairs are laid out in CSR order from the window's
     memo (_enumerate_pairs): their positions among the candidates in CSR
-    order select the int32 columns, and bisecting the candidates' row
-    pointer into those positions gives the int32 row pointer.  The
+    order select the int32 columns, and the cumulative count of their rows
+    is the int32 row pointer; f x f blocks are spread over their rows by
+    the kernel of scipy's BSR to CSR conversion.  Zero entries (integer
+    draws can be 0 + 0i) are dropped, as eliminate_zeros drops them.  The
     operator's propagation is the largest distance among its nonzero
     entries (blocks)."""
     if not 0.0 <= density <= 1.0:
@@ -939,7 +1002,7 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
         raise PreconditionError(
             f"opalg.random_banded: fiber dimension {fiber} is below 1")
     rng = np.random.default_rng(seed)
-    dists, order, csr_cols, ptr = _banded_pairs(window, prop)
+    dists, order, csr_rows, csr_cols = _banded_pairs(window, prop)
     picked = rng.random(len(dists)) < density
     drawn = np.flatnonzero(picked)
     dists = dists[drawn]
@@ -964,14 +1027,17 @@ def random_banded(window: Window, seed, prop: int, decay: float = 1.0,
     rank = np.empty(len(picked), dtype=np.intp)
     rank[drawn] = np.arange(m)
     perm = rank[order[sel]]
-    indptr = np.searchsorted(sel, ptr).astype(np.int32)
     n = window.n_points
-    if fiber == 1:
-        mat = sp.csr_matrix((vals[perm], csr_cols[sel], indptr), shape=(n, n))
-    else:
-        mat = sp.bsr_matrix((vals[perm], csr_cols[sel], indptr),
-                            shape=(n * fiber,) * 2).tocsr()
-    A = BandedOperator(window, mat, fiber)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(csr_rows[sel], minlength=n), out=indptr[1:])
+    indices, data = csr_cols[sel], vals[perm]
+    if fiber > 1:
+        bp, bi, bx = indptr, indices, data
+        indptr = np.empty(n * fiber + 1, dtype=np.int32)
+        indices = np.empty(nb, dtype=np.int32)
+        data = np.empty(nb, dtype=np.complex128)
+        bsr_tocsr(n, n, fiber, fiber, bp, bi, bx, indptr, indices, data)
+    A = BandedOperator._of(window, fiber, *_canonical(indptr, indices, data))
     nonzero = vals.reshape(m, fiber * fiber).any(axis=1)
     A._prop = int(dists[nonzero].max(initial=0))
     return A

@@ -326,8 +326,10 @@ class Window:
 
     def _pair_dist(self, i, j) -> np.ndarray:
         """d(i, j) for broadcasting id arrays; temporaries have the shape of
-        the broadcast result.  Ids are not range-checked here: every caller
-        checks them first (check_point, _check_ids)."""
+        the broadcast result.  Ids are not range-checked here: a caller
+        checks them first (check_point, _check_ids) unless they are points of
+        the window by construction (an operator's entries, a window's own
+        point lists)."""
         if self.kind == "heisenberg3":
             table, u, v, a, b = self._heis_lookup()
             return table[u[j] - v[i] - a[i] * b[j]].astype(np.int64)

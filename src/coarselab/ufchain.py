@@ -291,7 +291,7 @@ def random_chain(window: Window, degree: int, n_terms: int, max_len: int,
         near = balls.get(a)
         if near is None:
             near = balls[a] = np.flatnonzero(
-                window.dist_cross([a], np.arange(window.n_points))[0] <= max_len)
+                window._pair_dist(a, np.arange(window.n_points)) <= max_len)
             near.flags.writeable = False
         n_near = len(near)
         tup = tuple([near.item(integers(n_near)) for _ in vertices])

@@ -326,7 +326,7 @@ def test_paths_against_dense_products(draw_everywhere, degree, fiber, monkeypatc
         closed_in.clear()
         tt, vv = cyclic._paths(ops)
         if dense is not None:
-            assert len(closed_in) == 1 and closed_in[0] is ops[dense].mat
+            assert len(closed_in) == 1 and closed_in[0] is ops[dense]
             assert all(A.mat.nnz < ops[dense].mat.nnz
                        for j, A in enumerate(ops) if j != dense)
         assert tt.dtype == np.int64 and tt.shape == (len(vv), degree + 1)
@@ -551,6 +551,28 @@ def test_chain_map_check_margin_precondition():
         cyclic.chain_map_check(t)
     with pytest.raises(DegreeError):
         cyclic.chain_map_check(cyclic.CyclicTensor(1, []))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_character_pipeline_builds_no_scipy_matrix(degree, monkeypatch):
+    # draws, products and the join work on the operators' CSR arrays; a
+    # scipy matrix is built only when something reads an operator's .mat
+    w = spaces.make_window("zd", 14, 12, dim=2)
+    init = scipy.sparse.csr_matrix.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__init__", counted)
+    ops = tuple(opalg.random_banded(w, (80, degree, j), prop=2, decay=0.7,
+                                    density=0.3) for j in range(degree + 1))
+    t = cyclic.CyclicTensor(degree, [(1.0, ops)])
+    assert cyclic.chain_map_check(t) < 1e-9
+    assert len(cyclic.chi(t)) > 0
+    assert built == []
+    ops[0].mat
+    assert built == [1]
 
 
 def test_chain_map_zero_factor(w):

@@ -354,7 +354,7 @@ def _converted(window, mat, fiber):
     return ref
 
 
-def _same_csr(a, b):
+def _equal_csr(a, b):
     return (type(a) is type(b) and a.shape == b.shape and a.dtype == b.dtype
             and a.indices.dtype == b.indices.dtype
             and np.array_equal(a.indptr, b.indptr)
@@ -374,7 +374,7 @@ def test_banded_operator_input_contract(wsmall, draw_everywhere, fiber):
         ref = _converted(wsmall, m, fiber)
         C = opalg.BandedOperator(wsmall, m, fiber)
         assert C.mat is m and m.nnz == len(ref.data) and (m.data != 0).all()
-        assert _same_csr(m, ref)
+        assert _equal_csr(m, ref)
     # every other input converts as before
     coo = A.mat.tocoo()
     coo.data[::4] = 0
@@ -382,7 +382,76 @@ def test_banded_operator_input_contract(wsmall, draw_everywhere, fiber):
                 unsorted.real, sp.csr_array(unsorted)):
         ref = _converted(wsmall, inp, fiber)
         C = opalg.BandedOperator(wsmall, inp, fiber)
-        assert C.mat is not inp and _same_csr(C.mat, ref)
+        assert C.mat is not inp and _equal_csr(C.mat, ref)
+
+
+def _same_mat(A, ref):
+    """A.mat is kept, and has ref's type, shape, dtypes, arrays (data bit for
+    bit) and format flags."""
+    got = A.mat
+    assert got is A.mat and _equal_csr(got, ref)
+    _same_csr(got, ref)
+    assert got.has_canonical_format == ref.has_canonical_format
+    assert got.has_sorted_indices == ref.has_sorted_indices
+
+
+def _dense_built(A):
+    """The CSR scipy builds from A's dense matrix: canonical, no stored zero."""
+    return sp.csr_matrix(A.mat.toarray())
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_mat_matches_the_scipy_build(w, zplane, heis, fiber):
+    # draws, products (rows unsorted), scales, the identity and Neumann's S
+    # read as the same CSR matrix that scipy's constructor and operators build
+    draws = [opalg.random_banded(win, (s, fiber), prop=2, decay=0.6, fiber=fiber,
+                                 density=dens, integer=integer)
+             for win in (w, zplane, heis) for s, dens, integer in
+             ((0, 0.5, False), (1, 1.0, True), (2, 0.4, True))]
+    for A in draws:
+        _same_mat(A, _dense_built(A))
+    products = []
+    for A, B in zip(draws, draws[1:]):
+        if A.window is B.window:
+            AB = A @ B
+            products += [AB, AB @ A]
+            _same_mat(AB, A.mat @ B.mat)
+            _same_mat(products[-1], AB.mat @ A.mat)
+    assert any(not P.mat.has_sorted_indices for P in products)
+    for A in draws[:3] + products[:2]:
+        for z in (0.37 - 1.2j, 2.0, 3, 0, 5e-324):
+            ref = z * A.mat
+            ref.eliminate_zeros()
+            _same_mat(A.scale(z), ref)
+    for win in (w, zplane):
+        n = win.n_points * fiber
+        idx = np.arange(n)
+        _same_mat(opalg.identity(win, fiber),
+                  sp.csr_matrix((np.ones(n, dtype=np.complex128), (idx, idx)),
+                                shape=(n, n)))
+    for n, A in zip((1, 2, 3), (draws[0], products[0], draws[3])):
+        B = A.scale(0.8 / (2 ** (n + 1) * 5) / opalg.op_norm(A))
+        S, _ = opalg.neumann_inverse(B, n)
+        _same_mat(S, _dense_built(S))
+
+
+def test_mat_shares_the_operators_arrays(w):
+    # .mat is built on the operator's own arrays, and those hold at most
+    # twice their entries: a product's slots are copied out of a buffer over
+    # twice their count (as scipy's prune copies them), so nothing is copied
+    # when .mat is built
+    A = opalg.random_banded(w, 3, prop=3, decay=0.5)
+    D = opalg.random_banded(w, 4, prop=2, density=1.0, fiber=2)
+    DD = D @ D
+    assert 2 * DD.nnz < np.diff(D.indptr)[D.indices].sum()
+    for X in (A, A @ A, DD, DD.scale(0.5), opalg.identity(w), D):
+        for arr in (X.indptr, X.indices, X.data):
+            assert arr.base is None or 2 * arr.size >= arr.base.size
+        mat = X.mat
+        for a, b in ((mat.indptr, X.indptr), (mat.indices, X.indices),
+                     (mat.data, X.data)):
+            assert a.dtype == b.dtype and len(a) == len(b)
+            assert np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("fiber", [1, 2])
@@ -402,23 +471,26 @@ def test_entry_point_pairs_match_coo(wsmall, draw_everywhere, fiber):
 @pytest.mark.parametrize("cutoff", [opalg.DENSE_CUTOFF, 4])
 def test_mu_profile_one_distance_pass(w, monkeypatch, cutoff):
     # a product has no stored propagation; its profile reads the entries'
-    # distances once, on the SVD path and on the closed-form one alike
+    # distances once, on the SVD path and on the closed-form one alike (the
+    # entries' points are the window's, so they skip dist_many's range check)
     monkeypatch.setattr(opalg, "DENSE_CUTOFF", cutoff)
     A = opalg.random_banded(w, 47, prop=2, decay=0.7)
-    dist_many = spaces.Window.dist_many
+    pair_dist = spaces.Window._pair_dist
     calls = []
 
     def counted(self, ii, jj):
-        calls.append(len(ii))
-        return dist_many(self, ii, jj)
-    monkeypatch.setattr(spaces.Window, "dist_many", counted)
+        calls.append(np.broadcast_shapes(np.shape(ii), np.shape(jj)))
+        return pair_dist(self, ii, jj)
+    monkeypatch.setattr(spaces.Window, "_pair_dist", counted)
     AA = A @ A
     prof = opalg.mu_profile(AA, 6)
-    assert calls == [AA.mat.nnz]
+    assert calls == [(AA.mat.nnz,)]
     assert AA.propagation == int(AA.entry_point_pairs()[2].max())
     assert prof.upper[AA.propagation:].max() == 0 < prof.upper[0]
     # later reads get the kept distances, read-only, with no second pass
-    assert calls == [AA.mat.nnz] and not AA.entry_point_pairs()[2].flags.writeable
+    # over the entries (the SVD path's upper reads a block's distances)
+    assert calls[0] == (AA.mat.nnz,) and all(len(c) == 2 for c in calls[1:])
+    assert not AA.entry_point_pairs()[2].flags.writeable
 
 
 def _unpruned_profile(A, Rmax):
@@ -1079,6 +1151,34 @@ def test_neumann_small_shift(w):
     S, rep = opalg.neumann_inverse(B, 2)
     assert rep.passed
     assert rep.measured <= rep.bound + rep.slack
+
+
+def _criterion07_operators():
+    """(B, n): criterion 07's 50 draws for each n, scaled as suite.check_neumann
+    scales them."""
+    w07 = spaces.make_window("zd", 32, 16, dim=1)
+    for n in (1, 2, 3):
+        for i in range(50):
+            B = opalg.random_banded(w07, (suite.SEED + 6, n, i), prop=2, decay=0.5)
+            yield B.scale(0.8 / (2 ** (n + 1) * 5) / max(opalg.op_norm(B), 1e-12)), n
+
+
+def test_neumann_passed_is_its_threshold(monkeypatch):
+    # passed is measured <= bound + slack, on criterion 07's operators (all
+    # pass) and on one made to fail: with the profiles' op read as 1 and the
+    # decay norm of B as 0 the bound is 1, below the inverse's lower decay
+    # norm by far more than the slack
+    cases = list(_criterion07_operators())
+    for B, n in cases:
+        _, rep = opalg.neumann_inverse(B, n)
+        assert rep.passed and rep.passed == (rep.measured <= rep.bound + rep.slack)
+    monkeypatch.setattr(opalg.MuProfile, "op", property(lambda self: 1.0))
+    monkeypatch.setattr(opalg.MuProfile, "mu_norm", lambda self, n: 0.0)
+    B, n = cases[0]
+    _, rep = opalg.neumann_inverse(B, n)
+    assert rep.bound == 1.0 and rep.slack < 1e-8 < rep.measured - 1
+    assert not rep.passed
+    assert rep.passed == (rep.measured <= rep.bound + rep.slack)
 
 
 def test_neumann_precondition(w):

@@ -663,6 +663,36 @@ def test_random_banded_pinned_at_benchmark_decays(name, prop):
             ) == _DECAY_DIGESTS[name, prop]
 
 
+# (indptr, indices, data) digests, dtypes included, of integer draws on a
+# window where some drawn Gaussian integers are 0 + 0i, at density 1 and 0.6:
+# recorded while scipy's eliminate_zeros still dropped those entries
+_INTEGER_DIGESTS = {
+    1: ("6b604f4762d37044", "2a88737e11b764d0"),
+    2: ("f2936c2c3987f7ec", "dfed2f855fe34af8"),
+}
+
+
+def _csr_digest(A):
+    h = hashlib.sha256()
+    for arr in (A.mat.indptr, A.mat.indices, A.mat.data):
+        h.update(str(arr.dtype).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fiber", list(_INTEGER_DIGESTS))
+def test_random_banded_integer_zeros_pinned(fiber):
+    w = spaces.make_window("zd", 6, 2, dim=2)
+    full = opalg.random_banded(w, (3, fiber), prop=2, fiber=fiber, density=1.0,
+                               integer=True)
+    # every candidate is picked, so the zero draws are what is missing
+    assert full.mat.nnz < len(opalg._banded_pairs(w, 2)[0]) * fiber * fiber
+    assert (full.mat.data != 0).all()
+    part = opalg.random_banded(w, (4, fiber), prop=2, fiber=fiber, density=0.6,
+                               integer=True)
+    assert (_csr_digest(full), _csr_digest(part)) == _INTEGER_DIGESTS[fiber]
+
+
 @pytest.mark.parametrize("name, kw, prop", _BANDED_CASES,
                          ids=[c[0] for c in _BANDED_CASES])
 def test_random_banded_stores_exact_propagation(name, kw, prop):
